@@ -18,9 +18,10 @@ from .multilayer import (LayerStack, ReflectionPair, WaveGeometry,
                          wave_geometry)
 from .shifts import (BeamParams, GridSpec, ShiftResult, angular_shift,
                      shift_from_beam_integral, spatial_shift)
-from .sweep import (ScanContext, SweepGrid, SweepTable, find_brewster,
-                    find_sign_flip, find_transparency_windows,
-                    max_shift_vs_detuning, shift_vs_density, sweep)
+from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
+                    extremal_angles, find_brewster, find_sign_flip,
+                    find_transparency_windows, max_shift_vs_detuning,
+                    shift_vs_density, sweep)
 from .config import RunConfig, RunManifest, load_config, write_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

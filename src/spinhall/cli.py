@@ -8,7 +8,6 @@ flagged as numerically singular.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,12 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, RunManifest, load_config
-from .errors import ParseError, SpinHallError, ValidationError
+from .errors import SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import GridSpec, shift_from_beam_integral, shift_kernel
-from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
-                    find_brewster, find_transparency_windows,
-                    max_shift_vs_detuning, sweep)
+from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable, evaluate,
+                    extremal_angles, find_brewster, find_transparency_windows,
+                    sweep)
+# bound here for perfbench/tracer.py, which wraps the solvers cli can call
+from .sweep import max_shift_vs_detuning  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
 FLOAT_FORMAT = "{:.8e}"  # 9 significant digits, lowercase exponent
@@ -70,22 +71,6 @@ def _emit_table(table: SweepTable, cfg: RunConfig, args, argv) -> int:
     return 0
 
 
-def _point_table(cfg: RunConfig, thetas_deg, detunings, etas=None) -> SweepTable:
-    """Rows for explicit angle/detuning/eta lists (recipes and
-    single-point commands), bypassing the rectangular-grid constraint."""
-    from .sweep import _fill_block
-    medium, stack, beam = cfg.build()
-    etas = list(etas) if etas is not None else [medium.eta]
-    thetas_deg = np.atleast_1d(np.asarray(thetas_deg, dtype=float))
-    n_theta = len(thetas_deg)
-    blocks = [(eta, dp) for eta in etas for dp in np.atleast_1d(detunings)]
-    table = SweepTable.empty(len(blocks) * n_theta)
-    for i, (eta, dp) in enumerate(blocks):
-        _fill_block(table, i * n_theta, np.radians(thetas_deg), thetas_deg,
-                    float(dp), float(eta), medium, stack, beam)
-    return table
-
-
 def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
     medium, stack, beam = cfg.build()
     if eta is not None:
@@ -94,29 +79,39 @@ def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
 
 
 def _parse_grid(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValidationError("--grid expects T0,T1,N")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    """(T0, T1, N) from --grid, held to the rule of a config-file grid."""
+    try:
+        lo, hi, n = text.split(",")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValidationError(f"--grid expects T0,T1,N, got {text!r}") from None
+    if n < 2 or not lo < hi:
+        raise ValidationError(f"--grid needs T0 < T1 and N >= 2, got {text!r}")
+    return lo, hi, n
+
+
+def _etas(args):
+    """The eta axis of a command: --eta when given, else the medium's."""
+    return None if args.eta is None else [args.eta]
+
+
+def _table(cfg: RunConfig, thetas_deg, detunings, etas, threads: int) -> SweepTable:
+    medium, stack, beam = cfg.build()
+    return evaluate([medium], etas, detunings, thetas_deg, stack, beam, threads)
 
 
 def cmd_susceptibility(cfg, args, argv):
     lo, hi, n = cfg.sweep.detuning
-    dps = np.linspace(lo, hi, int(n))
-    table = _point_table(cfg, [args.theta], dps, [args.eta] if args.eta else None)
+    table = _table(cfg, [args.theta], np.linspace(lo, hi, int(n)), _etas(args),
+                   args.threads)
     chi0 = susceptibility(args.detuning, _context(cfg, 0.0, args.eta).medium)
     print(f"chi({args.detuning:g}) = {chi0.real:.6e} {chi0.imag:+.6e}i")
     return _emit_table(table, cfg, args, argv)
 
 
 def cmd_shift(cfg, args, argv):
-    if args.grid:
-        lo, hi, n = _parse_grid(args.grid)
-        thetas = np.linspace(lo, hi, n)
-    else:
-        thetas = [args.theta]
-    table = _point_table(cfg, thetas, [args.detuning],
-                         [args.eta] if args.eta else None)
+    thetas = np.linspace(*_parse_grid(args.grid)) if args.grid else [args.theta]
+    table = _table(cfg, thetas, [args.detuning], _etas(args), args.threads)
     if len(table) == 1:
         print(f"delta_plus = {table.delta_plus_lambda[0]:.6e} lambda, "
               f"Theta_minus = {table.theta_minus[0]:.6e}")
@@ -128,31 +123,26 @@ def cmd_sweep(cfg, args, argv):
     theta_rng = _parse_grid(args.grid) if args.grid else tuple(cfg.sweep.theta_deg)
     grid = SweepGrid(theta_range=theta_rng,
                      detuning_range=tuple(cfg.sweep.detuning),
-                     eta_list=[args.eta] if args.eta else cfg.sweep.eta_list)
+                     eta_list=_etas(args) or cfg.sweep.eta_list)
     table = sweep(grid, medium, stack, beam, threads=args.threads)
     return _emit_table(table, cfg, args, argv)
 
 
 def cmd_brewster(cfg, args, argv):
     window = _parse_grid(args.grid)[:2] if args.grid else (30.0, 38.0)
-    ctx = _context(cfg, args.detuning, args.eta)
-    theta_b = find_brewster(window, ctx)
+    theta_b = find_brewster(window, _context(cfg, args.detuning, args.eta))
     print(f"brewster angle = {theta_b:.6f} deg at detuning {args.detuning:g}")
-    table = _point_table(cfg, [theta_b], [args.detuning],
-                         [args.eta] if args.eta else None)
+    table = _table(cfg, [theta_b], [args.detuning], _etas(args), args.threads)
     return _emit_table(table, cfg, args, argv)
 
 
 def cmd_windows(cfg, args, argv):
-    medium, _, _ = cfg.build()
-    if args.eta:
-        medium = replace(medium, eta=args.eta)
+    medium = _context(cfg, 0.0, args.eta).medium
     lo, hi, _ = cfg.sweep.detuning
     windows = find_transparency_windows(medium, (lo, hi))
     print("transparency windows (gamma):",
           " ".join(f"{w:+.4f}" for w in windows) or "none")
-    table = _point_table(cfg, [args.theta], windows or [0.0],
-                         [args.eta] if args.eta else None)
+    table = _table(cfg, [args.theta], windows or [0.0], _etas(args), args.threads)
     return _emit_table(table, cfg, args, argv)
 
 
@@ -178,68 +168,52 @@ def cmd_oracle(cfg, args, argv):
     return 0
 
 
-def _recipes(cfg: RunConfig, name: str, threads: int) -> SweepTable:
-    medium, stack, beam = cfg.build()
-    dense_theta = np.linspace(30.0, 38.0, 801)
-    full = SweepGrid((30.0, 38.0, 801), (-6.0, 6.0, 601))
-    if name in ("fig2a", "fig3a", "fig4a"):
-        return _point_table(cfg, [33.69], np.linspace(-6, 6, 1201))
-    if name == "fig2b":
-        return _point_table(cfg, dense_theta, [0.0])
-    if name == "fig2d":
-        return _point_table(cfg, np.linspace(33.0, 34.4, 1401), [0.0])
-    if name in ("fig2e", "fig3c", "fig4f"):
-        return sweep(full, medium, stack, beam, threads=threads)
-    if name == "fig2f":
-        return sweep(full, replace(medium, eta=0.01), stack, beam, threads=threads)
-    if name == "fig3b":
-        return _point_table(cfg, dense_theta, [-0.1, 0.0, 0.1])
-    if name == "fig4b":
-        return _point_table(cfg, dense_theta, [0.0], etas=[0.05, 0.1])
-    if name == "fig4c":
-        return _point_table(cfg, [33.6, 33.7], [0.0],
-                            etas=np.linspace(0.01, 0.2, 50))
-    if name == "fig5a":
-        return _point_table(cfg, dense_theta, [0.0, 0.05, 0.1])
-    if name == "fig5c":
-        return _point_table(cfg, dense_theta, [0.05, 0.1, 0.2])
-    if name in ("fig5b", "fig5d"):
-        ctx = ScanContext(medium, stack, beam)
-        dps = (np.linspace(0.0, 0.2, 41) if name == "fig5b"
-               else np.linspace(-2.0, 2.0, 81))
-        rows = []
-        for dp in dps:
-            _, vals = max_shift_vs_detuning("angular", [dp], ctx)
-            rows.append((dp, vals[0]))
-        table = SweepTable.empty(len(rows))
-        for i, (dp, val) in enumerate(rows):
-            table.theta_deg[i] = np.nan
-            table.detuning[i] = dp
-            table.eta[i] = medium.eta
-            chi = susceptibility(float(dp), medium)
-            table.chi1[i], table.chi2[i] = chi.real, chi.imag
-            table.abs_rp[i] = table.abs_rs[i] = table.ratio_sp[i] = np.nan
-            table.delta_plus_lambda[i] = np.nan
-            table.theta_minus[i] = val
-        return table
-    raise ValidationError(f"unknown reproduce target {name!r}")
+def _angular_maximum(cfg: RunConfig, detunings):
+    """One angle row per detuning: where Theta_minus peaks."""
+    return extremal_angles("angular", detunings, _context(cfg, 0.0))[0][:, None]
 
 
-RECIPE_PRESETS = {
-    "fig2a": "fig2-ctl", "fig2b": "fig2-ctl", "fig2d": "fig2-ctl",
-    "fig2e": "fig2-ctl", "fig2f": "fig2-ctl",
-    "fig3a": "fig3-lambda", "fig3b": "fig3-lambda", "fig3c": "fig3-lambda",
-    "fig4a": "fig4-ntype", "fig4b": "fig4-ntype", "fig4c": "fig4-ntype",
-    "fig4f": "fig4-ntype",
-    "fig5a": "fig3-lambda", "fig5b": "fig3-lambda",
-    "fig5c": "fig4-ntype", "fig5d": "fig4-ntype",
+DENSE_THETA = np.linspace(30.0, 38.0, 801)
+FULL_DETUNING = np.linspace(-6.0, 6.0, 601)
+LINE_DETUNING = np.linspace(-6.0, 6.0, 1201)
+
+# target: (preset, theta axis in degrees, detuning axis, eta axis); a
+# callable theta axis maps (config, detunings) to one angle row per
+# detuning, and an eta axis of None keeps the config's density
+RECIPES = {
+    "fig2a": ("fig2-ctl", [33.69], LINE_DETUNING, None),
+    "fig2b": ("fig2-ctl", DENSE_THETA, [0.0], None),
+    "fig2d": ("fig2-ctl", np.linspace(33.0, 34.4, 1401), [0.0], None),
+    "fig2e": ("fig2-ctl", DENSE_THETA, FULL_DETUNING, None),
+    "fig2f": ("fig2-ctl", DENSE_THETA, FULL_DETUNING, [0.01]),
+    "fig3a": ("fig3-lambda", [33.69], LINE_DETUNING, None),
+    "fig3b": ("fig3-lambda", DENSE_THETA, [-0.1, 0.0, 0.1], None),
+    "fig3c": ("fig3-lambda", DENSE_THETA, FULL_DETUNING, None),
+    "fig4a": ("fig4-ntype", [33.69], LINE_DETUNING, None),
+    "fig4b": ("fig4-ntype", DENSE_THETA, [0.0], [0.05, 0.1]),
+    "fig4c": ("fig4-ntype", [33.6, 33.7], [0.0], np.linspace(0.01, 0.2, 50)),
+    "fig4f": ("fig4-ntype", DENSE_THETA, FULL_DETUNING, None),
+    "fig5a": ("fig3-lambda", DENSE_THETA, [0.0, 0.05, 0.1], None),
+    "fig5b": ("fig3-lambda", _angular_maximum, np.linspace(0.0, 0.2, 41), None),
+    "fig5c": ("fig4-ntype", DENSE_THETA, [0.05, 0.1, 0.2], None),
+    "fig5d": ("fig4-ntype", _angular_maximum, np.linspace(-2.0, 2.0, 81), None),
 }
 
 
+def recipe_table(target: str, cfg: RunConfig, threads: int = 1) -> SweepTable:
+    """The table of one ``reproduce`` target under ``cfg``."""
+    _, thetas, detunings, etas = RECIPES[target]
+    if callable(thetas):
+        thetas = thetas(cfg, detunings)
+    return _table(cfg, thetas, detunings, etas, threads)
+
+
 def cmd_reproduce(cfg, args, argv):
+    if args.target not in RECIPES:
+        raise ValidationError(f"unknown reproduce target {args.target!r}")
     if args.preset is None and args.config is None:
-        cfg = load_config(preset=RECIPE_PRESETS.get(args.target, "fig2-ctl"))
-    table = _recipes(cfg, args.target, args.threads)
+        cfg = load_config(preset=RECIPES[args.target][0])
+    table = recipe_table(args.target, cfg, args.threads)
     if args.out is None:
         args.out = f"{args.target}.csv"
     return _emit_table(table, cfg, args, argv)
@@ -257,8 +231,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output data file")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--grid", default=None, help="angle grid T0,T1,N (degrees)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for sweeps (default: SPINHALL_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads; a table is split into fixed-size chunks")
     p.add_argument("--manifest-header", action="store_true",
                    help="prefix the CSV with '#'-commented manifest lines")
 
@@ -292,18 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("SPINHALL_THREADS", "1"))
     try:
+        if args.threads < 1:
+            raise ValidationError("--threads must be >= 1")
+        if args.eta is not None and not 0 <= args.eta < float("inf"):
+            raise ValidationError("--eta must be finite and >= 0")
         cfg = load_config(path=args.config, preset=args.preset)
         return COMMANDS[args.command](cfg, args, argv)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpinHallError as exc:
+    except (SpinHallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

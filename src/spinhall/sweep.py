@@ -1,9 +1,13 @@
-"""Grid sweeps, Brewster / sign-flip location and window finding.
+"""Evaluation tables, Brewster / sign-flip location and window finding.
 
-Every grid point is an independent pure evaluation; rows are written by
-index, so tables are bit-identical no matter how many worker threads
-run the sweep.  Singular points (Brewster floor, resonant stack
-denominator) are flagged in their row instead of aborting the sweep.
+Every table is one broadcast of the detuning axis against the angle
+axis: ``evaluate`` computes the susceptibility once per detuning chunk,
+passes ``eps2 = 1 + chi[:, None]`` through the stack so the angle-only
+terms are shared by every detuning, and writes the rows by index.
+Chunks hold whole angle rows and at most CHUNK_POINTS points; a pool of
+``threads`` workers evaluates them, and the table is bit-identical for
+any thread count.  Singular points (Brewster floor, resonant stack
+denominator) are flagged in their row instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoMinimumInWindow, NoSignChange
+from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange
 from .medium import ControlFieldSet, MediumParams, effective_couplings, susceptibility
 from .multilayer import LayerStack, _amplitudes, RESONANT_DENOMINATOR_FLOOR
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
@@ -23,10 +27,12 @@ __all__ = [
     "ScanContext",
     "SweepGrid",
     "SweepTable",
+    "evaluate",
     "sweep",
     "find_brewster",
     "find_sign_flip",
     "find_transparency_windows",
+    "extremal_angles",
     "max_shift_vs_detuning",
     "shift_vs_density",
 ]
@@ -35,6 +41,7 @@ GOLDEN_TOL_DEG = 1e-4
 WINDOW_REFINE_TOL = 1e-3  # gamma units
 FLAG_BREWSTER = "brewster_singularity"
 FLAG_RESONANT = "resonant_denominator"
+CHUNK_POINTS = 65_536  # points per evaluation chunk: ~1 MB per complex temporary
 
 COLUMNS = ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp", "abs_rs",
            "ratio_sp", "delta_plus_lambda", "theta_minus", "flags")
@@ -140,39 +147,70 @@ class SweepTable:
         return cls(*z, flags=[""] * n)
 
 
-def _fill_block(table: SweepTable, start: int, thetas_rad, theta_deg,
-                dp: float, eta: float, medium: MediumParams,
-                stack: LayerStack, beam: BeamParams):
-    """Evaluate one (medium, eta, detuning) block over the theta grid and
-    write rows [start, start+len)."""
-    m = replace(medium, eta=eta)
-    chi = susceptibility(dp, m)
-    layered = replace(stack, eps2=1.0 + chi)
-    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, layered)
+def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
+                eta: float, medium: MediumParams, stack: LayerStack,
+                beam: BeamParams):
+    """Evaluate one chunk at one (medium, eta) and write its rows from
+    ``start``: the detuning vector against either a shared 1-D angle row
+    or one angle row per detuning, theta fastest."""
+    thetas_rad = np.radians(thetas_deg)
+    chi = susceptibility(detunings, replace(medium, eta=eta))[:, None]
+    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, replace(stack, eps2=1.0 + chi))
+    abs_rp, abs_rs = np.abs(rp), np.abs(rs)
     with np.errstate(invalid="ignore", divide="ignore"):
         delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
-        ratio = np.abs(rs) / np.abs(rp)
-    n = len(thetas_rad)
-    sl = slice(start, start + n)
-    table.theta_deg[sl] = theta_deg
-    table.detuning[sl] = dp
-    table.eta[sl] = eta
-    table.chi1[sl] = chi.real
-    table.chi2[sl] = chi.imag
-    table.abs_rp[sl] = np.abs(rp)
-    table.abs_rs[sl] = np.abs(rs)
-    table.ratio_sp[sl] = ratio
-    table.delta_plus_lambda[sl] = delta_plus / beam.lam
-    table.theta_minus[sl] = theta_minus
+        ratio = abs_rs / abs_rp
     resonant = dmin < RESONANT_DENOMINATOR_FLOOR
-    brewster = (np.abs(rp) < BREWSTER_FLOOR) & ~resonant
-    if np.any(resonant) or np.any(brewster):
-        bad = resonant | brewster
-        table.delta_plus_lambda[sl][bad] = np.nan
-        table.theta_minus[sl][bad] = np.nan
-        table.ratio_sp[sl][bad] = np.nan
-        for i in np.nonzero(bad)[0]:
-            table.flags[start + i] = FLAG_RESONANT if resonant[i] else FLAG_BREWSTER
+    bad = resonant | (abs_rp < BREWSTER_FLOOR)
+    values = {"theta_deg": thetas_deg, "detuning": detunings[:, None],
+              "eta": eta, "chi1": chi.real, "chi2": chi.imag,
+              "abs_rp": abs_rp, "abs_rs": abs_rs,
+              "ratio_sp": np.where(bad, np.nan, ratio),
+              "delta_plus_lambda": np.where(bad, np.nan, delta_plus / beam.lam),
+              "theta_minus": np.where(bad, np.nan, theta_minus)}
+    rows = slice(start, start + rp.size)
+    for name, value in values.items():
+        table.column(name)[rows].reshape(rp.shape)[...] = value
+    for i in np.flatnonzero(bad):
+        table.flags[start + i] = FLAG_RESONANT if resonant.flat[i] else FLAG_BREWSTER
+
+
+def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
+             detunings, thetas_deg, stack: LayerStack, beam: BeamParams,
+             threads: int = 1) -> SweepTable:
+    """Table over explicit axes; every table in the package comes from here.
+
+    Rows run (medium, eta, detuning, theta), slowest first.  ``etas=None``
+    keeps each medium's own density.  ``thetas_deg`` is one angle row
+    shared by every detuning (1-D: the full product) or one row per
+    detuning (shape ``(len(detunings), k)``).  The detunings are cut into
+    chunks of whole angle rows, at most CHUNK_POINTS points each, which
+    ``threads`` worker threads evaluate; rows are written by index, so
+    the table does not depend on the thread count.  Angles outside
+    (0, 90) degrees raise InvalidAngle before anything is evaluated.
+    """
+    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
+    thetas_deg = np.asarray(thetas_deg, dtype=float)
+    if not np.all((thetas_deg > 0.0) & (thetas_deg < 90.0)):
+        raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
+    per_detuning = thetas_deg.ndim == 2
+    if per_detuning and len(thetas_deg) != len(detunings):
+        raise ValueError("a 2-D thetas_deg needs one row per detuning")
+    row = thetas_deg.shape[-1]
+    step = max(1, CHUNK_POINTS // max(row, 1))
+    tasks = []
+    start = 0
+    for m in media:
+        for eta in ([m.eta] if etas is None else etas):
+            for lo in range(0, len(detunings), step):
+                chunk = detunings[lo:lo + step]
+                angles = thetas_deg[lo:lo + step] if per_detuning else thetas_deg
+                tasks.append((start, angles, chunk, float(eta), m))
+                start += len(chunk) * row
+    table = SweepTable.empty(start)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda task: _fill_block(table, *task, stack, beam), tasks))
+    return table
 
 
 def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
@@ -182,31 +220,10 @@ def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
     Row order is (amplitude set, eta, detuning, theta), theta fastest.
     Per-point singularities are flagged, never raised.
     """
-    theta_deg = grid.thetas_deg()
-    thetas_rad = np.radians(theta_deg)
-    detunings = grid.detunings()
-    etas = list(grid.eta_list) if grid.eta_list else [medium.eta]
-    if grid.amplitude_list:
-        media = [replace(medium, couplings=effective_couplings(fs))
-                 for fs in grid.amplitude_list]
-    else:
-        media = [medium]
-    n_theta = len(theta_deg)
-    blocks = [(m, eta, dp) for m in media for eta in etas for dp in detunings]
-    table = SweepTable.empty(len(blocks) * n_theta)
-
-    def run(idx_block):
-        idx, (m, eta, dp) = idx_block
-        _fill_block(table, idx * n_theta, thetas_rad, theta_deg,
-                    float(dp), float(eta), m, stack, beam)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, enumerate(blocks)))
-    else:
-        for item in enumerate(blocks):
-            run(item)
-    return table
+    media = ([replace(medium, couplings=effective_couplings(fs))
+              for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
+    return evaluate(media, grid.eta_list or None, grid.detunings(),
+                    grid.thetas_deg(), stack, beam, threads)
 
 
 def _golden_minimize(f: Callable[[float], float], a: float, b: float,
@@ -341,22 +358,21 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple,
     return sorted(out)
 
 
-def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
-                          theta_window_deg: tuple = (30.0, 38.0),
-                          coarse: int = 801):
-    """Per-detuning extremum over incidence angle.
+def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
+                    theta_window_deg: tuple = (30.0, 38.0), coarse: int = 801):
+    """Per-detuning extremum over incidence angle: (angles_deg, values).
 
-    ``kind`` is "spatial" (largest |delta_plus|, returned in units of
-    the wavelength) or "angular" (largest theta_minus).  Each detuning
-    is scanned on a coarse grid and the best point refined by golden
-    section.
+    ``kind`` is "spatial" (largest |delta_plus|, valued in units of the
+    wavelength) or "angular" (largest theta_minus).  Each detuning is
+    scanned on a coarse grid and the best point refined by golden
+    section; the refined angle is kept only where it beats the grid.
     """
     if kind not in ("spatial", "angular"):
         raise ValueError("kind must be 'spatial' or 'angular'")
     lo, hi = theta_window_deg
-    grid_deg = np.linspace(lo, hi, coarse)
-    grid_rad = np.radians(grid_deg)
+    grid_rad = np.radians(np.linspace(lo, hi, coarse))
     detunings = np.asarray(detunings, dtype=float)
+    angles = np.empty_like(detunings)
     out = np.empty_like(detunings)
     for j, dp in enumerate(detunings):
         ctx = replace(ctx_base, delta_p=float(dp))
@@ -373,9 +389,21 @@ def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
                                   np.radians(GOLDEN_TOL_DEG))
         grid_best = -float(vals[i])
         refined = -float(objective(t_best))
-        best = grid_best if np.isnan(refined) else max(grid_best, refined)
+        if refined > grid_best:
+            angles[j], best = t_best, refined
+        else:
+            angles[j], best = grid_rad[i], grid_best
         out[j] = best / ctx.beam.lam if kind == "spatial" else best
-    return detunings, out
+    return np.degrees(angles), out
+
+
+def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
+                          theta_window_deg: tuple = (30.0, 38.0),
+                          coarse: int = 801):
+    """(detunings, values) of the per-detuning extremum; see extremal_angles."""
+    detunings = np.asarray(detunings, dtype=float)
+    return detunings, extremal_angles(kind, detunings, ctx_base,
+                                      theta_window_deg, coarse)[1]
 
 
 def shift_vs_density(etas, theta_fixed_deg: float, ctx: ScanContext):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spinhall import ParseError, RunConfig, ValidationError, load_config, write_config
-from spinhall.cli import main
+from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
+                      load_config, max_shift_vs_detuning, write_config)
+from spinhall.cli import RECIPES, main, recipe_table
 from spinhall.config import OutputConfig, SweepConfig, config_from_dict
 from spinhall.sweep import COLUMNS
 
@@ -154,6 +155,49 @@ class TestCli:
         code = main(["shift", "--config", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["shift", "--theta", "0"],
+        ["sweep", "--grid", "0,10,3"],
+        ["shift", "--theta", "95"],
+    ])
+    def test_angle_outside_domain_exits_2(self, args, tmp_path, capsys):
+        code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "(0, 90) degrees" in err
+        assert list(tmp_path.iterdir()) == []  # no data file, no manifest
+
+    @pytest.mark.parametrize("args", [
+        ["shift", "--grid", "a,b,c"],
+        ["sweep", "--grid", "33,34,1"],
+        ["sweep", "--grid", "34,33,5"],
+        ["shift", "--threads", "0"],
+        ["shift", "--eta", "-1"],
+        ["windows", "--eta", "nan"],
+    ])
+    def test_malformed_input_exits_2(self, args, tmp_path, capsys):
+        code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["shift", "--theta", "30"],
+        ["sweep", "--grid", "33,34,2"],
+    ])
+    def test_eta_zero_is_honoured(self, args, tmp_path):
+        code, out = run_cli(args + ["--preset", "fig2-ctl", "--eta", "0"], tmp_path)
+        assert code == 0
+        rows = [dict(zip(COLUMNS, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        assert rows
+        for row in rows:
+            assert float(row["eta"]) == 0.0
+            assert float(row["chi1"]) == 0.0 and float(row["chi2"]) == 0.0
+
     def test_flag_fraction_exits_3(self, tmp_path):
         # two theta points straddling the exact Brewster zero within float
         # resolution: both rows at detuning 0 are flagged, half of all rows
@@ -210,6 +254,22 @@ class TestCli:
         assert len(lines) == 42
         tilt = [float(l.split(",")[-2]) for l in lines[1:]]
         assert all(t > 0 for t in tilt)
+
+    @pytest.mark.parametrize("target, rows", [("fig5b", 41), ("fig5d", 81)])
+    def test_angular_maximum_rows_are_real(self, target, rows):
+        preset, _, detunings, _ = RECIPES[target]
+        cfg = load_config(preset=preset)
+        table = recipe_table(target, cfg)
+        assert len(table) == rows
+        for col in COLUMNS[:-1]:
+            assert not np.any(np.isnan(table.column(col))), col
+        assert table.flagged_count == 0
+        medium, stack, beam = cfg.build()
+        _, curve = max_shift_vs_detuning("angular", detunings,
+                                         ScanContext(medium, stack, beam))
+        np.testing.assert_allclose(table.theta_minus, curve, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(table.detuning, detunings)
+        assert np.all((table.theta_deg >= 30.0) & (table.theta_deg <= 38.0))
 
     def test_angular_subcommand(self, tmp_path):
         code, out = run_cli(["angular", "--preset", "fig3-lambda", "--theta", "34",

@@ -1,17 +1,26 @@
 """Sweep engine: grids, extremum finders, windows, density curves."""
 
+import importlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinhall import (ControlFieldSet, LayerStack, NoMinimumInWindow,
-                      NoSignChange, ScanContext, SweepGrid, find_brewster,
+from spinhall import (BeamParams, ControlFieldSet, LayerStack, NoMinimumInWindow,
+                      NoSignChange, ScanContext, SweepGrid, SweepTable,
+                      effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
-                      max_shift_vs_detuning, shift_vs_density, sweep)
-from spinhall.sweep import FLAG_BREWSTER
+                      max_shift_vs_detuning, shift_vs_density, susceptibility,
+                      sweep)
+from spinhall.multilayer import RESONANT_DENOMINATOR_FLOOR, _amplitudes
+from spinhall.shifts import BREWSTER_FLOOR, shift_kernel
+from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT
 from conftest import medium_from
+
+sweep_module = importlib.import_module("spinhall.sweep")
 
 LAM = 780e-9
 BREWSTER_DEG = math.degrees(math.atan(1 / 1.5))
@@ -23,6 +32,156 @@ def context(medium, delta_p=0.0, stack=None, beam=None):
                        stack or LayerStack(eps2=1.0 + 0j),
                        beam or BeamParams(w0=50 * LAM, lam=LAM),
                        delta_p=delta_p)
+
+
+def reference_table(media, etas, detunings, thetas_deg, stack, beam):
+    """The per-detuning evaluation the broadcast kernel replaced: one
+    scalar detuning (one theta row) at a time, same row order."""
+    thetas_deg = np.asarray(thetas_deg, dtype=float)
+    thetas_rad = np.radians(thetas_deg)
+    blocks = [(m, eta, dp) for m in media for eta in (etas or [m.eta])
+              for dp in detunings]
+    n = len(thetas_deg)
+    table = SweepTable.empty(len(blocks) * n)
+    for k, (m, eta, dp) in enumerate(blocks):
+        chi = susceptibility(float(dp), replace(m, eta=float(eta)))
+        rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, replace(stack, eps2=1.0 + chi))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
+            ratio = np.abs(rs) / np.abs(rp)
+        sl = slice(k * n, (k + 1) * n)
+        table.theta_deg[sl] = thetas_deg
+        table.detuning[sl] = dp
+        table.eta[sl] = eta
+        table.chi1[sl] = chi.real
+        table.chi2[sl] = chi.imag
+        table.abs_rp[sl] = np.abs(rp)
+        table.abs_rs[sl] = np.abs(rs)
+        table.ratio_sp[sl] = ratio
+        table.delta_plus_lambda[sl] = delta_plus / beam.lam
+        table.theta_minus[sl] = theta_minus
+        resonant = dmin < RESONANT_DENOMINATOR_FLOOR
+        bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
+        for col in (table.ratio_sp, table.delta_plus_lambda, table.theta_minus):
+            col[sl][bad] = np.nan
+        for i in np.nonzero(bad)[0]:
+            table.flags[k * n + i] = FLAG_RESONANT if resonant[i] else FLAG_BREWSTER
+    return table
+
+
+def assert_tables_equal(got, want):
+    assert len(got) == len(want)
+    for col in COLUMNS[:-1]:
+        np.testing.assert_array_equal(got.column(col), want.column(col), err_msg=col)
+    assert got.flags == want.flags
+
+
+FIELD_SETS = [ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
+GRIDS = {
+    "eta_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9), eta_list=(0.05, 0.1, 0.2)),
+    "amplitude_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9),
+                                amplitude_list=FIELD_SETS),
+    "brewster": SweepGrid((BREWSTER_DEG, BREWSTER_DEG + 1e-12, 2), (0.0, 1.0, 3)),
+}
+
+
+class TestBroadcastKernel:
+    @pytest.mark.parametrize("preset", ["ctl_medium", "lambda_medium", "ntype_medium"])
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", ["default", "inside_grid"])
+    def test_matches_per_detuning_reference(self, preset, grid_name, threads, chunk,
+                                            request, monkeypatch, vacuum_stack, beam):
+        medium = request.getfixturevalue(preset)
+        grid = GRIDS[grid_name]
+        n_theta = len(grid.thetas_deg())
+        if chunk == "inside_grid":
+            # two theta rows per chunk: boundaries fall inside every block
+            monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 2 * n_theta + 1)
+        media = ([replace(medium, couplings=effective_couplings(fs))
+                  for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
+        want = reference_table(media, grid.eta_list, grid.detunings(),
+                               grid.thetas_deg(), vacuum_stack, beam)
+        got = sweep(grid, medium, vacuum_stack, beam, threads=threads)
+        assert_tables_equal(got, want)
+        if grid_name == "brewster" and preset != "ntype_medium":
+            assert got.flagged_count == 2  # both angles at the transparent detuning
+
+    def test_many_threads_lose_no_rows(self, ctl_medium, vacuum_stack, beam,
+                                       monkeypatch):
+        # more workers than cores, one theta row per chunk and frequent
+        # thread switches: a lost or misplaced write breaks the equality
+        grid = GRIDS["eta_list"]
+        monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 41)
+        want = reference_table([ctl_medium], grid.eta_list, grid.detunings(),
+                               grid.thetas_deg(), vacuum_stack, beam)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sweep(grid, ctl_medium, vacuum_stack, beam, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_tables_equal(got, want)
+
+    def test_chunks_hold_whole_theta_rows(self, ctl_medium, vacuum_stack, beam,
+                                          monkeypatch):
+        grid = GRIDS["eta_list"]
+        monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 2 * 41 + 1)
+        rows = []
+        fill = sweep_module._fill_block
+
+        def spy(table, start, thetas_deg, detunings, *rest):
+            rows.append((start, len(detunings), len(thetas_deg)))
+            fill(table, start, thetas_deg, detunings, *rest)
+
+        monkeypatch.setattr(sweep_module, "_fill_block", spy)
+        table = sweep(grid, ctl_medium, vacuum_stack, beam)
+        assert [n for _, n, _ in rows] == [2, 2, 2, 2, 1] * 3
+        assert all(t == 41 for _, _, t in rows)
+        assert sorted(start for start, _, _ in rows) == list(
+            np.cumsum([0] + [n * 41 for _, n, _ in rows[:-1]]))
+        assert len(table) == 3 * 9 * 41
+
+    def test_one_angle_row_per_detuning(self, lambda_medium, vacuum_stack, beam):
+        detunings = np.array([0.0, 0.1, 0.2])
+        thetas = np.array([[33.0], [33.5], [34.0]])
+        got = evaluate([lambda_medium], None, detunings, thetas, vacuum_stack, beam)
+        assert list(got.theta_deg) == [33.0, 33.5, 34.0]
+        for i, dp in enumerate(detunings):
+            want = reference_table([lambda_medium], None, [dp], thetas[i],
+                                   vacuum_stack, beam)
+            assert got.theta_minus[i] == want.theta_minus[0]
+            assert got.abs_rp[i] == want.abs_rp[0]
+
+    @pytest.mark.parametrize("thetas", [[0.0, 10.0], [45.0, 90.0], [95.0], [np.nan]])
+    def test_angle_outside_domain_raises(self, thetas, ctl_medium, vacuum_stack, beam):
+        from spinhall import InvalidAngle
+        with pytest.raises(InvalidAngle):
+            evaluate([ctl_medium], None, [0.0], thetas, vacuum_stack, beam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(preset=st.sampled_from(["ctl", "lambda", "ntype"]),
+           thetas=st.lists(st.floats(0.5, 89.5), min_size=1, max_size=6),
+           detunings=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5),
+           brewster=st.booleans(), resonance=st.booleans(),
+           threads=st.integers(1, 2))
+    def test_every_nan_is_flagged(self, preset, thetas, detunings, brewster,
+                                  resonance, threads):
+        medium = {"ctl": medium_from((1.5, 3.0, 2.5, 0.9)),
+                  "lambda": medium_from((0.5, 0.5, 0.7, 0.7), phase1=np.pi),
+                  "ntype": medium_from((0.5, 0.5, 0.7, 0.7))}[preset]
+        thetas = thetas + [BREWSTER_DEG] * brewster
+        detunings = detunings + [0.0] * resonance
+        table = evaluate([medium], None, detunings, thetas, LayerStack(eps2=1.0 + 0j),
+                         BeamParams(w0=50 * LAM, lam=LAM), threads)
+        assert len(table) == len(thetas) * len(detunings)
+        nan = (np.isnan(table.ratio_sp) | np.isnan(table.delta_plus_lambda)
+               | np.isnan(table.theta_minus))
+        flagged = np.array([bool(f) for f in table.flags])
+        np.testing.assert_array_equal(nan, flagged)
+        assert table.flagged_count == int(flagged.sum())
+        for col in ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp", "abs_rs"):
+            assert np.all(np.isfinite(table.column(col)))
 
 
 class TestSweep:
@@ -187,6 +346,19 @@ class TestTransparencyWindows:
     def test_zero_density_is_everywhere_transparent(self, ctl_medium):
         medium = replace(ctl_medium, eta=0.0)
         assert find_transparency_windows(medium, (-6.0, 6.0)) == []
+
+
+class TestExtremalAngles:
+    def test_values_are_the_curve_at_the_angles(self, lambda_medium):
+        ctx = context(lambda_medium)
+        dps = [0.0, 0.05, 0.1]
+        angles, values = sweep_module.extremal_angles("angular", dps, ctx)
+        _, curve = max_shift_vs_detuning("angular", dps, ctx)
+        np.testing.assert_array_equal(values, curve)
+        for dp, angle, value in zip(dps, angles, values):
+            assert 30.0 <= angle <= 38.0
+            tilt = float(replace(ctx, delta_p=dp).theta_minus(np.radians(angle)))
+            assert tilt == pytest.approx(value, rel=1e-12)
 
 
 class TestCurves:
