@@ -3,19 +3,16 @@ glass / atomic-vapor / glass cavity driven by four coherent control fields."""
 
 __version__ = "0.1.0"
 
-from .errors import (BrewsterSingularity, DegenerateBrightState,
-                     DegenerateInterface, InvalidAngle, NoMinimumInWindow,
-                     NoSignChange, ParseError, QuadratureNotConverged,
-                     ResonantDenominator, SingularDenominator, SpinHallError,
-                     ValidationError)
+from .errors import (BrewsterSingularity, DegenerateBrightState, InvalidAngle,
+                     NoMinimumInWindow, NoSignChange, ParseError,
+                     QuadratureNotConverged, ResonantDenominator,
+                     SingularDenominator, SpinHallError, ValidationError)
 from .medium import (Configuration, ControlField, ControlFieldSet,
                      EffectiveCouplings, MediumParams, classify,
                      coherence_ratio, effective_couplings, permittivity,
                      refractive_index, susceptibility)
-from .multilayer import (LayerStack, ReflectionPair, WaveGeometry,
-                         fresnel_interface, reflection_coefficients,
-                         stack_reflection, stack_reflection_derivative,
-                         wave_geometry)
+from .multilayer import (LayerStack, ReflectionPair, reflection_coefficients,
+                         stack_reflection, stack_reflection_derivative)
 from .shifts import (BeamParams, GridSpec, ShiftResult, angular_shift,
                      shift_from_beam_integral, spatial_shift)
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,

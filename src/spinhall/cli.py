@@ -271,6 +271,8 @@ def main(argv=None) -> int:
             raise ValidationError("--threads must be >= 1")
         if args.eta is not None and not 0 <= args.eta < float("inf"):
             raise ValidationError("--eta must be finite and >= 0")
+        if not np.isfinite(args.detuning):
+            raise ValidationError("--detuning must be finite")
         cfg = load_config(path=args.config, preset=args.preset)
         return COMMANDS[args.command](cfg, args, argv)
     except (SpinHallError, OSError) as exc:

@@ -4,13 +4,17 @@ A config file is a JSON object with optional blocks ``medium``,
 ``stack``, ``beam``, ``sweep`` and ``output``; missing keys take the
 defaults below (which reproduce the asymmetric four-field setup of the
 "fig2-ctl" preset).  An empty file means "all defaults".  Every value
-is validated against its domain type at load time.
+is validated at load time, first against one type rule (numbers are
+finite reals and not booleans, range counts are integers, switches are
+JSON booleans), then against its domain.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -127,17 +131,41 @@ _TUPLE_FIELDS = {"amplitudes", "phases", "alpha", "beta", "eps1", "eps3",
                  "theta_deg", "detuning", "eta_list"}
 
 
+def _check_kind(name: str, key: str, value, index=None):
+    """The one type rule of a value (or list entry ``index``): text, JSON
+    boolean, integer count of a sweep range, else a finite real number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in ("out", "format"):
+        ok, kind = isinstance(value, str), "a string"
+    elif key == "manifest_header":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key in ("theta_deg", "detuning") and index == 2:  # [min, max, count]
+        ok, kind = number and isinstance(value, int), "an integer"
+    else:  # NaN fails the comparison; an integer is compared exactly
+        ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
+    if not ok:
+        raise ValidationError(f"'{name}' must be {kind}, got {value!r}")
+
+
 def _build_block(cls, data: dict, block: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ValidationError(f"'{block}' must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown key(s) in '{block}': {sorted(unknown)}")
     coerced = {}
     for key, value in data.items():
-        if key in _TUPLE_FIELDS and value is not None:
+        if value is None and defaults[key] is None:
+            pass
+        elif key in _TUPLE_FIELDS:
             if not isinstance(value, (list, tuple)):
                 raise ValidationError(f"'{block}.{key}' must be a list")
+            for i, entry in enumerate(value):
+                _check_kind(f"{block}.{key}[{i}]", key, entry, i)
             value = tuple(value)
+        else:
+            _check_kind(f"{block}.{key}", key, value)
         coerced[key] = value
     return cls(**coerced)
 
@@ -156,28 +184,19 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     m = cfg.medium
-    if m.eta < 0:
-        raise ValidationError("eta must be >= 0")
-    if m.gamma_b <= 0 or m.gamma_e <= 0:
-        raise ValidationError("gamma_b and gamma_e must be > 0")
     if len(m.amplitudes) != 4 or len(m.phases) != 4:
         raise ValidationError("amplitudes and phases must each have 4 entries")
     if any(a < 0 for a in m.amplitudes):
         raise ValidationError("field amplitudes must be >= 0")
-    if cfg.stack.thickness_d < 0:
-        raise ValidationError("thickness_d must be >= 0")
-    if cfg.stack.lam <= 0:
-        raise ValidationError("lam must be > 0")
-    if cfg.beam.w0_lambdas <= 0:
-        raise ValidationError("w0_lambdas must be > 0")
     if cfg.output.format not in ("csv", "json"):
         raise ValidationError("output format must be 'csv' or 'json'")
     for name, rng in (("theta_deg", cfg.sweep.theta_deg),
                       ("detuning", cfg.sweep.detuning)):
         if len(rng) != 3 or rng[2] < 2 or not rng[0] < rng[1]:
             raise ValidationError(f"sweep.{name} must be [min, max, count>=2] with min < max")
-    # construct the domain objects so their own invariants run too
-    cfg.build()
+    if any(eta < 0 for eta in cfg.sweep.eta_list or ()):
+        raise ValidationError("every sweep.eta_list entry must be >= 0, as eta")
+    cfg.build()  # the domain objects check eta, rates, lengths and the waist
 
 
 def load_config(path=None, preset: str | None = None) -> RunConfig:
@@ -210,7 +229,7 @@ def _merge(base: dict, extra: dict):
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _merge(base[key], value)
         else:
-            base[key] = value
+            base[key] = copy.deepcopy(value)  # never alias a preset's blocks
 
 
 def write_config(cfg: RunConfig, path) -> None:

@@ -20,10 +20,6 @@ class InvalidAngle(SpinHallError):
     """Incidence angle outside the open interval (0, pi/2)."""
 
 
-class DegenerateInterface(SpinHallError):
-    """Fresnel coefficient denominator vanished at an interface."""
-
-
 class ResonantDenominator(SpinHallError):
     """Multilayer denominator 1 + r12*r23*exp(2i k2z d) is numerically zero."""
 

@@ -217,7 +217,8 @@ def coherence_ratio(delta_p, m: MediumParams):
            + 1j * omega2 * dp * (gb2 - 1j * dp)
            + (gb2 - 1j * dp) * (ge2 - 1j * dp) * dp ** 2
            - omega2 * abs(c.beta) ** 2)
-    at_zero = dp == 0.0
+    # a subnormal detuning is the resonance to double precision; num, den underflow
+    at_zero = np.abs(dp) < np.finfo(float).tiny
     bad = (den == 0) & ~at_zero
     if np.any(bad):
         raise SingularDenominator(

@@ -1,14 +1,15 @@
 """Fresnel reflection of the three-layer glass / atomic-vapor / glass stack.
 
 Layer 1 is the upper glass window the probe arrives through, layer 2 the
-intracavity medium of thickness ``d``, layer 3 the lower window.  The
-composite TM/TE amplitude coefficients are
+intracavity medium of thickness ``d``, layer 3 the lower window.  With
+the normal admittances q = kz/eps (TM) or kz (TE), Im(kz) >= 0 so that
+evanescent and absorbed waves decay into the stack,
 
-    r = (r12 + r23 * exp(2i k2z d)) / (1 + r12 * r23 * exp(2i k2z d))
+    r_ij = (q_i - q_j) / (q_i + q_j),   r = (r12 + r23 P) / (1 + r12 r23 P)
 
-with the single-interface coefficients of each polarization.  Normal
-wave-vector components are taken on the branch Im(kz) >= 0 so that
-evanescent and absorbed waves decay into the stack.
+with P = exp(2i k2z d).  Angular derivatives are this algebra's chain
+rule (dkx/dtheta = sqrt(eps1) k0 cos(theta), dkz/dtheta = -kx kx'/kz):
+closed form, no step size.
 """
 
 from __future__ import annotations
@@ -17,21 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInterface, InvalidAngle, ResonantDenominator
+from .errors import InvalidAngle, ResonantDenominator
 
 __all__ = [
     "LayerStack",
-    "WaveGeometry",
     "ReflectionPair",
-    "wave_geometry",
-    "fresnel_interface",
     "reflection_coefficients",
     "stack_reflection",
     "stack_reflection_derivative",
 ]
 
 RESONANT_DENOMINATOR_FLOOR = 1e-14
-DERIVATIVE_STEP = 1e-6  # radians
 
 
 @dataclass(frozen=True)
@@ -58,17 +55,6 @@ class LayerStack:
 
 
 @dataclass(frozen=True)
-class WaveGeometry:
-    """Wave-vector decomposition at a given incidence angle."""
-
-    theta_i: float
-    lam: float
-    k0: float
-    kx: float
-    kz: tuple  # (k1z, k2z, k3z), each complex with Im >= 0
-
-
-@dataclass(frozen=True)
 class ReflectionPair:
     """Stack reflection coefficients and their angular derivatives."""
 
@@ -84,28 +70,27 @@ def _kz(eps, k0, kx):
     return np.where(np.imag(z) < 0, -z, z)
 
 
-def wave_geometry(theta_i: float, lam: float, stack: LayerStack) -> WaveGeometry:
-    """Wave vectors for a plane wave incident at theta_i (radians)."""
-    if not 0.0 < theta_i < np.pi / 2:
-        raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+def _wave_vectors(theta_i, lam, stack):
+    """k0, kx and the normal components (k1z, k2z, k3z) at theta_i."""
     k0 = 2 * np.pi / lam
-    kx = float(np.real(np.sqrt(stack.eps1)) * k0 * np.sin(theta_i))
-    kz = tuple(complex(_kz(stack.eps(i), k0, kx)) for i in (1, 2, 3))
-    return WaveGeometry(theta_i, lam, k0, kx, kz)
+    kx = np.real(np.sqrt(stack.eps1)) * k0 * np.sin(theta_i)
+    return k0, kx, tuple(_kz(stack.eps(i), k0, kx) for i in (1, 2, 3))
 
 
-def fresnel_interface(i: int, j: int, g: WaveGeometry, stack: LayerStack):
-    """Single-interface TM and TE coefficients (rp_ij, rs_ij) for the
-    i -> j interface, layers numbered 1..3."""
-    kiz, kjz = g.kz[i - 1], g.kz[j - 1]
-    ei, ej = stack.eps(i), stack.eps(j)
-    den_p = kiz / ei + kjz / ej
-    den_s = kiz + kjz
-    if abs(den_p) == 0 or abs(den_s) == 0:
-        raise DegenerateInterface(f"vanishing Fresnel denominator at interface {i}-{j}")
-    return (kiz / ei - kjz / ej) / den_p, (kiz - kjz) / den_s
+def _admittances(kz, stack):
+    """(TM, TE) admittances kz/eps and kz of the layers; linear, so dkz maps alike."""
+    return tuple(k / stack.eps(i) for i, k in enumerate(kz, 1)), kz
+
+
+def _interface(qi, qj):
+    """Single-interface coefficient of the i -> j interface."""
+    return (qi - qj) / (qi + qj)
+
+
+def _composite(a, b, phase):
+    """Stack coefficient from the interface coefficients, and its denominator."""
+    den = 1 + a * b * phase
+    return (a + b * phase) / den, den
 
 
 def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
@@ -124,22 +109,12 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
 
 def _amplitudes(theta_i, lam, stack):
     """Vectorized core: (rp, rs, min |denominator|) without error checks."""
-    k0 = 2 * np.pi / lam
-    kx = np.real(np.sqrt(stack.eps1)) * k0 * np.sin(theta_i)
-    k1z = _kz(stack.eps1, k0, kx)
-    k2z = _kz(stack.eps2, k0, kx)
-    k3z = _kz(stack.eps3, k0, kx)
-    e1, e2, e3 = stack.eps1, stack.eps2, stack.eps3
+    _, _, kz = _wave_vectors(theta_i, lam, stack)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rp12 = (k1z / e1 - k2z / e2) / (k1z / e1 + k2z / e2)
-        rp23 = (k2z / e2 - k3z / e3) / (k2z / e2 + k3z / e3)
-        rs12 = (k1z - k2z) / (k1z + k2z)
-        rs23 = (k2z - k3z) / (k2z + k3z)
-        phase = np.exp(2j * k2z * stack.thickness_d)
-        den_p = 1 + rp12 * rp23 * phase
-        den_s = 1 + rs12 * rs23 * phase
-        rp = (rp12 + rp23 * phase) / den_p
-        rs = (rs12 + rs23 * phase) / den_s
+        phase = np.exp(2j * kz[1] * stack.thickness_d)
+        (rp, den_p), (rs, den_s) = (
+            _composite(_interface(q1, q2), _interface(q2, q3), phase)
+            for q1, q2, q3 in _admittances(kz, stack))
     return rp, rs, np.minimum(np.abs(den_p), np.abs(den_s))
 
 
@@ -152,20 +127,29 @@ def stack_reflection(theta_i: float, lam: float, stack: LayerStack) -> Reflectio
     return ReflectionPair(complex(rp), complex(rs), complex(drp), complex(drs))
 
 
-def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack,
-                                h: float = DERIVATIVE_STEP):
-    """d(rp)/dtheta and d(rs)/dtheta by Richardson-extrapolated central
-    differences (stencils h and h/2, leading error O(h^4))."""
-    def pair(t):
-        rp, rs, _ = _amplitudes(t, lam, stack)
-        return rp, rs
+def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):
+    """d(rp)/dtheta and d(rs)/dtheta in closed form, shaped like theta_i:
+    the chain rule through r with r12 = n/t, r23 = m/s (t, n = q1 +- q2;
+    s, m = q2 +- q3) and the denominators cleared, so it stays finite
+    where r23 alone overflows,
 
-    rp_a, rs_a = pair(theta_i + h)
-    rp_b, rs_b = pair(theta_i - h)
-    rp_c, rs_c = pair(theta_i + h / 2)
-    rp_d, rs_d = pair(theta_i - h / 2)
-    coarse_p = (rp_a - rp_b) / (2 * h)
-    coarse_s = (rs_a - rs_b) / (2 * h)
-    fine_p = (rp_c - rp_d) / h
-    fine_s = (rs_c - rs_d) / h
-    return (4 * fine_p - coarse_p) / 3, (4 * fine_s - coarse_s) / 3
+        dr = [2u (s^2 - m^2 P^2) + 4 q1 q2 (2w P + m s P')] / (s t + n m P)^2,
+
+    u = q1' q2 - q1 q2', w = q2' q3 - q2 q3', P' = 2i d k2z' P; infinite
+    where some kz vanishes (a critical angle).
+    """
+    k0, kx, kz = _wave_vectors(theta_i, lam, stack)
+    dkx = np.real(np.sqrt(stack.eps1)) * k0 * np.cos(theta_i)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dkz = tuple(-kx * dkx / k for k in kz)
+        phase = np.exp(2j * kz[1] * stack.thickness_d)
+        dphase = 2j * stack.thickness_d * dkz[1] * phase
+        for (q1, q2, q3), (dq1, dq2, dq3) in zip(_admittances(kz, stack),
+                                                _admittances(dkz, stack)):
+            t, n, s, m = q1 + q2, q1 - q2, q2 + q3, q2 - q3
+            u, w = dq1 * q2 - q1 * dq2, dq2 * q3 - q2 * dq3
+            out.append((2 * u * (s * s - (m * phase) ** 2)
+                        + 4 * q1 * q2 * (2 * w * phase + m * s * dphase))
+                       / (s * t + n * m * phase) ** 2)
+    return out[0], out[1]

@@ -53,6 +53,12 @@ class TestLoadConfig:
         assert abs(medium.couplings.alpha) < 1e-15
         assert medium.couplings.beta.real == pytest.approx(-0.7 / math.sqrt(0.98))
 
+    def test_file_leaves_the_preset_unchanged(self, tmp_path):
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps({"medium": {"eta": 0.01}}))
+        load_config(path, preset="fig4-ntype")
+        assert load_config(preset="fig4-ntype").medium.eta == 0.1
+
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="unknown preset"):
             load_config(preset="fig9-zeta")
@@ -175,6 +181,8 @@ class TestCli:
         ["shift", "--threads", "0"],
         ["shift", "--eta", "-1"],
         ["windows", "--eta", "nan"],
+        ["shift", "--detuning", "nan"],
+        ["brewster", "--detuning", "inf"],
     ])
     def test_malformed_input_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
@@ -197,6 +205,35 @@ class TestCli:
         for row in rows:
             assert float(row["eta"]) == 0.0
             assert float(row["chi1"]) == 0.0 and float(row["chi2"]) == 0.0
+
+    @pytest.mark.parametrize("text", [
+        '{"medium": {"eta": true}}',
+        '{"medium": {"eta": "0.1"}}',
+        '{"medium": {"eta": null}}',
+        '{"medium": {"eta": 1e400}}',
+        '{"medium": {"gamma_b": NaN}}',
+        '{"medium": {"amplitudes": [1.5, 3.0, Infinity, 0.9]}}',
+        '{"medium": 0.1}',
+        '{"stack": {"thickness_d": NaN}}',
+        '{"beam": {"w0_lambdas": Infinity}}',
+        '{"sweep": {"eta_list": [-1.0]}}',
+        '{"sweep": {"eta_list": [0.1, false]}}',
+        '{"sweep": {"theta_deg": [30, 38, 2.5]}}',
+        '{"sweep": {"detuning": [-6, 6, true]}}',
+        '{"output": {"manifest_header": "no"}}',
+        '{"output": {"out": 5}}',
+    ])
+    def test_config_value_of_wrong_kind_exits_2(self, text, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(["sweep", "--preset", "fig2-ctl", "--config",
+                           str(cfg_path), "--grid", "33,34,2"], out_dir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert list(out_dir.iterdir()) == []
 
     def test_flag_fraction_exits_3(self, tmp_path):
         # two theta points straddling the exact Brewster zero within float

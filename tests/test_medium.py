@@ -156,6 +156,15 @@ class TestCoherenceRatio:
             near = coherence_ratio(dp, ntype_medium)
             assert abs(near - lim) < 1e-4 * abs(lim)
 
+    @pytest.mark.parametrize("dp", [2.2250738585e-313, -1e-310, 5e-324])
+    def test_subnormal_detuning_is_the_resonance(self, dp, ctl_medium,
+                                                 lambda_medium, ntype_medium):
+        for m in (ctl_medium, lambda_medium, ntype_medium):
+            assert coherence_ratio(dp, m) == coherence_ratio(0.0, m)
+        np.testing.assert_array_equal(
+            coherence_ratio(np.array([dp, 0.0]), ntype_medium),
+            coherence_ratio(0.0, ntype_medium))
+
     def test_far_detuned_decay(self, ctl_medium, lambda_medium, ntype_medium):
         for m in (ctl_medium, lambda_medium, ntype_medium):
             for dp in (1e3, -1e3):
