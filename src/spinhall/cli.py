@@ -8,63 +8,108 @@ flagged as numerically singular.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, RunManifest, load_config
-from .errors import SpinHallError, ValidationError
+from .config import RunConfig, RunManifest, atomic_output, load_config
+from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import GridSpec, shift_from_beam_integral, shift_kernel
-from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable, evaluate,
-                    extremal_angles, find_brewster, find_transparency_windows,
-                    sweep)
+from .sweep import (CHUNK_POINTS, COLUMNS, ScanContext, SweepGrid, SweepTable,
+                    evaluate, extremal_angles, find_brewster,
+                    find_transparency_windows, sweep)
 # bound here for perfbench/tracer.py, which wraps the solvers cli can call
 from .sweep import max_shift_vs_detuning  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
-FLOAT_FORMAT = "{:.8e}"  # 9 significant digits, lowercase exponent
+CSV_FLOAT = "%.8e"  # 9 significant digits, lowercase exponent
 
 ORACLE_COLUMNS = ("theta_deg", "detuning", "delta_closed_lambda",
                   "delta_quad_plus_lambda", "delta_quad_minus_lambda",
                   "rel_diff")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return FLOAT_FORMAT.format(float(value))
+def _blocks(numeric, flags, as_json: bool):
+    """The table in blocks of CHUNK_POINTS rows, each a list of columns as
+    Python lists: floats (JSON: non-finite ones as "null"), then the flags
+    (JSON: quoted)."""
+    quoted = {}
+    for lo in range(0, len(numeric[0]), CHUNK_POINTS):
+        hi = lo + CHUNK_POINTS
+        block = []
+        for column in numeric:
+            part = column[lo:hi]
+            values = part.tolist()
+            if as_json:
+                for i in np.flatnonzero(~np.isfinite(part)):
+                    values[i] = "null"
+            block.append(values)
+        if flags is not None:
+            part = flags[lo:hi]
+            if as_json:
+                for flag in set(part).difference(quoted):
+                    quoted[flag] = json.dumps(flag)
+                part = list(map(quoted.__getitem__, part))
+            block.append(part)
+        yield block
 
 
-def _write_rows(path: Path, columns, rows, manifest: RunManifest,
+def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
                 header_comment: bool, fmt: str) -> None:
-    if fmt == "json":
-        import json
-        payload = {"columns": list(columns),
-                   "rows": [[(None if isinstance(v, float) and not np.isfinite(v)
-                              else v) for v in row] for row in rows],
-                   "manifest": json.loads(manifest.to_json())}
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return
-    lines = []
-    if header_comment:
-        for line in manifest.to_json().splitlines():
-            lines.append("# " + line)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Stream a table to ``path`` block by block, replacing it atomically.
+
+    ``numeric`` holds one float array per leading column of ``columns``;
+    ``flags`` is the trailing string column, or None when there is none.
+    CSV values are ``%.8e``; JSON has the layout of ``json.dumps(payload,
+    indent=2)`` for payload {"columns", "rows", "manifest"}, non-finite
+    values written as null.
+    """
+    with atomic_output(path) as fh:
+        if fmt == "json":
+            row = "    [\n" + ",\n".join(["      %s"] * len(columns)) + "\n    ]"
+            fh.write('{\n  "columns": [\n'
+                     + ",\n".join(f"    {json.dumps(c)}" for c in columns)
+                     + '\n  ],\n  "rows": [')
+            sep = "\n"
+            for block in _blocks(numeric, flags, True):
+                fh.write(sep + ",\n".join(map(row.__mod__, zip(*block))))
+                sep = ",\n"
+            fh.write(("\n  ]" if len(numeric[0]) else "]") + ',\n  "manifest": '
+                     + manifest.to_json().replace("\n", "\n  ") + "\n}\n")
+            return
+        if header_comment:
+            fh.writelines(f"# {line}\n" for line in manifest.to_json().splitlines())
+        fh.write(",".join(columns) + "\n")
+        fields = [CSV_FLOAT] * len(numeric) + ["%s"] * (flags is not None)
+        row = ",".join(fields) + "\n"
+        for block in _blocks(numeric, flags, False):
+            fh.write("".join(map(row.__mod__, zip(*block))))
+
+
+def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,
+                  numeric, flags) -> Path:
+    """Data file, then its manifest; a failed manifest takes the data file
+    with it, so a failed command leaves neither."""
+    out = Path(args.out or cfg.output.out)
+    _write_rows(out, columns, numeric, flags, manifest,
+                cfg.output.manifest_header or args.manifest_header,
+                args.format or cfg.output.format)
+    try:
+        manifest.write(out)
+    except BaseException:
+        out.unlink(missing_ok=True)
+        raise
+    return out
 
 
 def _emit_table(table: SweepTable, cfg: RunConfig, args, argv) -> int:
     manifest = RunManifest.for_run(argv, cfg, len(table), table.flagged_count)
-    out = Path(args.out or cfg.output.out)
-    _write_rows(out, COLUMNS, list(table.rows()), manifest,
-                cfg.output.manifest_header or args.manifest_header,
-                args.format or cfg.output.format)
-    manifest.write(out)
+    out = _write_output(cfg, args, manifest, COLUMNS,
+                        [table.column(c) for c in COLUMNS[:-1]], table.flags)
     print(f"wrote {len(table)} rows to {out} ({table.flagged_count} flagged)")
     if len(table) and table.flagged_count / len(table) > MAX_FLAG_FRACTION:
         return 3
@@ -147,6 +192,8 @@ def cmd_windows(cfg, args, argv):
 
 
 def cmd_oracle(cfg, args, argv):
+    if not 0.0 < args.theta < 90.0:
+        raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
     medium, stack, beam = cfg.build()
     ctx = _context(cfg, args.detuning, args.eta)
     layered = ctx.stack_at()
@@ -159,12 +206,8 @@ def cmd_oracle(cfg, args, argv):
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
     row = (args.theta, args.detuning, closed / beam.lam, quad_plus / beam.lam,
            quad_minus / beam.lam, rel)
-    manifest = RunManifest.for_run(argv, cfg, 1, 0)
-    out = Path(args.out or cfg.output.out)
-    _write_rows(out, ORACLE_COLUMNS, [row], manifest,
-                cfg.output.manifest_header or args.manifest_header,
-                args.format or cfg.output.format)
-    manifest.write(out)
+    _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, 0), ORACLE_COLUMNS,
+                  [np.array([v], dtype=float) for v in row], None)
     return 0
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -262,5 +264,22 @@ class RunManifest:
 
     def write(self, data_path) -> Path:
         path = Path(str(data_path) + ".manifest.json")
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_output(path) as fh:
+            fh.write(self.to_json() + "\n")
         return path
+
+
+@contextmanager
+def atomic_output(path):
+    """Text handle on a sibling temporary file that replaces ``path`` when
+    the block ends; on any exception it is removed and ``path`` is left as
+    it was, so no reader ever sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

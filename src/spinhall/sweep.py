@@ -160,7 +160,10 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     with np.errstate(invalid="ignore", divide="ignore"):
         delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
         ratio = abs_rs / abs_rp
-    resonant = dmin < RESONANT_DENOMINATOR_FLOOR
+    # a non-finite rp or rs (an overflowing interface coefficient, or a
+    # NaN denominator) is a resonant denominator too
+    resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
+                | ~np.isfinite(rp) | ~np.isfinite(rs))
     bad = resonant | (abs_rp < BREWSTER_FLOOR)
     values = {"theta_deg": thetas_deg, "detuning": detunings[:, None],
               "eta": eta, "chi1": chi.real, "chi2": chi.imag,

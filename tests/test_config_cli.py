@@ -8,8 +8,10 @@ import pytest
 
 from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
                       load_config, max_shift_vs_detuning, write_config)
+import spinhall.cli as cli
 from spinhall.cli import RECIPES, main, recipe_table
-from spinhall.config import OutputConfig, SweepConfig, config_from_dict
+from spinhall.config import (OutputConfig, RunManifest, SweepConfig,
+                             config_from_dict)
 from spinhall.sweep import COLUMNS
 
 GOLDEN_HEADER = ("theta_deg,detuning,eta,chi1,chi2,abs_rp,abs_rs,ratio_sp,"
@@ -165,6 +167,9 @@ class TestCli:
         ["shift", "--theta", "0"],
         ["sweep", "--grid", "0,10,3"],
         ["shift", "--theta", "95"],
+        ["oracle", "--theta", "95"],
+        ["oracle", "--theta", "0"],
+        ["oracle", "--theta", "nan"],
     ])
     def test_angle_outside_domain_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
@@ -173,6 +178,41 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "(0, 90) degrees" in err
         assert list(tmp_path.iterdir()) == []  # no data file, no manifest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_data_write_leaves_files_as_they_were(self, fmt, tmp_path,
+                                                         monkeypatch, capsys):
+        blocks = cli._blocks
+
+        def fail_after_first(*args):
+            yield next(blocks(*args))
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 3)
+        monkeypatch.setattr(cli, "_blocks", fail_after_first)
+        args = ["shift", "--preset", "fig2-ctl", "--grid", "33,34,7",
+                "--format", fmt]
+        code, _ = run_cli(args, tmp_path)
+        assert code == 2 and "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        previous = tmp_path / "out.csv"
+        previous.write_text("previous\n")
+        code, _ = run_cli(args, tmp_path)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == [previous]
+        assert previous.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("args", [["shift", "--theta", "30"],
+                                      ["oracle", "--theta", "30"]])
+    def test_failed_manifest_write_removes_data_file(self, args, tmp_path,
+                                                     monkeypatch, capsys):
+        def fail(self, data_path):
+            raise OSError("Read-only file system")
+
+        monkeypatch.setattr(RunManifest, "write", fail)
+        code, _ = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
+        assert code == 2 and "Read-only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["shift", "--grid", "a,b,c"],

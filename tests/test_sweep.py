@@ -60,7 +60,8 @@ def reference_table(media, etas, detunings, thetas_deg, stack, beam):
         table.ratio_sp[sl] = ratio
         table.delta_plus_lambda[sl] = delta_plus / beam.lam
         table.theta_minus[sl] = theta_minus
-        resonant = dmin < RESONANT_DENOMINATOR_FLOOR
+        resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
+                    | ~np.isfinite(rp) | ~np.isfinite(rs))
         bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
         for col in (table.ratio_sp, table.delta_plus_lambda, table.theta_minus):
             col[sl][bad] = np.nan
@@ -182,6 +183,21 @@ class TestBroadcastKernel:
         assert table.flagged_count == int(flagged.sum())
         for col in ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp", "abs_rs"):
             assert np.all(np.isfinite(table.column(col)))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("chi, eps3", [(-5e-324j, 1.0), (1.0 - 2e-307j, 2.0)])
+    def test_vanishing_gain_nan_is_flagged(self, chi, eps3, ctl_medium, beam,
+                                           monkeypatch):
+        # layer 2 of vanishing gain with Re eps2 = eps3: r23 overflows and
+        # rp, rs come back NaN while min |den| is NaN or infinite
+        monkeypatch.setattr(sweep_module, "susceptibility",
+                            lambda detunings, medium: np.full(np.shape(detunings), chi))
+        stack = LayerStack(eps2=1.0 + 0j, eps3=eps3 + 0j)
+        table = evaluate([ctl_medium], None, [0.0], [math.degrees(0.5)], stack, beam)
+        assert np.isnan(table.abs_rp[0]) and np.isnan(table.abs_rs[0])
+        assert table.flags == [FLAG_RESONANT]
+        for col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
+            assert np.isnan(table.column(col)[0])
 
 
 class TestSweep:
