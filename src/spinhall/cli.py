@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, RunManifest, atomic_output, load_config
+from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
+                     load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import GridSpec, shift_from_beam_integral, shift_kernel
-from .sweep import (CHUNK_POINTS, COLUMNS, ScanContext, SweepGrid, SweepTable,
+from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
                     evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
 # bound here for perfbench/tracer.py, which wraps the solvers cli can call
@@ -27,35 +28,93 @@ from .sweep import max_shift_vs_detuning  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
 CSV_FLOAT = "%.8e"  # 9 significant digits, lowercase exponent
+CSV_TIE = 1e-5  # scaled mantissas this close to a half integer take "%.8e" %
+WRITE_ROWS = 2048  # rows per written block, small enough to stay in L2 cache
+
+# one CSV value: "%.8e" text padded with NUL to 16 bytes, then ','; the
+# fast path writes sign or NUL, "d.", 4 + 4 digits, "e+dd", NUL
+_SLOT = np.dtype({"names": ["sign", "lead", "high", "low", "exponent", "end"],
+                  "formats": ["u1", "<u2", "<u4", "<u4", "<u4", "<u2"],
+                  "offsets": [0, 1, 3, 7, 11, 15], "itemsize": 17})
+_SLOT_TEXT = np.dtype({"names": ["text"], "formats": ["S16"], "offsets": [0],
+                       "itemsize": 17})
+_COMMA = np.frombuffer(b"\0,", "<u2")[0]
+_LEAD = np.array([b"%d." % d for d in range(10)]).view("<u2")
+_DIGITS2 = np.array([b"%02d" % i for i in range(100)]).view("<u2").astype(np.uint32)
+_DIGITS4 = (_DIGITS2[:, None] | _DIGITS2 << 16).ravel()  # "0000" ... "9999"
+# by 22 + k for the scale 10^k, |k| <= 22: exact powers and the exponent 8 - k
+_SCALE_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_SCALE_DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
+_EXPONENT = np.array([b"e%+03d" % (8 - k) for k in range(-22, 23)]).view("<u4")
 
 ORACLE_COLUMNS = ("theta_deg", "detuning", "delta_closed_lambda",
                   "delta_quad_plus_lambda", "delta_quad_minus_lambda",
                   "rel_diff")
 
 
-def _blocks(numeric, flags, as_json: bool):
-    """The table in blocks of CHUNK_POINTS rows, each a list of columns as
-    Python lists: floats (JSON: non-finite ones as "null"), then the flags
-    (JSON: quoted)."""
-    quoted = {}
-    for lo in range(0, len(numeric[0]), CHUNK_POINTS):
-        hi = lo + CHUNK_POINTS
-        block = []
-        for column in numeric:
-            part = column[lo:hi]
-            values = part.tolist()
-            if as_json:
-                for i in np.flatnonzero(~np.isfinite(part)):
-                    values[i] = "null"
-            block.append(values)
-        if flags is not None:
-            part = flags[lo:hi]
-            if as_json:
-                for flag in set(part).difference(quoted):
-                    quoted[flag] = json.dumps(flag)
-                part = list(map(quoted.__getitem__, part))
-            block.append(part)
-        yield block
+def _blocks(n_rows: int):
+    """Row slices of at most WRITE_ROWS rows that cover a table of n_rows."""
+    for lo in range(0, n_rows, WRITE_ROWS):
+        yield slice(lo, lo + WRITE_ROWS)
+
+
+def _csv_slots(values, slots) -> None:
+    """Fill ``slots``, a (rows, cols) array of _SLOT, with the ``%.8e`` text
+    of the float block ``values``.
+
+    The fast path scales |x| by one exact power of ten, s = |x| 10^k with
+    k = 8 - floor(log10 |x|) held to |k| <= 22, and writes the nine digits
+    of rint(s) with the exponent 8 - k.  s carries one rounding, under
+    1.2e-7 absolute, so rint(s) is the correctly rounded mantissa unless s
+    lies within CSV_TIE of a half integer or outside [1e8, 1e9 - 1/2).
+    Those values, which include zeros, non-finite values and exponents
+    beyond the exact powers, are written by ``"%.8e" %`` instead.
+    """
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.fmin(np.fmax(8.0 - np.floor(np.log10(a)), -22.0), 22.0)
+        power = (k + 22.0).astype(np.intp)
+        s = a * _SCALE_UP.take(power) / _SCALE_DOWN.take(power)
+        m = np.rint(s)
+        slow = ~((s >= 1e8) & (s < 999_999_999.5 - CSV_TIE)
+                 & (np.abs(s - m) < 0.5 - CSV_TIE))
+    m[slow] = 1e8
+    m = m.astype(np.uint32)
+    lead = m // 100_000_000
+    m -= lead * 100_000_000
+    high = m // 10_000
+    slots["sign"] = (values < 0).view(np.uint8) * np.uint8(45)  # '-'
+    slots["lead"] = _LEAD.take(lead)
+    slots["high"] = _DIGITS4.take(high)
+    slots["low"] = _DIGITS4.take(m - high * 10_000)
+    slots["exponent"] = _EXPONENT.take(power)
+    slots["end"] = _COMMA
+    if slow.any():
+        text = [CSV_FLOAT % v for v in values[slow].tolist()]
+        slots.view(_SLOT_TEXT)["text"][slow] = text
+
+
+def _write_csv(out, numeric, flags) -> None:
+    """CSV rows of ``numeric`` and ``flags`` to the binary handle ``out``.
+
+    Per block, each row is one _SLOT per value and the NUL-padded end of
+    the line (flag and newline), written with the NULs removed.
+    """
+    width = 17 * len(numeric)
+    if flags is None:
+        flags = [None] * len(numeric[0])
+    kinds = list(dict.fromkeys(flags))
+    code = {flag: i for i, flag in enumerate(kinds)}
+    tails = np.array([b"\n" if flag is None else f",{flag}\n".encode()
+                      for flag in kinds])
+    for rows in _blocks(len(numeric[0])):
+        values = np.stack([column[rows] for column in numeric], axis=1)
+        buf = np.empty((len(values), width + tails.itemsize), np.uint8)
+        _csv_slots(values, buf[:, :width].view(_SLOT))
+        buf[:, width - 1] = 0  # the line's end replaces the last ','
+        codes = np.fromiter(map(code.__getitem__, flags[rows]), np.intp, len(values))
+        buf[:, width:].view(tails.dtype)[:, 0] = tails.take(codes)
+        out.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
@@ -64,10 +123,11 @@ def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
 
     ``numeric`` holds one float array per leading column of ``columns``;
     ``flags`` is the trailing string column, or None when there is none.
-    CSV values are ``%.8e``; JSON has the layout of ``json.dumps(payload,
-    indent=2)`` for payload {"columns", "rows", "manifest"}, non-finite
-    values written as null.
+    CSV values are the bytes of ``%.8e``; JSON has the layout of
+    ``json.dumps(payload, indent=2)`` for payload {"columns", "rows",
+    "manifest"}, non-finite values written as null.
     """
+    n_rows = len(numeric[0])
     with atomic_output(path) as fh:
         if fmt == "json":
             row = "    [\n" + ",\n".join(["      %s"] * len(columns)) + "\n    ]"
@@ -75,19 +135,30 @@ def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
                      + ",\n".join(f"    {json.dumps(c)}" for c in columns)
                      + '\n  ],\n  "rows": [')
             sep = "\n"
-            for block in _blocks(numeric, flags, True):
+            quoted = {}
+            for rows in _blocks(n_rows):
+                block = []
+                for column in numeric:
+                    part = column[rows]
+                    values = part.tolist()
+                    for i in np.flatnonzero(~np.isfinite(part)):
+                        values[i] = "null"
+                    block.append(values)
+                if flags is not None:
+                    part = flags[rows]
+                    for flag in set(part).difference(quoted):
+                        quoted[flag] = json.dumps(flag)
+                    block.append(list(map(quoted.__getitem__, part)))
                 fh.write(sep + ",\n".join(map(row.__mod__, zip(*block))))
                 sep = ",\n"
-            fh.write(("\n  ]" if len(numeric[0]) else "]") + ',\n  "manifest": '
+            fh.write(("\n  ]" if n_rows else "]") + ',\n  "manifest": '
                      + manifest.to_json().replace("\n", "\n  ") + "\n}\n")
             return
         if header_comment:
-            fh.writelines(f"# {line}\n" for line in manifest.to_json().splitlines())
-        fh.write(",".join(columns) + "\n")
-        fields = [CSV_FLOAT] * len(numeric) + ["%s"] * (flags is not None)
-        row = ",".join(fields) + "\n"
-        for block in _blocks(numeric, flags, False):
-            fh.write("".join(map(row.__mod__, zip(*block))))
+            fh.buffer.writelines(f"# {line}\n".encode()
+                                 for line in manifest.to_json().splitlines())
+        fh.buffer.write((",".join(columns) + "\n").encode())
+        _write_csv(fh.buffer, numeric, flags)
 
 
 def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,
@@ -123,8 +194,9 @@ def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
     return ScanContext(medium, stack, beam, delta_p=float(detuning))
 
 
-def _parse_grid(text: str):
-    """(T0, T1, N) from --grid, held to the rule of a config-file grid."""
+def _parse_grid(text: str, points_per_angle: int = 1):
+    """(T0, T1, N) from --grid, held to the rule of a config-file grid and,
+    with ``points_per_angle`` rows per angle, to the table-size limit."""
     try:
         lo, hi, n = text.split(",")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -132,6 +204,7 @@ def _parse_grid(text: str):
         raise ValidationError(f"--grid expects T0,T1,N, got {text!r}") from None
     if n < 2 or not lo < hi:
         raise ValidationError(f"--grid needs T0 < T1 and N >= 2, got {text!r}")
+    check_table_points(n, points_per_angle)
     return lo, hi, n
 
 
@@ -165,10 +238,11 @@ def cmd_shift(cfg, args, argv):
 
 def cmd_sweep(cfg, args, argv):
     medium, stack, beam = cfg.build()
-    theta_rng = _parse_grid(args.grid) if args.grid else tuple(cfg.sweep.theta_deg)
+    etas = _etas(args) or cfg.sweep.eta_list
+    theta_rng = (_parse_grid(args.grid, cfg.sweep.detuning[2] * len(etas or [None]))
+                 if args.grid else tuple(cfg.sweep.theta_deg))
     grid = SweepGrid(theta_range=theta_rng,
-                     detuning_range=tuple(cfg.sweep.detuning),
-                     eta_list=_etas(args) or cfg.sweep.eta_list)
+                     detuning_range=tuple(cfg.sweep.detuning), eta_list=etas)
     table = sweep(grid, medium, stack, beam, threads=args.threads)
     return _emit_table(table, cfg, args, argv)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -31,6 +32,9 @@ from .shifts import BREWSTER_FLOOR, QUADRATURE_REL_CHANGE, BeamParams
 from .sweep import GOLDEN_TOL_DEG, WINDOW_REFINE_TOL
 
 __all__ = ["RunConfig", "RunManifest", "load_config", "write_config", "TOLERANCES"]
+
+# points of one table: about ten fig2e maps, ~0.5 GB of table columns
+MAX_TABLE_POINTS = 5_000_000
 
 TOLERANCES = {
     "brewster_floor_abs_rp": BREWSTER_FLOOR,
@@ -198,7 +202,18 @@ def _validate(cfg: RunConfig):
             raise ValidationError(f"sweep.{name} must be [min, max, count>=2] with min < max")
     if any(eta < 0 for eta in cfg.sweep.eta_list or ()):
         raise ValidationError("every sweep.eta_list entry must be >= 0, as eta")
+    check_table_points(cfg.sweep.theta_deg[2], cfg.sweep.detuning[2],
+                       len(cfg.sweep.eta_list or [None]))
     cfg.build()  # the domain objects check eta, rates, lengths and the waist
+
+
+def check_table_points(*counts: int) -> None:
+    """Refuse a table of prod(counts) points above MAX_TABLE_POINTS; called
+    on the axis counts, before any axis is allocated."""
+    points = math.prod(counts)
+    if points > MAX_TABLE_POINTS:
+        raise ValidationError(f"a table of {points} points exceeds the limit of "
+                              f"{MAX_TABLE_POINTS}")
 
 
 def load_config(path=None, preset: str | None = None) -> RunConfig:

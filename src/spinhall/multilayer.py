@@ -98,19 +98,22 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
 
     ``theta_i`` may be a scalar or an ndarray of angles in radians; the
     return values match its shape.  Raises ResonantDenominator when a
-    composite denominator falls below the numeric floor.
+    composite denominator falls below the numeric floor or a coefficient
+    is not finite (an overflowing interface coefficient, or a NaN
+    denominator), the rule tables flag by.
     """
     rp, rs, dmin = _amplitudes(theta_i, lam, stack)
-    if np.any(dmin < RESONANT_DENOMINATOR_FLOOR):
+    if (np.any(dmin < RESONANT_DENOMINATOR_FLOOR)
+            or not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rs)))):
         raise ResonantDenominator("stack denominator below floor "
-                                  f"{RESONANT_DENOMINATOR_FLOOR}")
+                                  f"{RESONANT_DENOMINATOR_FLOOR} or not finite")
     return rp, rs
 
 
 def _amplitudes(theta_i, lam, stack):
     """Vectorized core: (rp, rs, min |denominator|) without error checks."""
     _, _, kz = _wave_vectors(theta_i, lam, stack)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phase = np.exp(2j * kz[1] * stack.thickness_d)
         (rp, den_p), (rs, den_s) = (
             _composite(_interface(q1, q2), _interface(q2, q3), phase)

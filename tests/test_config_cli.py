@@ -9,10 +9,11 @@ import pytest
 from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
                       load_config, max_shift_vs_detuning, write_config)
 import spinhall.cli as cli
+import spinhall.config as config_module
 from spinhall.cli import RECIPES, main, recipe_table
 from spinhall.config import (OutputConfig, RunManifest, SweepConfig,
                              config_from_dict)
-from spinhall.sweep import COLUMNS
+from spinhall.sweep import COLUMNS, SweepTable
 
 GOLDEN_HEADER = ("theta_deg,detuning,eta,chi1,chi2,abs_rp,abs_rs,ratio_sp,"
                  "delta_plus_lambda,theta_minus,flags")
@@ -188,7 +189,7 @@ class TestCli:
             yield next(blocks(*args))
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli, "CHUNK_POINTS", 3)
+        monkeypatch.setattr(cli, "WRITE_ROWS", 3)
         monkeypatch.setattr(cli, "_blocks", fail_after_first)
         args = ["shift", "--preset", "fig2-ctl", "--grid", "33,34,7",
                 "--format", fmt]
@@ -274,6 +275,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("args, config", [
+        (["shift", "--grid", "30,38,1000000000"], None),
+        (["sweep", "--grid", "30,38,10000"], None),  # x 601 detunings
+        (["sweep"], {"theta_deg": [30, 38, 1000000000]}),
+        (["susceptibility"], {"detuning": [-6, 6, 1000000000]}),
+        (["sweep"], {"theta_deg": [30, 38, 3000], "detuning": [-6, 6, 1000],
+                     "eta_list": [0.1, 0.2]}),
+    ])
+    def test_table_over_the_limit_exits_2(self, args, config, tmp_path,
+                                          monkeypatch, capsys):
+        def refuse(n):
+            raise AssertionError(f"allocated an axis or table of {n} points")
+
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda lo, hi, n=50, **kw: (
+            refuse(n) if n > 10**6 else linspace(lo, hi, n, **kw)))
+        monkeypatch.setattr(SweepTable, "empty", classmethod(lambda cls, n: refuse(n)))
+        if config is not None:
+            (tmp_path / "big.json").write_text(json.dumps({"sweep": config}))
+            args = args + ["--config", str(tmp_path / "big.json")]
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(args + ["--preset", "fig2-ctl"], out_dir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds the limit of 5000000" in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_table_at_the_limit_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config_module, "MAX_TABLE_POINTS", 12)
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"sweep": {"theta_deg": [30, 38, 2],
+                                               "detuning": [-1, 1, 2]}}))
+        base = ["sweep", "--preset", "fig2-ctl", "--config", str(small), "--grid"]
+        code, out = run_cli(base + ["33,34,6"], tmp_path)  # 6 angles x 2 detunings
+        assert code == 0 and len(out.read_text().splitlines()) == 13
+        code, _ = run_cli(base + ["33,34,7"], tmp_path)
+        assert code == 2
 
     def test_flag_fraction_exits_3(self, tmp_path):
         # two theta points straddling the exact Brewster zero within float

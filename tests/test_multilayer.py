@@ -9,14 +9,15 @@ stack evaluation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spinhall.multilayer as multilayer
-from spinhall import (InvalidAngle, LayerStack, reflection_coefficients,
-                      shift_from_beam_integral, stack_reflection,
+from spinhall import (InvalidAngle, LayerStack, ResonantDenominator,
+                      reflection_coefficients, shift_from_beam_integral, stack_reflection,
                       stack_reflection_derivative, susceptibility)
 from spinhall.multilayer import _amplitudes, _kz
 
@@ -177,6 +178,22 @@ class TestStackReflection:
         refl = stack_reflection(math.radians(30.0), LAM, vacuum_stack)
         drp, drs = stack_reflection_derivative(math.radians(30.0), LAM, vacuum_stack)
         assert refl.dp_dtheta == drp and refl.ds_dtheta == drs
+
+    @pytest.mark.parametrize("eps2, eps3", [(1 - 5e-324j, 1.0), (2 - 2e-307j, 2.0)])
+    def test_non_finite_coefficients_are_resonant(self, eps2, eps3):
+        # layer 2 of vanishing gain matched to layer 3: r23 overflows and
+        # the denominator is NaN, which no floor comparison catches
+        stack = LayerStack(eps2=eps2, eps3=complex(eps3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rp, rs, _ = _amplitudes(0.5, LAM, stack)
+        assert not (np.isfinite(rp) and np.isfinite(rs))
+        with pytest.raises(ResonantDenominator):
+            reflection_coefficients(0.5, LAM, stack)
+        with pytest.raises(ResonantDenominator):
+            reflection_coefficients(np.array([0.4, 0.5]), LAM, stack)
+        with pytest.raises(ResonantDenominator):
+            stack_reflection(0.5, LAM, stack)
 
     @pytest.mark.parametrize("theta", [0.0, -0.3, math.pi / 2, 2.0])
     def test_invalid_angle_checked(self, theta, vacuum_stack):

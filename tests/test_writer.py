@@ -4,10 +4,13 @@
 row tuples, formats every value on its own and writes one string.  The
 streaming writer must give the same bytes for CSV (with and without the
 manifest header) and JSON, on real tables, on the oracle's six-column
-row and on arbitrary values straddling the writer's block boundary.
+row and on arbitrary values straddling the writer's block boundary.  Its
+vectorised ``%.8e`` formatter must match ``"%.8e" %`` on any 64-bit
+pattern, on rounding ties and on decade edges.
 """
 
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -90,7 +93,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("chunk", [65_536, 40, 1])
     def test_table_bytes(self, fmt, header, chunk, flagged_table, tmp_path,
                          monkeypatch):
-        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
+        monkeypatch.setattr(cli, "WRITE_ROWS", chunk)
         new, old = both_writers(tmp_path, COLUMNS, *flagged_table, header, fmt)
         assert new == old
 
@@ -129,7 +132,7 @@ class TestAgainstReference:
             st.sampled_from(["", FLAG_BREWSTER, FLAG_RESONANT, 'odd "flag" é']),
             min_size=n, max_size=n), label="flags")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "CHUNK_POINTS", chunk)
+            patch.setattr(cli, "WRITE_ROWS", chunk)
             new, old = both_writers(tmp_path_factory.mktemp("w"), columns, numeric,
                                     flags, header, fmt)
         assert new == old
@@ -175,16 +178,80 @@ class TestCliAgainstReference:
         assert as_csv.read_bytes() == ref.read_bytes()
 
 
-# sha256 of `spinhall reproduce <target> --threads 1`, unchanged since the seed
-# for fig2d and since the fig5b rows became real angle-of-maximum rows
-GOLDEN_SHA256 = {
-    "fig2d": "087a8708109d9b71e1a6df2f2969cf0c7b6eebc3a345740498696ec6ac725488",
-    "fig5b": "7c81b7c3656a62f06c04dd1a8093b75ec7f0a00a02b092d76f5d6852c00148b9",
-}
+def csv_lines(*columns, flags=None):
+    """Data lines of ``columns`` (and ``flags``) as the CSV writer writes them."""
+    out = io.BytesIO()
+    cli._write_csv(out, [np.asarray(c, dtype=float) for c in columns], flags)
+    return out.getvalue().decode().splitlines()
 
 
-@pytest.mark.parametrize("target", sorted(GOLDEN_SHA256))
+def percent_lines(*columns, fmt="%.8e", flags=None):
+    tail = [[f] for f in flags] if flags is not None else [[]] * len(columns[0])
+    return [",".join([fmt % v for v in row] + t)
+            for row, t in zip(zip(*(np.asarray(c, dtype=float).tolist()
+                                     for c in columns)), tail)]
+
+
+def ulps(values, n):
+    """``values`` and their neighbours up to ``n`` ulps away on each side."""
+    out, up, down = [values], values, values
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert csv_lines(values) == percent_lines(values)
+
+    def test_ties(self):
+        rng = np.random.default_rng(5)
+        mantissas = rng.integers(10**8, 10**9, 4000) + 0.5
+        exponents = rng.integers(-25, 25, 4000).astype(float)
+        ties = mantissas * 10.0 ** exponents
+        values = ulps(np.concatenate([ties, -ties]), 1)
+        assert csv_lines(values) == percent_lines(values)
+
+    def test_decade_edges_and_powers_of_ten(self):
+        k = np.arange(-30.0, 31.0)
+        values = np.concatenate([ulps((1e9 - 0.5) * 10.0 ** k, 8),
+                                 ulps(10.0 ** np.arange(-320.0, 309.0), 1),
+                                 [9.999999995, -9.999999995, 99999999.95]])
+        assert csv_lines(values) == percent_lines(values)
+
+    def test_all_values_take_the_fallback(self, monkeypatch):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+                  -1e300, 1.5e-15, 2.5e31, 123456789.5, 9.999999995]
+        flags = ["", FLAG_BREWSTER] * 6
+        assert csv_lines(values, values[::-1], flags=flags) == percent_lines(
+            values, values[::-1], flags=flags)
+        # the fallback is the only writer of an upper-case exponent
+        monkeypatch.setattr(cli, "CSV_FLOAT", "%.8E")
+        assert csv_lines(values, values[::-1], flags=flags) == percent_lines(
+            values, values[::-1], fmt="%.8E", flags=flags)
+
+    def test_no_value_takes_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        values = ((rng.integers(10**8, 10**9, 3000) + 0.25)
+                  * 10.0 ** rng.integers(-22, 22, 3000) * rng.choice([-1, 1], 3000))
+        columns = (values, np.linspace(30.0, 38.0, 3000), values[::-1])
+        want = percent_lines(*columns, flags=[FLAG_RESONANT] * 3000)
+        monkeypatch.setattr(cli, "CSV_FLOAT", "%.8E")
+        assert csv_lines(*columns, flags=[FLAG_RESONANT] * 3000) == want
+
+
+# `spinhall reproduce <target> --threads 1` writes <target>.csv with these
+# digests; CI checks all of them with `sha256sum -c`
+GOLDEN_SHA256 = dict(line.split()[::-1] for line in (
+    Path(__file__).with_name("golden_sha256.txt").read_text().splitlines()))
+
+
+@pytest.mark.parametrize("target", ["fig2d", "fig5b"])
 def test_reproduce_golden_digest(target, tmp_path):
     out = tmp_path / f"{target}.csv"
     assert main(["reproduce", target, "--threads", "1", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[target]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[out.name]
