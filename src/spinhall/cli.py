@@ -8,6 +8,7 @@ flagged as numerically singular.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -23,7 +24,9 @@ from .shifts import GridSpec, shift_from_beam_integral, shift_kernel
 from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
                     evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
-# bound here for perfbench/tracer.py, which wraps the solvers cli can call
+# not called here: fig5b/5d call extremal_angles, so they enter no
+# sweep.solver span.  Bound for perfbench/tracer.py and its binding test
+# until the tracer is re-pointed (ROADMAP item 3)
 from .sweep import max_shift_vs_detuning  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
@@ -366,7 +369,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call of
+    ``main`` in the process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="spinhall",
         description="Spin-dependent beam shifts of a probe reflected from a "

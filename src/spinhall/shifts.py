@@ -28,6 +28,7 @@ not depend on evaluation chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,10 +152,20 @@ def angular_shift(theta_i: float, refl: ReflectionPair, beam: BeamParams) -> flo
     return spatial_shift(theta_i, refl, beam).theta_minus
 
 
+@lru_cache(maxsize=None)
+def _legendre_nodes(n: int):
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], computed once
+    per node count and process."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _centroids(theta_i, refl, beam, grid: GridSpec):
     """Intensity centroids (delta_plus, delta_minus) of the synthesized
     first-order reflected field at the waist plane."""
-    nodes, weights = np.polynomial.legendre.leggauss(grid.nodes)
+    nodes, weights = _legendre_nodes(grid.nodes)
     half = grid.half_extent_w0 * beam.w0
     x = nodes * half
     w = weights * half

@@ -229,23 +229,35 @@ def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
                     grid.thetas_deg(), stack, beam, threads)
 
 
-def _golden_minimize(f: Callable[[float], float], a: float, b: float,
-                     tol: float) -> float:
-    """Golden-section minimum of f on [a, b] to an abscissa tolerance."""
+def _golden_minimize(f: Callable, a, b, tol: float):
+    """Golden-section minima of f on the brackets [a[k], b[k]], in lockstep.
+
+    ``f(t, rows)`` evaluates the objective of the brackets ``rows`` (an
+    index array) at the points ``t``, one point per row.  Each row runs the
+    scalar golden-section update sequence, so its result does not depend on
+    the other rows; a row stops once its own b - a <= tol, and each step
+    evaluates the new interior point of every row still active in one call.
+    Returns the midpoints of the final brackets.
+    """
     inv_phi = (np.sqrt(5) - 1) / 2
     inv_phi2 = (3 - np.sqrt(5)) / 2
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
     c = a + inv_phi2 * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = a + inv_phi2 * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
+    rows = np.arange(len(a))
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([rows, rows])), 2)
+    active = rows[b - a > tol]
+    while active.size:
+        left = fc[active] < fd[active]
+        lo, hi = active[left], active[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = a[lo] + inv_phi2 * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
+        fnew = f(np.where(left, c[active], d[active]), active)
+        fc[lo], fd[hi] = fnew[left], fnew[~left]
+        active = active[b[active] - a[active] > tol]
     return 0.5 * (a + b)
 
 
@@ -263,8 +275,8 @@ def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
     i = int(np.argmin(vals))
     if i == 0 or i == coarse - 1 or not (vals[i] < vals[0] and vals[i] < vals[-1]):
         raise NoMinimumInWindow(f"|rp| has no interior minimum in {theta_window_deg}")
-    f = lambda t_deg: float(ctx.abs_rp(np.radians(t_deg)))
-    return _golden_minimize(f, grid[i - 1], grid[i + 1], tol_deg)
+    f = lambda t_deg, rows: ctx.abs_rp(np.radians(t_deg))
+    return _golden_minimize(f, grid[i - 1], grid[i + 1], tol_deg)[0]
 
 
 def find_sign_flip(theta_deg, delta, ctx: ScanContext,
@@ -354,11 +366,9 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple,
     dps = np.linspace(lo, hi, n_grid)
     mag = np.abs(susceptibility(dps, medium))
     f = lambda dp: float(np.abs(susceptibility(float(dp), medium)))
-    out = []
-    for i in range(1, n_grid - 1):
-        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
-            out.append(_refine_minimum(f, dps[i - 1], dps[i], dps[i + 1], tol))
-    return sorted(out)
+    interior = (mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])
+    return sorted(_refine_minimum(f, dps[i - 1], dps[i], dps[i + 1], tol)
+                  for i in np.flatnonzero(interior) + 1)
 
 
 def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
@@ -366,38 +376,40 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     """Per-detuning extremum over incidence angle: (angles_deg, values).
 
     ``kind`` is "spatial" (largest |delta_plus|, valued in units of the
-    wavelength) or "angular" (largest theta_minus).  Each detuning is
-    scanned on a coarse grid and the best point refined by golden
-    section; the refined angle is kept only where it beats the grid.
+    wavelength) or "angular" (largest theta_minus).  The coarse scan is
+    one broadcast of the detunings against the angle grid, with
+    ``eps2 = 1 + chi[:, None]`` as in the table kernel; the best grid
+    point of every detuning is then refined by one lockstep golden
+    section over all detunings, and the refined angle is kept only where
+    it beats the grid.  Each detuning takes the steps a search of its
+    own would take; an empty detuning list gives empty arrays.
     """
     if kind not in ("spatial", "angular"):
         raise ValueError("kind must be 'spatial' or 'angular'")
     lo, hi = theta_window_deg
     grid_rad = np.radians(np.linspace(lo, hi, coarse))
     detunings = np.asarray(detunings, dtype=float)
-    angles = np.empty_like(detunings)
-    out = np.empty_like(detunings)
-    for j, dp in enumerate(detunings):
-        ctx = replace(ctx_base, delta_p=float(dp))
-        if kind == "spatial":
-            objective = lambda t: -np.abs(ctx.delta_plus(t))
-        else:
-            objective = lambda t: -ctx.theta_minus(t)
-        vals = objective(grid_rad)
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        i = int(np.argmin(vals))
-        a = grid_rad[max(i - 1, 0)]
-        b = grid_rad[min(i + 1, coarse - 1)]
-        t_best = _golden_minimize(lambda t: float(objective(t)), a, b,
-                                  np.radians(GOLDEN_TOL_DEG))
-        grid_best = -float(vals[i])
-        refined = -float(objective(t_best))
-        if refined > grid_best:
-            angles[j], best = t_best, refined
-        else:
-            angles[j], best = grid_rad[i], grid_best
-        out[j] = best / ctx.beam.lam if kind == "spatial" else best
-    return np.degrees(angles), out
+    stack, beam = ctx_base.stack, ctx_base.beam
+    eps2 = 1.0 + susceptibility(detunings, ctx_base.medium)
+
+    def objective(t, eps):
+        rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps))
+        delta_plus, theta_minus = shift_kernel(t, rp, rs, beam)
+        return -np.abs(delta_plus) if kind == "spatial" else -theta_minus
+
+    vals = objective(grid_rad, eps2[:, None])
+    vals = np.where(np.isfinite(vals), vals, np.inf)
+    i = np.argmin(vals, axis=1)
+    grid_best = -vals[np.arange(len(i)), i]
+    t_best = _golden_minimize(lambda t, rows: objective(t, eps2[rows]),
+                              grid_rad[np.maximum(i - 1, 0)],
+                              grid_rad[np.minimum(i + 1, coarse - 1)],
+                              np.radians(GOLDEN_TOL_DEG))
+    refined = -objective(t_best, eps2)
+    better = refined > grid_best
+    best = np.where(better, refined, grid_best)
+    angles = np.where(better, t_best, grid_rad[i])
+    return np.degrees(angles), best / beam.lam if kind == "spatial" else best
 
 
 def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,

@@ -49,10 +49,10 @@ def refined_extremum(ctx, mode, window=(33.0, 34.4), coarse=4001):
     sign = 1.0 if mode == "max" else -1.0
     i = int(np.nanargmax(sign * vals))
     from spinhall.sweep import _golden_minimize
-    f = lambda t: -sign * float(ctx.delta_plus(t))
-    t = _golden_minimize(f, grid[max(i - 1, 0)], grid[min(i + 1, coarse - 1)],
-                         np.radians(1e-5))
-    return -sign * f(t) / LAM
+    f = lambda t: -sign * ctx.delta_plus(t)
+    t = _golden_minimize(lambda t, rows: f(t), grid[max(i - 1, 0)],
+                         grid[min(i + 1, coarse - 1)], np.radians(1e-5))
+    return -sign * float(f(t[0])) / LAM
 
 
 def test_criterion_1_resonant_transparency(ctl_medium, lambda_medium):

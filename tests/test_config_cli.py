@@ -355,6 +355,29 @@ class TestCli:
         assert lines[0] == GOLDEN_HEADER
         assert len(lines) == 101  # 2 angles x 50 densities
 
+    def test_calls_in_one_process_share_no_state(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # the parser is built once per process; each call parses afresh
+        monkeypatch.chdir(tmp_path)
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["reproduce", "fig4c"]) == 0
+        assert main(["shift", "--preset", "fig2-ctl", "--theta", "30"]) == 0
+        default = tmp_path / OutputConfig().out
+        assert len((tmp_path / "fig4c.csv").read_text().splitlines()) == 101
+        assert len(default.read_text().splitlines()) == 2
+        with pytest.raises(SystemExit) as rejected:
+            main(["shift", "--theta", "not-a-number"])
+        assert rejected.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["reproduce"])  # no target
+        capsys.readouterr()
+        assert main(["shift", "--preset", "fig3-lambda", "--out", "after.csv"]) == 0
+        assert "delta_plus" in capsys.readouterr().out
+        row = dict(zip(COLUMNS, (tmp_path / "after.csv").read_text()
+                       .splitlines()[1].split(",")))
+        assert float(row["theta_deg"]) == 33.69 and float(row["detuning"]) == 0.0
+        assert float(row["eta"]) == load_config(preset="fig3-lambda").medium.eta
+
     def test_reproduce_unknown_target(self, tmp_path, capsys):
         code = main(["reproduce", "fig99x", "--out", str(tmp_path / "x.csv")])
         assert code == 2

@@ -11,7 +11,8 @@ from spinhall import (BeamParams, BrewsterSingularity, GridSpec, LayerStack,
                       QuadratureNotConverged, ReflectionPair, angular_shift,
                       shift_from_beam_integral, spatial_shift, stack_reflection,
                       susceptibility)
-from spinhall.shifts import _centroids, shift_kernel
+import spinhall.shifts as shifts_module
+from spinhall.shifts import _centroids, _legendre_nodes, shift_kernel
 
 LAM = 780e-9
 
@@ -159,3 +160,33 @@ class TestQuadratureOracle:
             results.append(spatial_shift(theta, refl, beam).delta_plus / lam)
         assert results[0] == pytest.approx(results[1], rel=1e-9)
         assert results[2] == pytest.approx(results[1], rel=1e-9)
+
+
+class TestLegendreNodeCache:
+    @pytest.mark.parametrize("n", [2, 7, 201, 402])
+    def test_nodes_are_leggauss(self, n):
+        nodes, weights = _legendre_nodes(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
+        assert _legendre_nodes(n)[0] is nodes  # computed once per node count
+
+    def test_cached_arrays_are_read_only(self):
+        nodes, weights = _legendre_nodes(5)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array += 1.0
+
+    def test_centroids_independent_of_the_cache(self, beam, ctl_medium,
+                                                monkeypatch):
+        stack = LayerStack(eps2=1.0 + susceptibility(0.3, ctl_medium))
+        theta = math.radians(33.2)
+        _legendre_nodes.cache_clear()
+        first = shift_from_beam_integral(theta, stack, beam)
+        again = shift_from_beam_integral(theta, stack, beam)
+        monkeypatch.setattr(shifts_module, "_legendre_nodes",
+                            np.polynomial.legendre.leggauss)
+        uncached = shift_from_beam_integral(theta, stack, beam)
+        assert first == again == uncached

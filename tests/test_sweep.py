@@ -13,8 +13,8 @@ from spinhall import (BeamParams, ControlFieldSet, LayerStack, NoMinimumInWindow
                       NoSignChange, ScanContext, SweepGrid, SweepTable,
                       effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
-                      max_shift_vs_detuning, shift_vs_density, susceptibility,
-                      sweep)
+                      load_config, max_shift_vs_detuning, shift_vs_density,
+                      susceptibility, sweep)
 from spinhall.multilayer import RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from spinhall.shifts import BREWSTER_FLOOR, shift_kernel
 from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT
@@ -24,6 +24,16 @@ sweep_module = importlib.import_module("spinhall.sweep")
 
 LAM = 780e-9
 BREWSTER_DEG = math.degrees(math.atan(1 / 1.5))
+
+
+PRESETS = ("fig2-ctl", "fig3-lambda", "fig4-ntype")
+# the detuning axes of figs 5b (Lambda medium) and 5d (N-type medium)
+FIG5_AXES = {"fig5b": ("fig3-lambda", np.linspace(0.0, 0.2, 41)),
+             "fig5d": ("fig4-ntype", np.linspace(-2.0, 2.0, 81))}
+
+
+def preset_context(preset, delta_p=0.0):
+    return ScanContext(*load_config(preset=preset).build(), delta_p=delta_p)
 
 
 def context(medium, delta_p=0.0, stack=None, beam=None):
@@ -68,6 +78,85 @@ def reference_table(media, etas, detunings, thetas_deg, stack, beam):
         for i in np.nonzero(bad)[0]:
             table.flags[k * n + i] = FLAG_RESONANT if resonant[i] else FLAG_BREWSTER
     return table
+
+
+def reference_golden(f, a, b, tol):
+    """The scalar golden section the lockstep search replaced: one bracket,
+    f evaluated at one angle per step."""
+    inv_phi = (np.sqrt(5) - 1) / 2
+    inv_phi2 = (3 - np.sqrt(5)) / 2
+    c = a + inv_phi2 * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = a + inv_phi2 * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_extremal_angles(kind, detunings, ctx_base,
+                              theta_window_deg=(30.0, 38.0), coarse=801,
+                              point=lambda t: t):
+    """The per-detuning loop the lockstep search replaced: one coarse scan
+    and one scalar golden section per detuning.  ``point`` shapes the angle
+    each golden step evaluates: a numpy scalar as before, or np.atleast_1d
+    for the array arithmetic the lockstep search does on each row."""
+    lo, hi = theta_window_deg
+    grid_rad = np.radians(np.linspace(lo, hi, coarse))
+    detunings = np.asarray(detunings, dtype=float)
+    angles = np.empty_like(detunings)
+    out = np.empty_like(detunings)
+    for j, dp in enumerate(detunings):
+        ctx = replace(ctx_base, delta_p=float(dp))
+        if kind == "spatial":
+            objective = lambda t: -np.abs(ctx.delta_plus(t))
+        else:
+            objective = lambda t: -ctx.theta_minus(t)
+        vals = objective(grid_rad)
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        i = int(np.argmin(vals))
+        a = grid_rad[max(i - 1, 0)]
+        b = grid_rad[min(i + 1, coarse - 1)]
+        scalar = lambda t: np.ravel(objective(point(t)))[0]
+        t_best = reference_golden(scalar, a, b, np.radians(sweep_module.GOLDEN_TOL_DEG))
+        grid_best = -float(vals[i])
+        refined = -float(scalar(t_best))
+        if refined > grid_best:
+            angles[j], best = t_best, refined
+        else:
+            angles[j], best = grid_rad[i], grid_best
+        out[j] = best / ctx.beam.lam if kind == "spatial" else best
+    return np.degrees(angles), out
+
+
+def reference_find_brewster(theta_window_deg, ctx, coarse=201):
+    """find_brewster with the scalar golden section."""
+    grid = np.linspace(*theta_window_deg, coarse)
+    i = int(np.argmin(ctx.abs_rp(np.radians(grid))))
+    f = lambda t_deg: float(ctx.abs_rp(np.radians(t_deg)))
+    return reference_golden(f, grid[i - 1], grid[i + 1], sweep_module.GOLDEN_TOL_DEG)
+
+
+def reference_windows(medium, detuning_range, n_grid=4801,
+                      tol=sweep_module.WINDOW_REFINE_TOL):
+    """find_transparency_windows with the per-point loop over the grid."""
+    if medium.eta == 0:
+        return []
+    dps = np.linspace(*detuning_range, n_grid)
+    mag = np.abs(susceptibility(dps, medium))
+    f = lambda dp: float(np.abs(susceptibility(float(dp), medium)))
+    out = []
+    for i in range(1, n_grid - 1):
+        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
+            out.append(sweep_module._refine_minimum(f, dps[i - 1], dps[i],
+                                                    dps[i + 1], tol))
+    return sorted(out)
 
 
 def assert_tables_equal(got, want):
@@ -290,6 +379,14 @@ class TestFindBrewster:
         theta_b = find_brewster((30.0, 38.0), ctx)
         assert grid[i - 1] <= theta_b <= grid[i + 1]
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_scalar_golden_section(self, preset):
+        for dp in (-2.0, -0.5, 0.0, 0.1, 0.3, 1.5):
+            ctx = preset_context(preset, dp)
+            for coarse in (201, 51):
+                assert (find_brewster((30.0, 38.0), ctx, coarse)
+                        == reference_find_brewster((30.0, 38.0), ctx, coarse)), (dp, coarse)
+
     def test_dip_migrates_with_dispersion(self, ctl_medium):
         # qualitative: the |rp| minimum follows the dispersion sign, moving
         # up to about a degree off the transparent-point angle
@@ -363,8 +460,133 @@ class TestTransparencyWindows:
         medium = replace(ctl_medium, eta=0.0)
         assert find_transparency_windows(medium, (-6.0, 6.0)) == []
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("eta", [0.02, 0.1, 0.2])
+    def test_matches_per_point_loop(self, preset, eta):
+        medium = replace(preset_context(preset).medium, eta=eta)
+        for window in ((-6.0, 6.0), (-1.0, 0.5)):
+            assert (find_transparency_windows(medium, window)
+                    == reference_windows(medium, window))
+
+    @pytest.mark.parametrize("n_grid", [2, 3, 4])
+    def test_tiny_grids(self, ctl_medium, n_grid):
+        assert (find_transparency_windows(ctl_medium, (-1.0, 1.0), n_grid)
+                == reference_windows(ctl_medium, (-1.0, 1.0), n_grid))
+
+
+def coarse_argmax(kind, ctx, dp, window, coarse):
+    """Grid index of the coarse-scan extremum at one detuning."""
+    ctx = replace(ctx, delta_p=float(dp))
+    grid = np.radians(np.linspace(*window, coarse))
+    vals = np.abs(ctx.delta_plus(grid)) if kind == "spatial" else ctx.theta_minus(grid)
+    return int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))
+
+
+class TestLockstepGolden:
+    @staticmethod
+    def quadratic(t, rows, centre, holes=()):
+        """(t - centre[row])^2, NaN on the rows of ``holes`` above their centre."""
+        value = (t - centre[rows]) ** 2
+        hole = np.isin(rows, holes) & (t > centre[rows])
+        return np.where(hole, np.nan, value)
+
+    def test_each_row_matches_scalar_search(self):
+        a = np.array([0.0, 0.0, 1.0, 2.0, -1.0])
+        b = np.array([1.0, 0.25, 3.0, 2.001, 1.0])  # widths differ
+        centre = np.array([0.3, 0.2, 2.9, 2.0005, -0.5])
+        got = sweep_module._golden_minimize(
+            lambda t, rows: self.quadratic(t, rows, centre), a, b, 1e-7)
+        for k in range(len(a)):
+            f = lambda t: self.quadratic(np.array([t]), np.array([k]), centre)[0]
+            assert got[k] == reference_golden(f, a[k], b[k], 1e-7)
+            assert abs(got[k] - centre[k]) < 1e-6
+
+    def test_non_finite_row(self):
+        # row 1 is NaN right of its centre and row 2 is NaN everywhere; the
+        # others must not notice, and each follows the scalar search
+        a, b = np.zeros(3), np.ones(3)
+        centre = np.array([0.3, 0.6, 0.4])
+        f = lambda t, rows: np.where(rows == 2, np.inf,
+                                     self.quadratic(t, rows, centre, holes=(1,)))
+        got = sweep_module._golden_minimize(f, a, b, 1e-8)
+        for k in range(3):
+            scalar = lambda t: f(np.array([t]), np.array([k]))[0]
+            assert got[k] == reference_golden(scalar, a[k], b[k], 1e-8)
+        assert abs(got[0] - 0.3) < 1e-7
+
+    def test_bracket_within_tolerance_is_not_evaluated_further(self):
+        calls = []
+
+        def f(t, rows):
+            calls.append(len(rows))
+            return t ** 2
+
+        got = sweep_module._golden_minimize(f, [0.0, -1.0], [1e-9, 1.0], 1e-6)
+        assert got[0] == 0.5e-9
+        assert calls[0] == 4 and all(n == 1 for n in calls[1:])
+
+    def test_no_brackets(self):
+        got = sweep_module._golden_minimize(lambda t, rows: t, [], [], 1e-6)
+        assert got.shape == (0,)
+
 
 class TestExtremalAngles:
+    @pytest.mark.parametrize("kind", ["spatial", "angular"])
+    @pytest.mark.parametrize("figure", sorted(FIG5_AXES))
+    def test_fig5_axes_match_per_detuning_search(self, figure, kind):
+        preset, dps = FIG5_AXES[figure]
+        ctx = preset_context(preset)
+        angles, values = sweep_module.extremal_angles(kind, dps, ctx)
+        # the same update sequence per row, on the same array arithmetic
+        want_angles, want_values = reference_extremal_angles(
+            kind, dps, ctx, point=np.atleast_1d)
+        np.testing.assert_array_equal(angles, want_angles)
+        np.testing.assert_array_equal(values, want_values)
+        # against numpy-scalar steps, the search took every branch the same
+        # way; a value evaluated on a numpy scalar (scalar arithmetic rather
+        # than the array loops) can differ from it in the last few ulps
+        scalar_angles, scalar_values = reference_extremal_angles(kind, dps, ctx)
+        np.testing.assert_array_equal(angles, scalar_angles)
+        assert np.all(np.abs(values - scalar_values)
+                      <= 8 * np.spacing(np.abs(scalar_values)))
+
+    @pytest.mark.parametrize("kind", ["spatial", "angular"])
+    def test_maximum_on_window_edge(self, kind):
+        # a narrow window leaves many maxima on its edges: one-cell brackets
+        window, coarse = (33.0, 33.5), 201
+        ctx = preset_context("fig4-ntype")
+        dps = np.linspace(-3.0, 3.0, 31)
+        edges = {coarse_argmax(kind, ctx, dp, window, coarse) for dp in dps}
+        assert {0, coarse - 1} <= edges and len(edges) > 2
+        got = sweep_module.extremal_angles(kind, dps, ctx, window, coarse)
+        want = reference_extremal_angles(kind, dps, ctx, window, coarse,
+                                         point=np.atleast_1d)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_non_finite_objective_on_part_of_the_scan(self, ctl_medium):
+        # the resonant cavity's |rp| vanishes at Brewster's angle: the
+        # closed form is NaN there, on a grid point of this scan
+        ctx = context(ctl_medium)
+        window = (BREWSTER_DEG - 0.5, BREWSTER_DEG + 0.5)
+        grid = np.radians(np.linspace(*window, 101))
+        assert np.isnan(ctx.delta_plus(grid)).any()
+        dps = [0.0, 0.5, -1.0]
+        for kind in ("spatial", "angular"):
+            got = sweep_module.extremal_angles(kind, dps, ctx, window, 101)
+            want = reference_extremal_angles(kind, dps, ctx, window, 101,
+                                             point=np.atleast_1d)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert np.all(np.isfinite(got[1]))
+
+    @pytest.mark.parametrize("kind", ["spatial", "angular"])
+    def test_empty_detuning_list(self, kind, lambda_medium):
+        angles, values = sweep_module.extremal_angles(kind, [], context(lambda_medium))
+        assert angles.shape == values.shape == (0,)
+        dps, curve = max_shift_vs_detuning(kind, [], context(lambda_medium))
+        assert dps.shape == curve.shape == (0,)
+
     def test_values_are_the_curve_at_the_angles(self, lambda_medium):
         ctx = context(lambda_medium)
         dps = [0.0, 0.05, 0.1]
