@@ -3,18 +3,18 @@ glass / atomic-vapor / glass cavity driven by four coherent control fields."""
 
 __version__ = "0.1.0"
 
-from .errors import (BrewsterSingularity, DegenerateBrightState, InvalidAngle,
-                     NoMinimumInWindow, NoSignChange, ParseError,
-                     QuadratureNotConverged, ResonantDenominator,
-                     SingularDenominator, SpinHallError, ValidationError)
+from .errors import (DegenerateBrightState, InvalidAngle, NoMinimumInWindow,
+                     NoSignChange, ParseError, QuadratureNotConverged,
+                     ResonantDenominator, SingularDenominator, SpinHallError,
+                     ValidationError)
 from .medium import (Configuration, ControlField, ControlFieldSet,
                      EffectiveCouplings, MediumParams, classify,
                      coherence_ratio, effective_couplings, permittivity,
                      refractive_index, susceptibility)
-from .multilayer import (LayerStack, ReflectionPair, reflection_coefficients,
-                         stack_reflection, stack_reflection_derivative)
-from .shifts import (BeamParams, GridSpec, ShiftResult, angular_shift,
-                     shift_from_beam_integral, spatial_shift)
+from .multilayer import (LayerStack, reflection_coefficients,
+                         stack_reflection_derivative)
+from .shifts import (BeamParams, GridSpec, shift_from_beam_integral,
+                     shift_kernel)
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
                     find_transparency_windows, max_shift_vs_detuning,

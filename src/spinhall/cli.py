@@ -251,8 +251,9 @@ def cmd_sweep(cfg, args, argv):
 
 
 def cmd_brewster(cfg, args, argv):
-    window = _parse_grid(args.grid)[:2] if args.grid else (30.0, 38.0)
-    theta_b = find_brewster(window, _context(cfg, args.detuning, args.eta))
+    lo, hi, n = _parse_grid(args.grid) if args.grid else (30.0, 38.0, 201)
+    theta_b = find_brewster((lo, hi), _context(cfg, args.detuning, args.eta),
+                            coarse=n)
     print(f"brewster angle = {theta_b:.6f} deg at detuning {args.detuning:g}")
     table = _table(cfg, [theta_b], [args.detuning], _etas(args), args.threads)
     return _emit_table(table, cfg, args, argv)
@@ -360,7 +361,6 @@ def _add_common(p: argparse.ArgumentParser):
 COMMANDS = {
     "susceptibility": cmd_susceptibility,
     "shift": cmd_shift,
-    "angular": cmd_shift,  # same row schema; the tilt column is always present
     "sweep": cmd_sweep,
     "brewster": cmd_brewster,
     "windows": cmd_windows,

@@ -24,11 +24,6 @@ class ResonantDenominator(SpinHallError):
     """Multilayer denominator 1 + r12*r23*exp(2i k2z d) is numerically zero."""
 
 
-class BrewsterSingularity(SpinHallError):
-    """|rp| is below the reporting floor; the first-order beam-shift
-    expansion is unreliable there and no value is fabricated."""
-
-
 class QuadratureNotConverged(SpinHallError):
     """Doubling the quadrature grid moved the beam centroid by more than
     the allowed relative change."""

@@ -10,6 +10,12 @@ evanescent and absorbed waves decay into the stack,
 with P = exp(2i k2z d).  Angular derivatives are this algebra's chain
 rule (dkx/dtheta = sqrt(eps1) k0 cos(theta), dkz/dtheta = -kx kx'/kz):
 closed form, no step size.
+
+The public API is two functions of a scalar or an array of angles:
+``reflection_coefficients`` gives (rp, rs) and raises ResonantDenominator
+where the stack is singular; ``stack_reflection_derivative`` gives their
+angular derivatives.  Tables call the unchecked core ``_amplitudes`` and
+flag singular points instead.
 """
 
 from __future__ import annotations
@@ -18,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAngle, ResonantDenominator
+from .errors import ResonantDenominator
 
 __all__ = [
     "LayerStack",
-    "ReflectionPair",
     "reflection_coefficients",
-    "stack_reflection",
     "stack_reflection_derivative",
 ]
 
@@ -52,16 +56,6 @@ class LayerStack:
 
     def eps(self, layer: int) -> complex:
         return (self.eps1, self.eps2, self.eps3)[layer - 1]
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    """Stack reflection coefficients and their angular derivatives."""
-
-    rp: complex
-    rs: complex
-    dp_dtheta: complex
-    ds_dtheta: complex
 
 
 def _kz(eps, k0, kx):
@@ -119,15 +113,6 @@ def _amplitudes(theta_i, lam, stack):
             _composite(_interface(q1, q2), _interface(q2, q3), phase)
             for q1, q2, q3 in _admittances(kz, stack))
     return rp, rs, np.minimum(np.abs(den_p), np.abs(den_s))
-
-
-def stack_reflection(theta_i: float, lam: float, stack: LayerStack) -> ReflectionPair:
-    """Stack coefficients plus angular derivatives at a single angle."""
-    if not 0.0 < theta_i < np.pi / 2:
-        raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
-    rp, rs = reflection_coefficients(theta_i, lam, stack)
-    drp, drs = stack_reflection_derivative(theta_i, lam, stack)
-    return ReflectionPair(complex(rp), complex(rs), complex(drp), complex(drs))
 
 
 def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):

@@ -1,8 +1,9 @@
 """Spin-dependent spatial and angular displacements of the reflected beam.
 
 For a horizontally polarized Gaussian probe the two circular components
-separate transversally on reflection.  The closed-form displacement used
-here is
+separate transversally on reflection.  ``shift_kernel`` is the one
+pointwise shift: from the stack coefficients (rp, rs), scalars or arrays
+alike, it gives the closed-form displacement
 
     delta+- = -+ k1 w0^2 Re[1 + rs/rp] cot(theta)
               / (k1^2 w0^2 + |(1 + rs/rp) cot(theta)|^2)
@@ -32,15 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BrewsterSingularity, QuadratureNotConverged
-from .multilayer import LayerStack, ReflectionPair, stack_reflection
+from . import multilayer
+from .errors import InvalidAngle, QuadratureNotConverged
+from .multilayer import LayerStack, reflection_coefficients
 
 __all__ = [
     "BeamParams",
     "GridSpec",
-    "ShiftResult",
-    "spatial_shift",
-    "angular_shift",
+    "shift_kernel",
     "shift_from_beam_integral",
 ]
 
@@ -95,27 +95,12 @@ class GridSpec:
                 f"window must span >= {MIN_WINDOW_HALF_WIDTHS} beam half-widths")
 
 
-@dataclass(frozen=True)
-class ShiftResult:
-    """Spatial shifts (meters), angular tilt (dimensionless) and the
-    reflection diagnostics they came from."""
-
-    delta_plus: float
-    delta_minus: float
-    theta_minus: float
-    ratio_sp: complex       # rs / rp
-    log_derivative: complex  # (d rp / dtheta) / rp
-
-    @property
-    def theta_plus(self) -> float:
-        return -self.theta_minus
-
-
 def shift_kernel(theta_i, rp, rs, beam: BeamParams):
     """Vectorized (delta_plus, theta_minus) from raw coefficients.
 
-    Entries with |rp| below the Brewster floor come out as NaN; callers
-    decide whether that is an error (pointwise) or a flag (sweeps).
+    ``theta_i``, ``rp`` and ``rs`` are scalars or arrays that broadcast
+    together.  Entries with |rp| below BREWSTER_FLOOR, where the
+    first-order expansion is unreliable, come out as NaN; tables flag them.
     """
     rp = np.asarray(rp, dtype=complex)
     ok = np.abs(rp) >= BREWSTER_FLOOR
@@ -130,28 +115,6 @@ def shift_kernel(theta_i, rp, rs, beam: BeamParams):
     return delta_plus, theta_minus
 
 
-def spatial_shift(theta_i: float, refl: ReflectionPair, beam: BeamParams) -> ShiftResult:
-    """Transverse spin splitting of the reflected beam at one angle."""
-    if abs(refl.rp) < BREWSTER_FLOOR:
-        raise BrewsterSingularity(
-            f"|rp| = {abs(refl.rp):.3e} below {BREWSTER_FLOOR}; "
-            "first-order expansion unreliable")
-    delta_plus, theta_minus = shift_kernel(theta_i, refl.rp, refl.rs, beam)
-    return ShiftResult(
-        delta_plus=float(delta_plus),
-        delta_minus=-float(delta_plus),
-        theta_minus=float(theta_minus),
-        ratio_sp=refl.rs / refl.rp,
-        log_derivative=refl.dp_dtheta / refl.rp,
-    )
-
-
-def angular_shift(theta_i: float, refl: ReflectionPair, beam: BeamParams) -> float:
-    """Angular tilt of the left-circular component (the right-circular
-    one is its negative)."""
-    return spatial_shift(theta_i, refl, beam).theta_minus
-
-
 @lru_cache(maxsize=None)
 def _legendre_nodes(n: int):
     """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], computed once
@@ -162,7 +125,7 @@ def _legendre_nodes(n: int):
     return nodes, weights
 
 
-def _centroids(theta_i, refl, beam, grid: GridSpec):
+def _centroids(theta_i, rp, rs, drp, beam, grid: GridSpec):
     """Intensity centroids (delta_plus, delta_minus) of the synthesized
     first-order reflected field at the waist plane."""
     nodes, weights = _legendre_nodes(grid.nodes)
@@ -176,9 +139,8 @@ def _centroids(theta_i, refl, beam, grid: GridSpec):
     cot = np.cos(theta_i) / np.sin(theta_i)
     out = []
     for sign in (+1.0, -1.0):
-        field = envelope * (refl.rp
-                            - 1j * u * X * refl.dp_dtheta
-                            - sign * u * Y * cot * (refl.rp + refl.rs))
+        field = envelope * (rp - 1j * u * X * drp
+                            - sign * u * Y * cot * (rp + rs))
         intensity = np.abs(field) ** 2
         out.append(float(np.sum(W2 * Y * intensity) / np.sum(W2 * intensity)))
     return tuple(out)
@@ -192,11 +154,15 @@ def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams
     from the stack coefficients and their angular derivative, and its
     intensity centroid is integrated numerically.  The grid is doubled
     once; a relative change beyond QUADRATURE_REL_CHANGE raises
-    QuadratureNotConverged.
+    QuadratureNotConverged; an angle outside (0, pi/2) raises InvalidAngle.
     """
-    refl = stack_reflection(theta_i, beam.lam, stack)
-    coarse = _centroids(theta_i, refl, beam, quadrature)
-    fine = _centroids(theta_i, refl, beam,
+    if not 0.0 < theta_i < np.pi / 2:
+        raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
+    rp, rs = reflection_coefficients(theta_i, beam.lam, stack)
+    # looked up at call time, so a wrapper bound on the module sees the call
+    drp, _ = multilayer.stack_reflection_derivative(theta_i, beam.lam, stack)
+    coarse = _centroids(theta_i, rp, rs, drp, beam, quadrature)
+    fine = _centroids(theta_i, rp, rs, drp, beam,
                       GridSpec(2 * quadrature.nodes, quadrature.half_extent_w0))
     scale = max(abs(fine[0]), BREWSTER_FLOOR * beam.w0)
     if abs(fine[0] - coarse[0]) > QUADRATURE_REL_CHANGE * scale:

@@ -265,13 +265,15 @@ def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
                   coarse: int = 201, tol_deg: float = GOLDEN_TOL_DEG) -> float:
     """Angle (degrees) minimizing |rp| inside the window.
 
-    The window is scanned on a coarse grid; the minimum must be interior
-    (otherwise NoMinimumInWindow) and is then refined by golden section
-    inside its bracketing cell.
+    The window is scanned on a coarse grid, CHUNK_POINTS angles at a time
+    so a long scan holds the temporaries of one chunk; the minimum must be
+    interior (otherwise NoMinimumInWindow) and is then refined by golden
+    section inside its bracketing cell.
     """
     lo, hi = theta_window_deg
     grid = np.linspace(lo, hi, coarse)
-    vals = ctx.abs_rp(np.radians(grid))
+    vals = np.concatenate([ctx.abs_rp(np.radians(grid[k:k + CHUNK_POINTS]))
+                           for k in range(0, coarse, CHUNK_POINTS)])
     i = int(np.argmin(vals))
     if i == 0 or i == coarse - 1 or not (vals[i] < vals[0] and vals[i] < vals[-1]):
         raise NoMinimumInWindow(f"|rp| has no interior minimum in {theta_window_deg}")
@@ -423,11 +425,9 @@ def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
 
 def shift_vs_density(etas, theta_fixed_deg: float, ctx: ScanContext):
     """delta_plus (units of the wavelength) versus density parameter at a
-    fixed angle and the context's detuning."""
+    fixed angle and the context's detuning: the rows of one ``evaluate``
+    table over the eta axis, NaN where the table flags the point."""
     etas = np.asarray(etas, dtype=float)
-    theta = np.radians(theta_fixed_deg)
-    out = np.empty_like(etas)
-    for i, eta in enumerate(etas):
-        c = replace(ctx, medium=replace(ctx.medium, eta=float(eta)))
-        out[i] = float(c.delta_plus(theta)) / ctx.beam.lam
-    return etas, out
+    table = evaluate([ctx.medium], etas, [ctx.delta_p], [theta_fixed_deg],
+                     ctx.stack, ctx.beam)
+    return etas, table.delta_plus_lambda

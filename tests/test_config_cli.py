@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
-                      load_config, max_shift_vs_detuning, write_config)
+                      find_brewster, load_config, max_shift_vs_detuning,
+                      write_config)
 import spinhall.cli as cli
 import spinhall.config as config_module
 from spinhall.cli import RECIPES, main, recipe_table
@@ -17,6 +19,9 @@ from spinhall.sweep import COLUMNS, SweepTable
 
 GOLDEN_HEADER = ("theta_deg,detuning,eta,chi1,chi2,abs_rp,abs_rs,ratio_sp,"
                  "delta_plus_lambda,theta_minus,flags")
+# preset, then the oracle's data row: 3 presets x 3 angles away from the
+# Brewster dip at detuning 0.5
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.csv")
 
 
 class TestLoadConfig:
@@ -137,6 +142,38 @@ class TestCli:
         assert lines[0].startswith("theta_deg,detuning,delta_closed_lambda")
         rel = float(lines[1].split(",")[-1])
         assert rel < 0.05
+
+    @pytest.mark.parametrize("line", GOLDEN_ORACLE.read_text().splitlines())
+    def test_oracle_rows_match_golden(self, line, tmp_path, capsys):
+        preset, row = line.split(",", 1)
+        theta, detuning = row.split(",")[:2]
+        code, out = run_cli(["oracle", "--preset", preset, "--theta",
+                             repr(float(theta)), "--detuning",
+                             repr(float(detuning))], tmp_path)
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [row]
+
+    def test_brewster_grid_sets_the_coarse_scan(self, tmp_path, capsys):
+        medium, stack, beam = load_config(preset="fig2-ctl").build()
+        ctx = ScanContext(medium, stack, beam, delta_p=0.0)
+        written = []
+        for n in (5, 2001):
+            code, out = run_cli(["brewster", "--preset", "fig2-ctl", "--grid",
+                                 f"30,38,{n}"], tmp_path, out=f"b{n}.csv")
+            assert code == 0
+            row = dict(zip(COLUMNS, out.read_text().splitlines()[1].split(",")))
+            want = find_brewster((30.0, 38.0), ctx, coarse=n)
+            assert row["theta_deg"] == cli.CSV_FLOAT % want
+            written.append(row["theta_deg"])
+        assert written[0] != written[1]
+
+    def test_brewster_two_point_grid_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(["brewster", "--preset", "fig2-ctl", "--grid",
+                             "30,38,2"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "no interior minimum" in err
+        assert not out.exists()
 
     def test_sweep_with_config_and_threads(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -412,11 +449,16 @@ class TestCli:
         assert np.all((table.theta_deg >= 30.0) & (table.theta_deg <= 38.0))
 
     def test_angular_subcommand(self, tmp_path):
-        code, out = run_cli(["angular", "--preset", "fig3-lambda", "--theta", "34",
+        # the angular tilt is the theta_minus column of `shift`; there is
+        # no separate `angular` command
+        code, out = run_cli(["shift", "--preset", "fig3-lambda", "--theta", "34",
                              "--detuning", "0.1"], tmp_path)
         assert code == 0
         row = dict(zip(COLUMNS, out.read_text().splitlines()[1].split(",")))
         assert float(row["theta_minus"]) != 0.0
+        with pytest.raises(SystemExit) as rejected:
+            main(["angular", "--theta", "34"])
+        assert rejected.value.code == 2
 
     def test_susceptibility_eta_override(self, tmp_path, capsys):
         code, _ = run_cli(["susceptibility", "--preset", "fig4-ntype",

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhall import (BeamParams, BrewsterSingularity, GridSpec, LayerStack,
-                      QuadratureNotConverged, ReflectionPair, angular_shift,
-                      shift_from_beam_integral, spatial_shift, stack_reflection,
-                      susceptibility)
+from spinhall import (BeamParams, GridSpec, LayerStack, QuadratureNotConverged,
+                      reflection_coefficients, shift_from_beam_integral,
+                      shift_kernel, susceptibility)
+import spinhall.multilayer as multilayer
 import spinhall.shifts as shifts_module
-from spinhall.shifts import _centroids, _legendre_nodes, shift_kernel
+from spinhall.shifts import _centroids, _legendre_nodes
 
 LAM = 780e-9
 
 
-def make_refl(rp, rs, drp=0j, drs=0j):
-    return ReflectionPair(rp, rs, drp, drs)
+def closed_shift(theta, stack, beam, lam=LAM):
+    """delta_plus (meters) of the closed form at one angle of a stack."""
+    return float(shift_kernel(theta, *reflection_coefficients(theta, lam, stack),
+                              beam)[0])
 
 
 class TestBeamParams:
@@ -39,34 +41,35 @@ class TestBeamParams:
 
 class TestSpatialShift:
     def test_destructive_ratio_gives_zero(self, beam):
-        r = spatial_shift(math.radians(40.0), make_refl(0.5 + 0j, -0.5 + 0j), beam)
-        assert r.delta_plus == 0.0
-        assert r.delta_minus == 0.0
+        delta, _ = shift_kernel(math.radians(40.0), 0.5 + 0j, -0.5 + 0j, beam)
+        assert delta == 0.0
 
     def test_grazing_incidence_vanishes(self, beam):
-        r = spatial_shift(math.pi / 2 - 1e-9, make_refl(0.4 + 0j, 0.7 + 0j), beam)
-        assert abs(r.delta_plus) < 1e-9 * beam.w0
+        delta, _ = shift_kernel(math.pi / 2 - 1e-9, 0.4 + 0j, 0.7 + 0j, beam)
+        assert abs(delta) < 1e-9 * beam.w0
 
     def test_antisymmetry_exact(self, beam):
-        r = spatial_shift(0.6, make_refl(0.1 + 0.05j, 0.6 - 0.2j), beam)
-        assert r.delta_minus == -r.delta_plus
-        assert r.theta_plus == -r.theta_minus
+        # the two circular components are mirror images: the oracle
+        # centroids, without angular spread, straddle the closed form
+        quad_plus, quad_minus = _centroids(0.6, 0.1 + 0.05j, 0.6 - 0.2j, 0j,
+                                           beam, GridSpec())
+        delta, _ = shift_kernel(0.6, 0.1 + 0.05j, 0.6 - 0.2j, beam)
+        assert quad_minus == pytest.approx(-quad_plus, rel=1e-12)
+        assert quad_plus == pytest.approx(float(delta), rel=1e-6)
 
-    def test_brewster_floor_raises(self, beam):
-        with pytest.raises(BrewsterSingularity):
-            spatial_shift(0.6, make_refl(1e-13 + 0j, 0.6 + 0j), beam)
+    def test_brewster_floor_gives_nan(self, beam):
+        delta, tilt = shift_kernel(0.6, 1e-13 + 0j, 0.6 + 0j, beam)
+        assert np.isnan(delta) and np.isnan(tilt)
 
     def test_positive_below_brewster_for_resonant_cavity(self, beam, vacuum_stack):
-        refl = stack_reflection(math.radians(30.0), LAM, vacuum_stack)
-        r = spatial_shift(math.radians(30.0), refl, beam)
-        assert r.delta_plus > 0
-        assert abs(r.ratio_sp) == pytest.approx(abs(refl.rs) / abs(refl.rp), rel=1e-12)
+        assert closed_shift(math.radians(30.0), vacuum_stack, beam) > 0
 
     def test_sign_flip_across_brewster(self, beam, vacuum_stack):
-        lo = stack_reflection(math.radians(33.60), LAM, vacuum_stack)
-        hi = stack_reflection(math.radians(33.80), LAM, vacuum_stack)
-        assert spatial_shift(math.radians(33.60), lo, beam).delta_plus > 0
-        assert spatial_shift(math.radians(33.80), hi, beam).delta_plus < 0
+        thetas = np.radians([33.60, 33.80])
+        rp, rs = reflection_coefficients(thetas, LAM, vacuum_stack)
+        delta, _ = shift_kernel(thetas, rp, rs, beam)
+        assert delta[0] > 0
+        assert delta[1] < 0
 
     @settings(max_examples=200)
     @given(rp=st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0),
@@ -91,14 +94,16 @@ class TestAngularShift:
     def test_real_ratio_gives_zero_tilt(self, beam):
         # lossless single interface: rs/rp real
         stack = LayerStack(eps2=1.0 + 0j, eps3=1.0 + 0j, thickness_d=0.0)
-        refl = stack_reflection(math.radians(20.0), LAM, stack)
-        assert abs(refl.rs / refl.rp - (refl.rs / refl.rp).real) < 1e-12
-        assert abs(angular_shift(math.radians(20.0), refl, beam)) < 1e-15
+        rp, rs = reflection_coefficients(math.radians(20.0), LAM, stack)
+        assert abs(rs / rp - (rs / rp).real) < 1e-12
+        assert abs(shift_kernel(math.radians(20.0), rp, rs, beam)[1]) < 1e-15
 
     def test_opposite_circular_components(self, beam):
-        r = spatial_shift(0.7, make_refl(0.2 + 0.1j, 0.5 - 0.3j), beam)
-        assert r.theta_plus == -r.theta_minus
-        assert r.theta_minus != 0
+        # conjugate coefficients tilt the other way, by exactly as much
+        delta, tilt = shift_kernel(0.7, 0.2 + 0.1j, 0.5 - 0.3j, beam)
+        delta_c, tilt_c = shift_kernel(0.7, 0.2 - 0.1j, 0.5 + 0.3j, beam)
+        assert tilt != 0
+        assert tilt_c == -tilt and delta_c == delta
 
 
 class TestQuadratureOracle:
@@ -106,9 +111,9 @@ class TestQuadratureOracle:
         # theta-independent coefficients, no angular spread: ratio 1, zero
         # log-derivative; quadrature must land on the closed form
         theta = math.radians(30.0)
-        refl = make_refl(0.5 + 0j, 0.5 + 0j)
-        quad_plus, quad_minus = _centroids(theta, refl, beam, GridSpec())
-        closed = spatial_shift(theta, refl, beam).delta_plus
+        quad_plus, quad_minus = _centroids(theta, 0.5 + 0j, 0.5 + 0j, 0j, beam,
+                                           GridSpec())
+        closed = float(shift_kernel(theta, 0.5 + 0j, 0.5 + 0j, beam)[0])
         assert quad_plus == pytest.approx(closed, rel=1e-2)
         assert quad_plus == pytest.approx(closed, rel=1e-6)  # spectral accuracy
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-9)
@@ -116,8 +121,7 @@ class TestQuadratureOracle:
     def test_resonant_cavity_away_from_dip(self, beam, vacuum_stack):
         theta = math.radians(30.0)
         quad_plus, quad_minus = shift_from_beam_integral(theta, vacuum_stack, beam)
-        closed = spatial_shift(
-            theta, stack_reflection(theta, LAM, vacuum_stack), beam).delta_plus
+        closed = closed_shift(theta, vacuum_stack, beam)
         assert quad_plus == pytest.approx(closed, rel=5e-2)
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-9)
 
@@ -125,8 +129,7 @@ class TestQuadratureOracle:
         stack = LayerStack(eps2=1 + susceptibility(1.3, ctl_medium))
         theta = math.radians(32.0)
         quad_plus, _ = shift_from_beam_integral(theta, stack, beam)
-        closed = spatial_shift(
-            theta, stack_reflection(theta, LAM, stack), beam).delta_plus
+        closed = closed_shift(theta, stack, beam)
         assert quad_plus == pytest.approx(closed, rel=5e-2)
 
     def test_agreement_at_validity_boundary(self, beam, vacuum_stack):
@@ -137,11 +140,23 @@ class TestQuadratureOracle:
         rp, rs, _ = _amplitudes(ths, LAM, vacuum_stack)
         i = int(np.argmin(np.abs(np.abs(rp) / np.abs(rs) - 0.05)))
         theta = float(ths[i])
-        refl = stack_reflection(theta, LAM, vacuum_stack)
-        assert abs(refl.rp) / abs(refl.rs) == pytest.approx(0.05, abs=1e-3)
-        closed = spatial_shift(theta, refl, beam).delta_plus
+        rp, rs = reflection_coefficients(theta, LAM, vacuum_stack)
+        assert abs(rp) / abs(rs) == pytest.approx(0.05, abs=1e-3)
+        closed = float(shift_kernel(theta, rp, rs, beam)[0])
         quad_plus, _ = shift_from_beam_integral(theta, vacuum_stack, beam)
         assert quad_plus == pytest.approx(closed, rel=5e-2)
+
+    def test_one_derivative_call(self, beam, vacuum_stack, monkeypatch):
+        calls = []
+        derivative = multilayer.stack_reflection_derivative
+
+        def counted(*args):
+            calls.append(args)
+            return derivative(*args)
+
+        monkeypatch.setattr(multilayer, "stack_reflection_derivative", counted)
+        shift_from_beam_integral(math.radians(30.0), vacuum_stack, beam)
+        assert len(calls) == 1
 
     def test_underresolved_grid_raises(self, beam, vacuum_stack):
         with pytest.raises(QuadratureNotConverged):
@@ -156,8 +171,7 @@ class TestQuadratureOracle:
             stack = LayerStack(eps2=1 + susceptibility(0.9, ctl_medium),
                                thickness_d=0.4e-6 * scale)
             beam = BeamParams(w0=50 * lam, lam=lam)
-            refl = stack_reflection(theta, lam, stack)
-            results.append(spatial_shift(theta, refl, beam).delta_plus / lam)
+            results.append(closed_shift(theta, stack, beam, lam) / lam)
         assert results[0] == pytest.approx(results[1], rel=1e-9)
         assert results[2] == pytest.approx(results[1], rel=1e-9)
 

@@ -387,6 +387,16 @@ class TestFindBrewster:
                 assert (find_brewster((30.0, 38.0), ctx, coarse)
                         == reference_find_brewster((30.0, 38.0), ctx, coarse)), (dp, coarse)
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_scan_in_chunks(self, preset, monkeypatch):
+        # a coarse scan longer than a chunk is evaluated chunk by chunk
+        monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 7)
+        for dp in (-0.5, 0.1):
+            ctx = preset_context(preset, dp)
+            for coarse in (201, 51):
+                assert (find_brewster((30.0, 38.0), ctx, coarse)
+                        == reference_find_brewster((30.0, 38.0), ctx, coarse)), (dp, coarse)
+
     def test_dip_migrates_with_dispersion(self, ctl_medium):
         # qualitative: the |rp| minimum follows the dispersion sign, moving
         # up to about a degree off the transparent-point angle
@@ -636,6 +646,17 @@ class TestCurves:
         for medium in (lambda_medium, ctl_medium):
             _, flat = shift_vs_density(etas, 33.6, context(medium))
             assert np.all(np.abs(flat - flat[0]) <= 1e-6 * abs(flat[0]))
+
+    @pytest.mark.parametrize("theta", [33.6, 33.69, 33.7])
+    def test_density_curve_is_the_table(self, theta):
+        # the curve is the table's rows at the same points, bit for bit
+        medium, stack, beam = load_config(preset="fig4-ntype").build()
+        etas = np.linspace(0.01, 0.2, 50)
+        ctx = ScanContext(medium, stack, beam, delta_p=0.1)
+        got_etas, curve = shift_vs_density(etas, theta, ctx)
+        table = evaluate([medium], etas, [0.1], [theta], stack, beam)
+        np.testing.assert_array_equal(got_etas, etas)
+        assert np.array_equal(curve, table.delta_plus_lambda)
 
     def test_lambda_angular_maximum_grows_near_resonance(self, lambda_medium):
         ctx = context(lambda_medium)
