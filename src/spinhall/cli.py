@@ -50,6 +50,8 @@ _SCALE_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
 _SCALE_DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
 _EXPONENT = np.array([b"e%+03d" % (8 - k) for k in range(-22, 23)]).view("<u4")
 
+JSON_FLOAT = float.__repr__  # the JSON fallback; the fast path writes its bytes
+
 ORACLE_COLUMNS = ("theta_deg", "detuning", "delta_closed_lambda",
                   "delta_quad_plus_lambda", "delta_quad_minus_lambda",
                   "rel_diff")
@@ -97,6 +99,16 @@ def _csv_slots(values, slots) -> None:
         slots.view(_SLOT_TEXT)["text"][slow] = text
 
 
+def _flag_codes(flags, n_rows: int):
+    """The distinct flags in order of first appearance and, per row, the
+    index of its flag among them; no flag column gives the one kind None."""
+    if flags is None:
+        return [None], np.zeros(n_rows, np.intp)
+    kinds = list(dict.fromkeys(flags))
+    code = {flag: i for i, flag in enumerate(kinds)}
+    return kinds, np.fromiter(map(code.__getitem__, flags), np.intp, n_rows)
+
+
 def _write_csv(out, numeric, flags) -> None:
     """CSV rows of ``numeric`` and ``flags`` to the binary handle ``out``.
 
@@ -104,10 +116,7 @@ def _write_csv(out, numeric, flags) -> None:
     the line (flag and newline), written with the NULs removed.
     """
     width = 17 * len(numeric)
-    if flags is None:
-        flags = [None] * len(numeric[0])
-    kinds = list(dict.fromkeys(flags))
-    code = {flag: i for i, flag in enumerate(kinds)}
+    kinds, codes = _flag_codes(flags, len(numeric[0]))
     tails = np.array([b"\n" if flag is None else f",{flag}\n".encode()
                       for flag in kinds])
     for rows in _blocks(len(numeric[0])):
@@ -115,9 +124,24 @@ def _write_csv(out, numeric, flags) -> None:
         buf = np.empty((len(values), width + tails.itemsize), np.uint8)
         _csv_slots(values, buf[:, :width].view(_SLOT))
         buf[:, width - 1] = 0  # the line's end replaces the last ','
-        codes = np.fromiter(map(code.__getitem__, flags[rows]), np.intp, len(values))
-        buf[:, width:].view(tails.dtype)[:, 0] = tails.take(codes)
+        buf[:, width:].view(tails.dtype)[:, 0] = tails.take(codes[rows])
         out.write(buf.tobytes().translate(None, b"\0"))
+
+
+def _write_json(out, numeric, flags) -> None:
+    """The rows of ``numeric`` and ``flags`` to the binary handle ``out``,
+    laid out as the "rows" list of ``json.dumps(payload, indent=2)``
+    without its brackets: one ``jsontext.RowWriter`` buffer per block, its
+    numbers the bytes of ``float.__repr__`` and JSON_FLOAT's fallback."""
+    from . import jsontext  # on first use: CSV-only runs never compile it
+    n_rows = len(numeric[0])
+    if not n_rows:
+        return
+    kinds, codes = _flag_codes(flags, n_rows)
+    writer = jsontext.RowWriter(len(numeric), kinds, min(WRITE_ROWS, n_rows))
+    for rows in _blocks(n_rows):
+        values = np.stack([column[rows] for column in numeric], axis=1)
+        out.write(writer.block(values, codes[rows], JSON_FLOAT))
 
 
 def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
@@ -126,36 +150,20 @@ def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
 
     ``numeric`` holds one float array per leading column of ``columns``;
     ``flags`` is the trailing string column, or None when there is none.
-    CSV values are the bytes of ``%.8e``; JSON has the layout of
+    CSV values are the bytes of ``%.8e``; JSON has the bytes of
     ``json.dumps(payload, indent=2)`` for payload {"columns", "rows",
     "manifest"}, non-finite values written as null.
     """
     n_rows = len(numeric[0])
     with atomic_output(path) as fh:
         if fmt == "json":
-            row = "    [\n" + ",\n".join(["      %s"] * len(columns)) + "\n    ]"
-            fh.write('{\n  "columns": [\n'
-                     + ",\n".join(f"    {json.dumps(c)}" for c in columns)
-                     + '\n  ],\n  "rows": [')
-            sep = "\n"
-            quoted = {}
-            for rows in _blocks(n_rows):
-                block = []
-                for column in numeric:
-                    part = column[rows]
-                    values = part.tolist()
-                    for i in np.flatnonzero(~np.isfinite(part)):
-                        values[i] = "null"
-                    block.append(values)
-                if flags is not None:
-                    part = flags[rows]
-                    for flag in set(part).difference(quoted):
-                        quoted[flag] = json.dumps(flag)
-                    block.append(list(map(quoted.__getitem__, part)))
-                fh.write(sep + ",\n".join(map(row.__mod__, zip(*block))))
-                sep = ",\n"
-            fh.write(("\n  ]" if n_rows else "]") + ',\n  "manifest": '
-                     + manifest.to_json().replace("\n", "\n  ") + "\n}\n")
+            fh.buffer.write(('{\n  "columns": [\n'
+                             + ",\n".join(f"    {json.dumps(c)}" for c in columns)
+                             + '\n  ],\n  "rows": [').encode())
+            _write_json(fh.buffer, numeric, flags)
+            fh.buffer.write((("\n  ]" if n_rows else "]") + ',\n  "manifest": '
+                             + manifest.to_json().replace("\n", "\n  ")
+                             + "\n}\n").encode())
             return
         if header_comment:
             fh.buffer.writelines(f"# {line}\n".encode()
@@ -336,7 +344,7 @@ def cmd_reproduce(cfg, args, argv):
         cfg = load_config(preset=RECIPES[args.target][0])
     table = recipe_table(args.target, cfg, args.threads)
     if args.out is None:
-        args.out = f"{args.target}.csv"
+        args.out = f"{args.target}.{args.format or cfg.output.format}"
     return _emit_table(table, cfg, args, argv)
 
 
@@ -397,6 +405,10 @@ def main(argv=None) -> int:
         if not np.isfinite(args.detuning):
             raise ValidationError("--detuning must be finite")
         cfg = load_config(path=args.config, preset=args.preset)
+        if ((args.format or cfg.output.format) == "json"
+                and (args.manifest_header or cfg.output.manifest_header)):
+            raise ValidationError("--manifest-header applies to CSV output only; "
+                                  "JSON carries the manifest in the file")
         return COMMANDS[args.command](cfg, args, argv)
     except (SpinHallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,0 +1,220 @@
+"""JSON text of table rows whose numbers are the bytes of ``float.__repr__``.
+
+``float.__repr__`` writes the shortest digits that read back as the same
+float.  ``shortest_digits`` finds them for a whole array with numpy: with
+e = floor(log10 |x|), y = |x| 10^(16-e) is formed exactly as an integer
+plus a fraction (a Veltkamp two-product with a double-double power of
+ten).  Every number within half a float spacing of |x|, scaled the same
+way, reads back as x: that is [y - H, y + H] with
+H = spacing(|x|) 10^(16-e) / 2.  The largest k for which a multiple of
+10^k lies in it gives the digit count 17 - k, and the multiple of 10^k
+nearest to y gives the digits (Ryu's digits: Adams, PLDI 2018).  Values
+this does not decide are written by a fallback formatter, so no byte
+differs from ``float.__repr__``.
+
+The CLI imports this module on its first JSON write, so a run that writes
+only CSV neither compiles it nor builds its tables.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+TIE = 1e-6  # interval edges and rounding ties this close take the fallback
+# rows formatted at once: the temporaries then total about 1 MB, which the
+# allocator keeps for the next rows; at 2,048 rows it returns them to the
+# system and every block faults them back in, which costs about a third
+# of the writer's time
+FORMAT_ROWS = 512
+_WORD = np.dtype("<u8")
+
+
+def _words(texts) -> np.ndarray:
+    """Each text NUL-padded to 8 bytes, as one little-endian word."""
+    return np.array(texts, "S8").view(_WORD)
+
+
+def _powers_of_ten(count: int):
+    """10^n for n < count as hi + lo, from exact integers."""
+    hi, lo, exact = [], [], 1
+    for _ in range(count):
+        hi.append(float(exact))
+        lo.append(float(exact - int(hi[-1])))
+        exact *= 10
+    return np.array(hi), np.array(lo)
+
+
+_P10_HI, _P10_LO = _powers_of_ten(288)
+_P10_HH = _P10_HI * 134_217_729.0  # Veltkamp halves of _P10_HI
+_P10_HH -= _P10_HH - _P10_HI
+_P10_HL = _P10_HI - _P10_HH
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_E_MIN = -271  # exponents of the fast path, up to 10^16 after a carry
+
+# One value is a slot of 7 words of NUL-padded text, ending in ",\n" and
+# the next value's indent.  Word 0 is the sign, "0.000" before a
+# positional value below 1 (by exponent -5 ... 0 and sign), the first
+# digit and its '.'; words 1-4 each hold 4 digits at the even bytes and a
+# '.' or NUL after each; word 5 is the ".0"'s '0' of an integer or
+# "e-05", then ",\n "; word 6 the rest of the indent.
+_HEAD = _words([(b"-" if neg else b"\0") + (b"0.000"[:1 - e] if -4 <= e < 0 else b"")
+                for e in range(-5, 1) for neg in (0, 1)])
+_FIRST = _words([b"\0" * 6 + b"%d" % d for d in range(10)])
+_DOT0 = _words([b"", b"\0" * 7 + b"."] + [b""] * 15)
+_PAIRS = np.array([bytes([48 + i // 10, 0, 48 + i % 10, 0]) for i in range(100)],
+                  "S4").view("<u4").astype(_WORD)  # "ab" -> "a\0b\0"
+_SPREAD = (_PAIRS[:, None] | _PAIRS << 32).ravel()  # "abcd" -> "a\0b\0c\0d\0"
+# word i by the digits kept (those before index keep) and by dot, where the
+# '.' follows digit dot - 1 (dot 0: none); digit 4i + 1 + m is at byte 2m
+_DIGIT = np.arange(1, 17)
+_KEEP = np.zeros((18, 16, 2), np.uint8)
+_KEEP[..., 0] = 0xFF * (_DIGIT < np.arange(18)[:, None])
+_KEEP = _KEEP.reshape(18, 32).view(_WORD).T.copy()
+_DOT = np.zeros((17, 16, 2), np.uint8)
+_DOT[..., 1] = ord(".") * (_DIGIT + 1 == np.arange(17)[:, None])
+_DOT = _DOT.reshape(17, 32).view(_WORD).T.copy()
+_TAIL = _words([(b"e%+03d" % e if not -4 <= e < 16 else b"0" if zero else b"")
+                .ljust(5, b"\0") + b",\n " for e in range(_E_MIN, 18)
+                for zero in (0, 1)])
+_INDENT = _words([b"     "])[0]
+_ROW_HEAD = _words([b",\n    [\n", b"      "])
+_VALUE_TEXT = np.dtype({"names": ["text"], "formats": ["S45"], "offsets": [0],
+                        "itemsize": 56})
+
+
+def shortest_digits(values):
+    """(slow, digits, e10, nd): the shortest round-trip digits of each |x| in
+    the float array ``values``, as ``float.__repr__`` chooses them,
+    left-aligned in 17 places; e10 is the exponent of the first digit and
+    nd the digit count.  ``slow`` marks the values this does not decide:
+    zeros, non-finite values, |x| outside [1e-270, 1e16), powers of two
+    (their spacing below is smaller) and values with an interval edge or a
+    rounding tie within TIE.
+    """
+    a = np.abs(values)
+    slow = ~((a >= 1e-270) & (a < 1e16)) | (a.view(np.uint64) & ((1 << 52) - 1) == 0)
+    np.copyto(a, 1.5, where=slow)
+    n = (16.0 - np.floor(np.log10(a))).astype(np.intp)
+    hi, lo = _P10_HI.take(n), _P10_LO.take(n)
+    p = a * hi
+    a_hi = a * 134_217_729.0
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    h_hi, h_lo = _P10_HH.take(n), _P10_HL.take(n)
+    r = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    whole = np.floor(r)
+    y = p.astype(np.int64) + whole.astype(np.int64)  # y + frac is |x| 10^n
+    frac = r - whole
+    half = ((a.view(np.int64) & (0x7FF << 52)) - (53 << 52)).view(np.float64)
+    below = (frac - half * hi) - half * lo
+    above = (frac + half * hi) + half * lo
+    first, last = np.ceil(below), np.floor(above)
+    slow |= ((np.abs(first - below - 0.5) >= 0.5 - TIE)
+             | (np.abs(above - last - 0.5) >= 0.5 - TIE)
+             | (y < 10 ** 16) | (y >= 10 ** 17))
+    # the integers in the interval are top - width + 1 ... top, and a
+    # multiple of 10^k is among them when top mod 10^k < width
+    top = y + last.astype(np.int64)
+    width = (last - first).astype(np.int64) + 1
+    hundreds = top // 100
+    last2 = top - hundreds * 100
+    k = (last2 % 10 < width).astype(np.intp)
+    short = last2 < width  # k >= 2: at most 15 digits
+    if short.any():
+        c = hundreds[short].astype(np.float64)  # below 2^53, so exact
+        zeros = np.full(len(c), 2, np.intp)
+        for s in (8, 4, 2, 1):
+            q = c / 10.0 ** s  # an integer exactly when 10^s divides c
+            divides = q == np.floor(q)
+            c = np.where(divides, q, c)
+            zeros += s * divides
+        k[short] = zeros
+    # nearest multiple of 10^k; a tie can only arise for k <= 1, where the
+    # remainder is exact as a float
+    step = _POW10.take(k)
+    q = y // step
+    t = ((y - q * step).astype(np.float64) + frac) - step / 2
+    slow |= np.abs(t) <= TIE
+    digits = (q + (t > 0)) * step
+    e10, nd = 16 - n, 17 - k
+    carry = k == 17  # rounded up to 10^17
+    if carry.any():
+        digits[carry] = 10 ** 16
+        e10[carry] += 1
+        nd[carry] = 1
+    return slow, digits, e10, nd
+
+
+def _value_slots(values, words, fallback) -> None:
+    """Fill ``words``, a (rows, cols, 7) array of _WORD, with the text of the
+    float block ``values`` as ``float.__repr__`` writes it (positional for
+    exponents -4 ... 15, "d.ddde-XX" otherwise), or as ``fallback`` writes
+    the values ``shortest_digits`` leaves undecided; null if not finite."""
+    slow, digits, e10, nd = (v.reshape(values.shape)
+                             for v in shortest_digits(values.reshape(-1)))
+    positional = (e10 >= 0) & (e10 < 16)
+    keep = np.where(positional, np.maximum(nd, e10 + 1), nd)
+    scientific = (e10 < -4) | (e10 >= 16)
+    dot = np.where(positional, e10 + 1, scientific & (nd > 1))
+    first = digits // 10 ** 16
+    rest = digits - first * 10 ** 16
+    high = (rest // 10 ** 8).astype(np.uint32)
+    low = (rest - high * np.int64(10 ** 8)).astype(np.uint32)
+    head = 2 * (np.clip(e10, -5, 0) + 5) + (values < 0)
+    words[..., 0] = _HEAD.take(head) | _FIRST.take(first) | _DOT0.take(dot)
+    for i, group in enumerate((high // 10_000, high % 10_000,
+                               low // 10_000, low % 10_000)):
+        words[..., 1 + i] = ((_SPREAD.take(group) & _KEEP[i].take(keep))
+                             | _DOT[i].take(dot))
+    words[..., 5] = _TAIL.take(2 * (e10 - _E_MIN) + (positional & (nd <= e10 + 1)))
+    words[..., 6] = _INDENT
+    if slow.any():
+        part = values[slow]
+        text = [fallback(v) if ok else "null"
+                for v, ok in zip(part.tolist(), np.isfinite(part).tolist())]
+        words.view(_VALUE_TEXT)["text"][..., 0][slow] = text
+
+
+class RowWriter:
+    """JSON text of successive blocks of table rows, laid out as the "rows"
+    list of ``json.dumps(payload, indent=2)`` without its brackets.
+
+    Each row is its opening, one 7-word slot per value and the flag with
+    the row's end, from a padded table of the distinct flags; the first
+    row of the first block drops its ','.  One buffer of ``max_rows`` rows
+    serves every block and is returned with its NULs removed.
+    """
+
+    def __init__(self, n_columns: int, kinds, max_rows: int):
+        """``kinds`` are the distinct flags, [None] for no flag column."""
+        ends = [("" if flag is None else json.dumps(flag)).encode() + b"\n    ]"
+                for flag in kinds]
+        words = -(-max(map(len, ends)) // 8)
+        self.ends = np.array(ends, f"S{8 * words}").view(_WORD).reshape(len(kinds), -1)
+        self.width = 2 + 7 * n_columns
+        self.last_value_ends_row = kinds == [None]
+        self.buf = bytearray(8 * (self.width + words) * max_rows)
+        self.first = True
+
+    def block(self, values, codes, fallback) -> bytearray:
+        """The text of the rows ``values`` (rows, cols) with flag indices
+        ``codes``; ``fallback`` writes the values the fast path leaves."""
+        width = self.width
+        words = np.frombuffer(self.buf, _WORD, len(values) * (width + self.ends.shape[1]))
+        words = words.reshape(len(values), -1)
+        words[:, :2] = _ROW_HEAD
+        slots = words[:, 2:width].reshape(len(values), -1, 7)
+        for lo in range(0, len(values), FORMAT_ROWS):
+            _value_slots(values[lo:lo + FORMAT_ROWS], slots[lo:lo + FORMAT_ROWS],
+                         fallback)
+        if self.last_value_ends_row:
+            words[:, width - 2] &= np.uint64(0xFF_FFFF_FFFF)  # no ",\n "
+            words[:, width - 1] = 0
+        words[:, width:] = self.ends[codes]
+        if self.first:
+            self.buf[0] = 0
+            self.first = False
+        text = self.buf if words.nbytes == len(self.buf) else self.buf[:words.nbytes]
+        return text.translate(None, b"\0")

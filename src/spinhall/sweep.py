@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,28 +57,43 @@ class ScanContext:
     beam: BeamParams
     delta_p: float = 0.0
 
-    def stack_at(self) -> LayerStack:
-        """Stack with the intracavity permittivity set for this detuning."""
-        chi = susceptibility(self.delta_p, self.medium)
+    @cached_property
+    def _row_stack(self) -> LayerStack:
+        """The stack of a one-row table at this detuning: eps2 = 1 + chi of
+        a one-element detuning array, shaped (1, 1) as ``_fill_block``
+        broadcasts it against the angles."""
+        chi = susceptibility(np.array([self.delta_p]), self.medium)[:, None]
         return replace(self.stack, eps2=1.0 + chi)
 
+    def stack_at(self) -> LayerStack:
+        """Stack with the intracavity permittivity set for this detuning."""
+        return replace(self.stack, eps2=self._row_stack.eps2[0, 0])
+
+    def _row(self, theta):
+        """(angles, rp, rs) of theta in radians as a one-row table, so every
+        value rounds exactly as the table row at the same point does."""
+        row = np.asarray(theta, dtype=float).reshape(-1)
+        rp, rs, _ = _amplitudes(row, self.beam.lam, self._row_stack)
+        return row, rp, rs
+
     def coefficients(self, theta):
-        """(rp, rs) at angle(s) theta in radians."""
-        rp, rs, _ = _amplitudes(theta, self.beam.lam, self.stack_at())
-        return rp, rs
+        """(rp, rs) at angle(s) theta in radians, shaped like theta."""
+        _, rp, rs = self._row(theta)
+        return rp.reshape(np.shape(theta)), rs.reshape(np.shape(theta))
 
     def abs_rp(self, theta):
         return np.abs(self.coefficients(theta)[0])
 
+    def _shift(self, theta, which: int):
+        return shift_kernel(*self._row(theta), self.beam)[which].reshape(np.shape(theta))
+
     def delta_plus(self, theta):
         """Spatial shift (meters) of the right-circular component."""
-        rp, rs = self.coefficients(theta)
-        return shift_kernel(theta, rp, rs, self.beam)[0]
+        return self._shift(theta, 0)
 
     def theta_minus(self, theta):
         """Angular tilt of the left-circular component."""
-        rp, rs = self.coefficients(theta)
-        return shift_kernel(theta, rp, rs, self.beam)[1]
+        return self._shift(theta, 1)
 
 
 @dataclass(frozen=True)

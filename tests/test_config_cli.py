@@ -385,6 +385,45 @@ class TestCli:
         assert len(payload["rows"]) == 1
         assert payload["manifest"]["row_count"] == 1
 
+    @pytest.mark.parametrize("args, config", [
+        (["--format", "json", "--manifest-header"], None),
+        (["--format", "json"], {"output": {"manifest_header": True}}),
+        (["--manifest-header"], {"output": {"format": "json"}}),
+        ([], {"output": {"format": "json", "manifest_header": True}}),
+    ])
+    def test_manifest_header_with_json_exits_2(self, args, config, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = args + ["--config", "run.json"]
+        monkeypatch.setattr(cli, "evaluate", None)  # checked before evaluation
+        assert main(["reproduce", "fig2d", "--out", "out.json"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--manifest-header" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["run.json"] if config else [])
+
+    @pytest.mark.parametrize("args, config, name", [
+        ([], None, "fig4c.csv"),
+        (["--format", "json"], None, "fig4c.json"),
+        (["--format", "csv"], {"output": {"format": "json"}}, "fig4c.csv"),
+        ([], {"output": {"format": "json"}}, "fig4c.json"),
+    ])
+    def test_reproduce_default_name_follows_format(self, args, config, name,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = args + ["--config", "run.json"]
+        assert main(["reproduce", "fig4c"] + args) == 0
+        data = (tmp_path / name).read_text()
+        assert data.startswith("{") == name.endswith(".json")
+        assert (tmp_path / f"{name}.manifest.json").exists()
+        written = {p.name for p in tmp_path.iterdir()} - {"run.json"}
+        assert written == {name, f"{name}.manifest.json"}
+
     def test_reproduce_fig4c(self, tmp_path):
         code, out = run_cli(["reproduce", "fig4c"], tmp_path)
         assert code == 0

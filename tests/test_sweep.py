@@ -297,18 +297,11 @@ class TestSweep:
         for i in range(4):
             ctx = context(lambda_medium, delta_p=float(table.detuning[i]))
             theta = np.radians(table.theta_deg[i])
-            if table.detuning[i] == 0.0:
-                # transparent point: sweep row equals the pointwise op exactly
-                assert table.delta_plus_lambda[i] == float(ctx.delta_plus(theta)) / LAM
-                assert table.theta_minus[i] == float(ctx.theta_minus(theta))
-                assert table.abs_rp[i] == float(ctx.abs_rp(theta))
-            else:
-                # absorbing rows may differ by an ulp: numpy's vectorized
-                # complex division rounds differently from the scalar path
-                assert table.delta_plus_lambda[i] == pytest.approx(
-                    float(ctx.delta_plus(theta)) / LAM, rel=1e-12)
-                assert table.theta_minus[i] == pytest.approx(
-                    float(ctx.theta_minus(theta)), rel=1e-12)
+            # pointwise values are one-row tables: equal to the sweep row
+            # bit for bit, absorbing rows included
+            assert table.delta_plus_lambda[i] == float(ctx.delta_plus(theta)) / LAM
+            assert table.theta_minus[i] == float(ctx.theta_minus(theta))
+            assert table.abs_rp[i] == float(ctx.abs_rp(theta))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ streaming writer must give the same bytes for CSV (with and without the
 manifest header) and JSON, on real tables, on the oracle's six-column
 row and on arbitrary values straddling the writer's block boundary.  Its
 vectorised ``%.8e`` formatter must match ``"%.8e" %`` on any 64-bit
-pattern, on rounding ties and on decade edges.
+pattern, on rounding ties and on decade edges, and its JSON numbers must
+match ``repr`` likewise, on powers of two, near-ties and subnormals too.
 """
 
 import hashlib
@@ -164,11 +165,11 @@ class TestCliAgainstReference:
 
     def test_oracle_csv_and_json(self, tmp_path):
         base = ["oracle", "--preset", "fig2-ctl", "--theta", "33.5",
-                "--detuning", "0.5", "--manifest-header"]
+                "--detuning", "0.5"]
         as_json, as_csv = tmp_path / "o.json", tmp_path / "o.csv"
         ref = tmp_path / "ref.csv"
         assert main(base + ["--format", "json", "--out", str(as_json)]) == 0
-        assert main(base + ["--out", str(as_csv)]) == 0
+        assert main(base + ["--manifest-header", "--out", str(as_csv)]) == 0
         payload = json.loads(as_json.read_text())
         assert payload["columns"] == list(ORACLE_COLUMNS)
         row = tuple(payload["rows"][0])  # JSON floats round-trip exactly
@@ -244,6 +245,90 @@ class TestFormatter:
         assert csv_lines(*columns, flags=[FLAG_RESONANT] * 3000) == want
 
 
+def json_rows(*columns, flags=None):
+    """Rows of ``columns`` (and ``flags``) as the JSON writer writes them."""
+    out = io.BytesIO()
+    cli._write_json(out, [np.asarray(c, dtype=float) for c in columns], flags)
+    return out.getvalue().decode()
+
+
+def repr_rows(*columns, fmt=repr, flags=None):
+    """The same rows in the layout of ``json.dumps(..., indent=2)``, each
+    finite value written by ``fmt`` and the others as null."""
+    rows = []
+    for i, row in enumerate(zip(*(np.asarray(c, dtype=float).tolist()
+                                  for c in columns))):
+        cells = [fmt(v) if math.isfinite(v) else "null" for v in row]
+        cells += [] if flags is None else [json.dumps(flags[i])]
+        rows.append("    [\n" + ",\n".join("      " + c for c in cells) + "\n    ]")
+    return "\n" + ",\n".join(rows) if rows else ""
+
+
+def signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestJsonFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert json_rows(values) == repr_rows(values)
+        assert json_rows(values, values[::-1]) == repr_rows(values, values[::-1])
+
+    def test_powers_of_two(self):
+        values = signed(ulps(2.0 ** np.arange(-1074.0, 1024.0), 2))
+        assert json_rows(values) == repr_rows(values)
+
+    def test_decade_edges(self):
+        edges = signed(ulps(np.array([1e-5, 1e-4, 1e15, 1e16, 2.0 ** 53]), 8))
+        decades = signed(ulps(10.0 ** np.arange(-300.0, 300.0), 2))
+        assert json_rows(edges) == repr_rows(edges)
+        assert json_rows(decades) == repr_rows(decades)
+
+    @pytest.mark.parametrize("digits", [16, 17])
+    def test_near_ties(self, digits):
+        # decimals with one more digit than the shortest form, ending in 5
+        rng = np.random.default_rng(digits)
+        mantissas = rng.integers(10 ** (digits - 2), 10 ** (digits - 1), 3000) * 10 + 5
+        exponents = rng.integers(-40, 40, 3000)
+        ties = np.array([float(f"{m}e{e}") for m, e in zip(mantissas.tolist(),
+                                                            exponents.tolist())])
+        values = signed(ulps(ties, 1))
+        assert json_rows(values) == repr_rows(values)
+
+    def test_subnormals_zeros_and_non_finite(self):
+        rng = np.random.default_rng(7)
+        subnormal = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            signed(subnormal), [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                2.2250738585072014e-308, 2.225073858507201e-308]])
+        assert json_rows(values) == repr_rows(values)
+        assert json_rows([math.nan], [math.inf], [-math.inf]) == (
+            "\n    [\n      null,\n      null,\n      null\n    ]")
+
+    def test_all_values_take_the_fallback(self, monkeypatch):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+                  -1e300, 0.5, 2.0, 1e16, -2.5e17]
+        flags = ["", FLAG_BREWSTER] * 6
+        columns = (values, values[::-1])
+        assert json_rows(*columns, flags=flags) == repr_rows(*columns, flags=flags)
+        # the fallback is the only writer of a marked value
+        monkeypatch.setattr(cli, "JSON_FLOAT", lambda v: "~" + repr(v))
+        assert json_rows(*columns, flags=flags) == repr_rows(
+            *columns, fmt=lambda v: "~" + repr(v), flags=flags)
+
+    def test_no_value_takes_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        values = (rng.uniform(1.0, 10.0, 3000) * 10.0 ** rng.integers(-12, 12, 3000)
+                  * rng.choice([-1, 1], 3000))
+        columns = (values, np.linspace(30.0, 38.0, 3000), values[::-1])
+        want = repr_rows(*columns, flags=[FLAG_RESONANT] * 3000)
+        monkeypatch.setattr(cli, "JSON_FLOAT", lambda v: "~" + repr(v))
+        assert json_rows(*columns, flags=[FLAG_RESONANT] * 3000) == want
+
+
 # `spinhall reproduce <target> --threads 1` writes <target>.csv with these
 # digests; CI checks all of them with `sha256sum -c`
 GOLDEN_SHA256 = dict(line.split()[::-1] for line in (
@@ -255,3 +340,28 @@ def test_reproduce_golden_digest(target, tmp_path):
     out = tmp_path / f"{target}.csv"
     assert main(["reproduce", target, "--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[out.name]
+
+
+# sha256 of the bytes before the manifest of two JSON files (the manifest
+# carries a timestamp): `reproduce fig2d --format json` and a three-eta
+# `sweep --config` over ETA_GRID
+GOLDEN_JSON_SHA256 = dict(line.split()[::-1] for line in (
+    Path(__file__).with_name("golden_json_sha256.txt").read_text().splitlines()))
+ETA_GRID = {"sweep": {"theta_deg": [30.0, 38.0, 41], "detuning": [-6.0, 6.0, 31],
+                      "eta_list": [0.02, 0.05, 0.1]}}
+
+
+@pytest.mark.parametrize("name", ["fig2d.json", "eta_grid.json"])
+def test_json_golden_data_digest(name, tmp_path):
+    out = tmp_path / name
+    if name == "fig2d.json":
+        argv = ["reproduce", "fig2d", "--format", "json", "--threads", "1"]
+    else:
+        config = tmp_path / "eta_grid.config.json"
+        config.write_text(json.dumps(ETA_GRID))
+        argv = ["sweep", "--preset", "fig2-ctl", "--config", str(config),
+                "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    digest = hashlib.sha256(data[:data.rfind(MANIFEST_CUT)]).hexdigest()
+    assert digest == GOLDEN_JSON_SHA256[name]
