@@ -144,6 +144,12 @@ def _write_json(out, numeric, flags) -> None:
         out.write(writer.block(values, codes[rows], JSON_FLOAT))
 
 
+def _check_header(header_comment: bool, fmt: str) -> None:
+    if header_comment and fmt == "json":
+        raise ValidationError("--manifest-header applies to CSV output only; "
+                              "JSON carries the manifest in the file")
+
+
 def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
                 header_comment: bool, fmt: str) -> None:
     """Stream a table to ``path`` block by block, replacing it atomically.
@@ -152,8 +158,10 @@ def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
     ``flags`` is the trailing string column, or None when there is none.
     CSV values are the bytes of ``%.8e``; JSON has the bytes of
     ``json.dumps(payload, indent=2)`` for payload {"columns", "rows",
-    "manifest"}, non-finite values written as null.
+    "manifest"}, non-finite values written as null.  A manifest header
+    with JSON raises ValidationError before the file is opened.
     """
+    _check_header(header_comment, fmt)
     n_rows = len(numeric[0])
     with atomic_output(path) as fh:
         if fmt == "json":
@@ -224,15 +232,14 @@ def _etas(args):
     return None if args.eta is None else [args.eta]
 
 
-def _table(cfg: RunConfig, thetas_deg, detunings, etas, threads: int) -> SweepTable:
+def _table(cfg: RunConfig, thetas_deg, detunings, etas) -> SweepTable:
     medium, stack, beam = cfg.build()
-    return evaluate([medium], etas, detunings, thetas_deg, stack, beam, threads)
+    return evaluate([medium], etas, detunings, thetas_deg, stack, beam)
 
 
 def cmd_susceptibility(cfg, args, argv):
     lo, hi, n = cfg.sweep.detuning
-    table = _table(cfg, [args.theta], np.linspace(lo, hi, int(n)), _etas(args),
-                   args.threads)
+    table = _table(cfg, [args.theta], np.linspace(lo, hi, int(n)), _etas(args))
     chi0 = susceptibility(args.detuning, _context(cfg, 0.0, args.eta).medium)
     print(f"chi({args.detuning:g}) = {chi0.real:.6e} {chi0.imag:+.6e}i")
     return _emit_table(table, cfg, args, argv)
@@ -240,7 +247,7 @@ def cmd_susceptibility(cfg, args, argv):
 
 def cmd_shift(cfg, args, argv):
     thetas = np.linspace(*_parse_grid(args.grid)) if args.grid else [args.theta]
-    table = _table(cfg, thetas, [args.detuning], _etas(args), args.threads)
+    table = _table(cfg, thetas, [args.detuning], _etas(args))
     if len(table) == 1:
         print(f"delta_plus = {table.delta_plus_lambda[0]:.6e} lambda, "
               f"Theta_minus = {table.theta_minus[0]:.6e}")
@@ -254,7 +261,7 @@ def cmd_sweep(cfg, args, argv):
                  if args.grid else tuple(cfg.sweep.theta_deg))
     grid = SweepGrid(theta_range=theta_rng,
                      detuning_range=tuple(cfg.sweep.detuning), eta_list=etas)
-    table = sweep(grid, medium, stack, beam, threads=args.threads)
+    table = sweep(grid, medium, stack, beam)
     return _emit_table(table, cfg, args, argv)
 
 
@@ -263,7 +270,7 @@ def cmd_brewster(cfg, args, argv):
     theta_b = find_brewster((lo, hi), _context(cfg, args.detuning, args.eta),
                             coarse=n)
     print(f"brewster angle = {theta_b:.6f} deg at detuning {args.detuning:g}")
-    table = _table(cfg, [theta_b], [args.detuning], _etas(args), args.threads)
+    table = _table(cfg, [theta_b], [args.detuning], _etas(args))
     return _emit_table(table, cfg, args, argv)
 
 
@@ -273,7 +280,7 @@ def cmd_windows(cfg, args, argv):
     windows = find_transparency_windows(medium, (lo, hi))
     print("transparency windows (gamma):",
           " ".join(f"{w:+.4f}" for w in windows) or "none")
-    table = _table(cfg, [args.theta], windows or [0.0], _etas(args), args.threads)
+    table = _table(cfg, [args.theta], windows or [0.0], _etas(args))
     return _emit_table(table, cfg, args, argv)
 
 
@@ -329,12 +336,12 @@ RECIPES = {
 }
 
 
-def recipe_table(target: str, cfg: RunConfig, threads: int = 1) -> SweepTable:
+def recipe_table(target: str, cfg: RunConfig) -> SweepTable:
     """The table of one ``reproduce`` target under ``cfg``."""
     _, thetas, detunings, etas = RECIPES[target]
     if callable(thetas):
         thetas = thetas(cfg, detunings)
-    return _table(cfg, thetas, detunings, etas, threads)
+    return _table(cfg, thetas, detunings, etas)
 
 
 def cmd_reproduce(cfg, args, argv):
@@ -342,7 +349,7 @@ def cmd_reproduce(cfg, args, argv):
         raise ValidationError(f"unknown reproduce target {args.target!r}")
     if args.preset is None and args.config is None:
         cfg = load_config(preset=RECIPES[args.target][0])
-    table = recipe_table(args.target, cfg, args.threads)
+    table = recipe_table(args.target, cfg)
     if args.out is None:
         args.out = f"{args.target}.{args.format or cfg.output.format}"
     return _emit_table(table, cfg, args, argv)
@@ -360,11 +367,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output data file")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--grid", default=None, help="angle grid T0,T1,N (degrees)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; a table is split into fixed-size chunks")
+    p.add_argument("--threads", type=int, default=None,
+                   help="has no effect; tables are evaluated on one thread")
     p.add_argument("--manifest-header", action="store_true",
                    help="prefix the CSV with '#'-commented manifest lines")
 
+
+# flags a command does not read: given to it, they exit 2, not ignored
+UNREAD_FLAGS = {"susceptibility": ("grid",), "windows": ("grid",),
+                "oracle": ("grid",), "reproduce": ("eta", "grid")}
 
 COMMANDS = {
     "susceptibility": cmd_susceptibility,
@@ -398,17 +409,21 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ValidationError("--threads must be >= 1")
+        for flag in UNREAD_FLAGS.get(args.command, ()):
+            if getattr(args, flag) is not None:
+                raise ValidationError(f"--{flag} has no effect on {args.command}")
         if args.eta is not None and not 0 <= args.eta < float("inf"):
             raise ValidationError("--eta must be finite and >= 0")
         if not np.isfinite(args.detuning):
             raise ValidationError("--detuning must be finite")
         cfg = load_config(path=args.config, preset=args.preset)
-        if ((args.format or cfg.output.format) == "json"
-                and (args.manifest_header or cfg.output.manifest_header)):
-            raise ValidationError("--manifest-header applies to CSV output only; "
-                                  "JSON carries the manifest in the file")
+        _check_header(args.manifest_header or cfg.output.manifest_header,
+                      args.format or cfg.output.format)
+        if args.threads is not None:
+            print("note: --threads has no effect; tables are evaluated on one "
+                  "thread", file=sys.stderr)
         return COMMANDS[args.command](cfg, args, argv)
     except (SpinHallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

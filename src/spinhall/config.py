@@ -200,6 +200,8 @@ def _validate(cfg: RunConfig):
                       ("detuning", cfg.sweep.detuning)):
         if len(rng) != 3 or rng[2] < 2 or not rng[0] < rng[1]:
             raise ValidationError(f"sweep.{name} must be [min, max, count>=2] with min < max")
+    if cfg.sweep.eta_list is not None and not cfg.sweep.eta_list:
+        raise ValidationError("sweep.eta_list must hold at least one eta, or be null")
     if any(eta < 0 for eta in cfg.sweep.eta_list or ()):
         raise ValidationError("every sweep.eta_list entry must be >= 0, as eta")
     check_table_points(cfg.sweep.theta_deg[2], cfg.sweep.detuning[2],

@@ -4,15 +4,14 @@ Every table is one broadcast of the detuning axis against the angle
 axis: ``evaluate`` computes the susceptibility once per detuning chunk,
 passes ``eps2 = 1 + chi[:, None]`` through the stack so the angle-only
 terms are shared by every detuning, and writes the rows by index.
-Chunks hold whole angle rows and at most CHUNK_POINTS points; a pool of
-``threads`` workers evaluates them, and the table is bit-identical for
-any thread count.  Singular points (Brewster floor, resonant stack
-denominator) are flagged in their row instead of aborting the table.
+Chunks hold whole angle rows and at most CHUNK_POINTS points and are
+evaluated in order on the calling thread.  Singular points (Brewster
+floor, resonant stack denominator) are flagged in their row instead of
+aborting the table.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -195,18 +194,16 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
 
 
 def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
-             detunings, thetas_deg, stack: LayerStack, beam: BeamParams,
-             threads: int = 1) -> SweepTable:
+             detunings, thetas_deg, stack: LayerStack, beam: BeamParams) -> SweepTable:
     """Table over explicit axes; every table in the package comes from here.
 
     Rows run (medium, eta, detuning, theta), slowest first.  ``etas=None``
     keeps each medium's own density.  ``thetas_deg`` is one angle row
     shared by every detuning (1-D: the full product) or one row per
     detuning (shape ``(len(detunings), k)``).  The detunings are cut into
-    chunks of whole angle rows, at most CHUNK_POINTS points each, which
-    ``threads`` worker threads evaluate; rows are written by index, so
-    the table does not depend on the thread count.  Angles outside
-    (0, 90) degrees raise InvalidAngle before anything is evaluated.
+    chunks of whole angle rows, at most CHUNK_POINTS points each, and
+    each chunk writes its rows by index.  Angles outside (0, 90) degrees
+    raise InvalidAngle before anything is evaluated.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     thetas_deg = np.asarray(thetas_deg, dtype=float)
@@ -217,23 +214,21 @@ def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
         raise ValueError("a 2-D thetas_deg needs one row per detuning")
     row = thetas_deg.shape[-1]
     step = max(1, CHUNK_POINTS // max(row, 1))
-    tasks = []
+    table = SweepTable.empty(len(media) * (1 if etas is None else len(etas))
+                             * len(detunings) * row)
     start = 0
     for m in media:
         for eta in ([m.eta] if etas is None else etas):
             for lo in range(0, len(detunings), step):
                 chunk = detunings[lo:lo + step]
                 angles = thetas_deg[lo:lo + step] if per_detuning else thetas_deg
-                tasks.append((start, angles, chunk, float(eta), m))
+                _fill_block(table, start, angles, chunk, float(eta), m, stack, beam)
                 start += len(chunk) * row
-    table = SweepTable.empty(start)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda task: _fill_block(table, *task, stack, beam), tasks))
     return table
 
 
 def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
-          beam: BeamParams, threads: int = 1) -> SweepTable:
+          beam: BeamParams) -> SweepTable:
     """Evaluate susceptibility, reflection and shifts over the full grid.
 
     Row order is (amplitude set, eta, detuning, theta), theta fastest.
@@ -242,7 +237,7 @@ def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
     media = ([replace(medium, couplings=effective_couplings(fs))
               for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
     return evaluate(media, grid.eta_list or None, grid.detunings(),
-                    grid.thetas_deg(), stack, beam, threads)
+                    grid.thetas_deg(), stack, beam)
 
 
 def _golden_minimize(f: Callable, a, b, tol: float):

@@ -175,14 +175,19 @@ class TestCli:
         assert len(err.splitlines()) == 1 and "no interior minimum" in err
         assert not out.exists()
 
-    def test_sweep_with_config_and_threads(self, tmp_path):
+    def test_sweep_with_config_and_threads(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "sweep": {"theta_deg": [33.0, 34.0, 5], "detuning": [-1.0, 1.0, 3]}}))
-        code, out = run_cli(["sweep", "--preset", "fig3-lambda", "--config",
-                             str(cfg_path), "--threads", "2"], tmp_path)
+        args = ["sweep", "--preset", "fig3-lambda", "--config", str(cfg_path)]
+        code, out = run_cli(args + ["--threads", "2"], tmp_path)
         assert code == 0
+        assert capsys.readouterr().err == (
+            "note: --threads has no effect; tables are evaluated on one thread\n")
         assert len(out.read_text().splitlines()) == 16
+        code, plain = run_cli(args, tmp_path, "plain.csv")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_grid_flag_overrides(self, tmp_path):
         code, out = run_cli(["shift", "--preset", "fig2-ctl", "--detuning", "0",
@@ -261,6 +266,12 @@ class TestCli:
         ["windows", "--eta", "nan"],
         ["shift", "--detuning", "nan"],
         ["brewster", "--detuning", "inf"],
+        # flags the command does not read
+        ["reproduce", "fig2a", "--eta", "0.5"],
+        ["reproduce", "fig2a", "--grid", "30,31,3"],
+        ["susceptibility", "--grid", "30,31,3"],
+        ["windows", "--grid", "30,31,5"],
+        ["oracle", "--grid", "1,2,3"],
     ])
     def test_malformed_input_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
@@ -296,6 +307,7 @@ class TestCli:
         '{"beam": {"w0_lambdas": Infinity}}',
         '{"sweep": {"eta_list": [-1.0]}}',
         '{"sweep": {"eta_list": [0.1, false]}}',
+        '{"sweep": {"eta_list": []}}',
         '{"sweep": {"theta_deg": [30, 38, 2.5]}}',
         '{"sweep": {"detuning": [-6, 6, true]}}',
         '{"output": {"manifest_header": "no"}}',

@@ -2,7 +2,7 @@
 
 import importlib
 import math
-import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -178,9 +178,8 @@ GRIDS = {
 class TestBroadcastKernel:
     @pytest.mark.parametrize("preset", ["ctl_medium", "lambda_medium", "ntype_medium"])
     @pytest.mark.parametrize("grid_name", sorted(GRIDS))
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("chunk", ["default", "inside_grid"])
-    def test_matches_per_detuning_reference(self, preset, grid_name, threads, chunk,
+    @pytest.mark.parametrize("chunk", ["default", "inside_grid", "one_row"])
+    def test_matches_per_detuning_reference(self, preset, grid_name, chunk,
                                             request, monkeypatch, vacuum_stack, beam):
         medium = request.getfixturevalue(preset)
         grid = GRIDS[grid_name]
@@ -188,30 +187,31 @@ class TestBroadcastKernel:
         if chunk == "inside_grid":
             # two theta rows per chunk: boundaries fall inside every block
             monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 2 * n_theta + 1)
+        elif chunk == "one_row":
+            monkeypatch.setattr(sweep_module, "CHUNK_POINTS", n_theta)
         media = ([replace(medium, couplings=effective_couplings(fs))
                   for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
         want = reference_table(media, grid.eta_list, grid.detunings(),
                                grid.thetas_deg(), vacuum_stack, beam)
-        got = sweep(grid, medium, vacuum_stack, beam, threads=threads)
+        got = sweep(grid, medium, vacuum_stack, beam)
         assert_tables_equal(got, want)
         if grid_name == "brewster" and preset != "ntype_medium":
             assert got.flagged_count == 2  # both angles at the transparent detuning
 
-    def test_many_threads_lose_no_rows(self, ctl_medium, vacuum_stack, beam,
-                                       monkeypatch):
-        # more workers than cores, one theta row per chunk and frequent
-        # thread switches: a lost or misplaced write breaks the equality
+    def test_every_block_runs_on_the_calling_thread(self, ctl_medium, vacuum_stack,
+                                                    beam, monkeypatch):
         grid = GRIDS["eta_list"]
         monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 41)
-        want = reference_table([ctl_medium], grid.eta_list, grid.detunings(),
-                               grid.thetas_deg(), vacuum_stack, beam)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = sweep(grid, ctl_medium, vacuum_stack, beam, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert_tables_equal(got, want)
+        threads = []
+        fill = sweep_module._fill_block
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            fill(*args)
+
+        monkeypatch.setattr(sweep_module, "_fill_block", spy)
+        sweep(grid, ctl_medium, vacuum_stack, beam)
+        assert threads == [threading.get_ident()] * 27  # 3 etas x 9 detunings
 
     def test_chunks_hold_whole_theta_rows(self, ctl_medium, vacuum_stack, beam,
                                           monkeypatch):
@@ -253,17 +253,16 @@ class TestBroadcastKernel:
     @given(preset=st.sampled_from(["ctl", "lambda", "ntype"]),
            thetas=st.lists(st.floats(0.5, 89.5), min_size=1, max_size=6),
            detunings=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5),
-           brewster=st.booleans(), resonance=st.booleans(),
-           threads=st.integers(1, 2))
+           brewster=st.booleans(), resonance=st.booleans())
     def test_every_nan_is_flagged(self, preset, thetas, detunings, brewster,
-                                  resonance, threads):
+                                  resonance):
         medium = {"ctl": medium_from((1.5, 3.0, 2.5, 0.9)),
                   "lambda": medium_from((0.5, 0.5, 0.7, 0.7), phase1=np.pi),
                   "ntype": medium_from((0.5, 0.5, 0.7, 0.7))}[preset]
         thetas = thetas + [BREWSTER_DEG] * brewster
         detunings = detunings + [0.0] * resonance
         table = evaluate([medium], None, detunings, thetas, LayerStack(eps2=1.0 + 0j),
-                         BeamParams(w0=50 * LAM, lam=LAM), threads)
+                         BeamParams(w0=50 * LAM, lam=LAM))
         assert len(table) == len(thetas) * len(detunings)
         nan = (np.isnan(table.ratio_sp) | np.isnan(table.delta_plus_lambda)
                | np.isnan(table.theta_minus))
@@ -308,15 +307,6 @@ class TestSweep:
             SweepGrid((33.0, 34.0, 1), (0.0, 1.0, 2))
         with pytest.raises(ValueError):
             SweepGrid((34.0, 33.0, 5), (0.0, 1.0, 2))
-
-    def test_deterministic_across_thread_counts(self, ctl_medium, vacuum_stack, beam):
-        grid = SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9))
-        one = sweep(grid, ctl_medium, vacuum_stack, beam, threads=1)
-        many = sweep(grid, ctl_medium, vacuum_stack, beam, threads=4)
-        for col in ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp",
-                    "abs_rs", "ratio_sp", "delta_plus_lambda", "theta_minus"):
-            np.testing.assert_array_equal(one.column(col), many.column(col))
-        assert one.flags == many.flags
 
     def test_eta_list_expands_rows(self, ntype_medium, vacuum_stack, beam):
         grid = SweepGrid((33.0, 34.0, 3), (0.0, 1.0, 2), eta_list=(0.05, 0.1))

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinhall.cli as cli
-from spinhall import LayerStack, RunManifest, evaluate, load_config
+from spinhall import (LayerStack, RunManifest, ValidationError, evaluate,
+                      load_config)
 from spinhall.cli import ORACLE_COLUMNS, main
 from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT, SweepGrid, sweep
 
@@ -103,7 +104,8 @@ class TestAgainstReference:
         for row in [(30.0, 0.5, 1.25e-3, 1.2500001e-3, -0.0, 2.5e-9),
                     (33.69, -1.0, math.nan, math.inf, -math.inf, 5e-324)]:
             numeric = [np.array([v]) for v in row]
-            new, old = both_writers(tmp_path, ORACLE_COLUMNS, numeric, None, True, fmt)
+            new, old = both_writers(tmp_path, ORACLE_COLUMNS, numeric, None,
+                                    fmt == "csv", fmt)
             assert new == old
 
     def test_empty_table(self, tmp_path):
@@ -124,6 +126,7 @@ class TestAgainstReference:
            fmt=st.sampled_from(["csv", "json"]), header=st.booleans())
     def test_any_values_any_block_size(self, data, values, chunk, oracle, fmt,
                                        header, tmp_path_factory):
+        header = header and fmt == "csv"  # JSON carries no manifest header
         columns = ORACLE_COLUMNS if oracle else COLUMNS
         width = len(columns) - (not oracle)
         n = data.draw(st.integers(0, 3 * chunk + 1), label="rows")
@@ -137,6 +140,14 @@ class TestAgainstReference:
             new, old = both_writers(tmp_path_factory.mktemp("w"), columns, numeric,
                                     flags, header, fmt)
         assert new == old
+
+    def test_json_manifest_header_raises(self, tmp_path):
+        numeric = [np.array([1.0]) for _ in ORACLE_COLUMNS]
+        manifest = RunManifest.for_run(["test"], load_config(), 1, 0)
+        with pytest.raises(ValidationError, match="manifest-header"):
+            cli._write_rows(tmp_path / "out.json", ORACLE_COLUMNS, numeric, None,
+                            manifest, True, "json")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliAgainstReference:
@@ -329,7 +340,7 @@ class TestJsonFormatter:
         assert json_rows(*columns, flags=[FLAG_RESONANT] * 3000) == want
 
 
-# `spinhall reproduce <target> --threads 1` writes <target>.csv with these
+# `spinhall reproduce <target>` writes <target>.csv with these
 # digests; CI checks all of them with `sha256sum -c`
 GOLDEN_SHA256 = dict(line.split()[::-1] for line in (
     Path(__file__).with_name("golden_sha256.txt").read_text().splitlines()))
@@ -338,7 +349,7 @@ GOLDEN_SHA256 = dict(line.split()[::-1] for line in (
 @pytest.mark.parametrize("target", ["fig2d", "fig5b"])
 def test_reproduce_golden_digest(target, tmp_path):
     out = tmp_path / f"{target}.csv"
-    assert main(["reproduce", target, "--threads", "1", "--out", str(out)]) == 0
+    assert main(["reproduce", target, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[out.name]
 
 
@@ -355,7 +366,7 @@ ETA_GRID = {"sweep": {"theta_deg": [30.0, 38.0, 41], "detuning": [-6.0, 6.0, 31]
 def test_json_golden_data_digest(name, tmp_path):
     out = tmp_path / name
     if name == "fig2d.json":
-        argv = ["reproduce", "fig2d", "--format", "json", "--threads", "1"]
+        argv = ["reproduce", "fig2d", "--format", "json"]
     else:
         config = tmp_path / "eta_grid.config.json"
         config.write_text(json.dumps(ETA_GRID))
