@@ -3,6 +3,7 @@
 import importlib
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -178,9 +179,12 @@ GRIDS = {
 class TestBroadcastKernel:
     @pytest.mark.parametrize("preset", ["ctl_medium", "lambda_medium", "ntype_medium"])
     @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("callers", [1, 2])
     @pytest.mark.parametrize("chunk", ["default", "inside_grid", "one_row"])
-    def test_matches_per_detuning_reference(self, preset, grid_name, chunk,
+    def test_matches_per_detuning_reference(self, preset, grid_name, callers, chunk,
                                             request, monkeypatch, vacuum_stack, beam):
+        # callers: threads that run the same sweep at once; evaluation keeps
+        # no state between calls, so each of them gets the whole table
         medium = request.getfixturevalue(preset)
         grid = GRIDS[grid_name]
         n_theta = len(grid.thetas_deg())
@@ -193,10 +197,13 @@ class TestBroadcastKernel:
                   for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
         want = reference_table(media, grid.eta_list, grid.detunings(),
                                grid.thetas_deg(), vacuum_stack, beam)
-        got = sweep(grid, medium, vacuum_stack, beam)
-        assert_tables_equal(got, want)
-        if grid_name == "brewster" and preset != "ntype_medium":
-            assert got.flagged_count == 2  # both angles at the transparent detuning
+        with ThreadPoolExecutor(callers) as pool:
+            tables = list(pool.map(lambda _: sweep(grid, medium, vacuum_stack, beam),
+                                   range(callers)))
+        for got in tables:
+            assert_tables_equal(got, want)
+            if grid_name == "brewster" and preset != "ntype_medium":
+                assert got.flagged_count == 2  # both angles at the transparent detuning
 
     def test_every_block_runs_on_the_calling_thread(self, ctl_medium, vacuum_stack,
                                                     beam, monkeypatch):
