@@ -358,10 +358,10 @@ def cmd_reproduce(cfg, args, argv):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--preset", help="named parameter preset")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--theta", type=float, default=33.69,
-                   help="incidence angle in degrees")
-    p.add_argument("--detuning", type=float, default=0.0,
-                   help="probe detuning in gamma units")
+    p.add_argument("--theta", type=float, default=None,
+                   help="incidence angle in degrees (default 33.69)")
+    p.add_argument("--detuning", type=float, default=None,
+                   help="probe detuning in gamma units (default 0)")
     p.add_argument("--eta", type=float, default=None,
                    help="density parameter override (gamma units)")
     p.add_argument("--out", default=None, help="output data file")
@@ -375,7 +375,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 # flags a command does not read: given to it, they exit 2, not ignored
 UNREAD_FLAGS = {"susceptibility": ("grid",), "windows": ("grid",),
-                "oracle": ("grid",), "reproduce": ("eta", "grid")}
+                "oracle": ("grid",), "sweep": ("theta", "detuning"),
+                "reproduce": ("eta", "grid", "theta", "detuning")}
 
 COMMANDS = {
     "susceptibility": cmd_susceptibility,
@@ -414,6 +415,8 @@ def main(argv=None) -> int:
         for flag in UNREAD_FLAGS.get(args.command, ()):
             if getattr(args, flag) is not None:
                 raise ValidationError(f"--{flag} has no effect on {args.command}")
+        args.theta = 33.69 if args.theta is None else args.theta
+        args.detuning = 0.0 if args.detuning is None else args.detuning
         if args.eta is not None and not 0 <= args.eta < float("inf"):
             raise ValidationError("--eta must be finite and >= 0")
         if not np.isfinite(args.detuning):

@@ -230,6 +230,19 @@ def coherence_ratio(delta_p, m: MediumParams):
     return out
 
 
+def _coherence_polynomials(m: MediumParams):
+    """(num, den): complex coefficients, highest power first, of the cubic
+    and the quartic in delta_p whose ratio ``coherence_ratio`` evaluates."""
+    c = m.couplings
+    omega2 = c.omega_total ** 2
+    gb2 = m.gamma_b / 2
+    ge2 = m.gamma_e / 2
+    num = np.array([1, 1j * ge2, -omega2, 0])
+    den = np.array([-1, -1j * (gb2 + ge2), gb2 * ge2 + c.zeta + omega2,
+                    1j * (ge2 * c.zeta + gb2 * omega2), -omega2 * abs(c.beta) ** 2])
+    return num, den
+
+
 def susceptibility(delta_p, m: MediumParams):
     """chi = eta * coherence ratio; Re = dispersion, Im = absorption."""
     return m.eta * coherence_ratio(delta_p, m)

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange
-from .medium import ControlFieldSet, MediumParams, effective_couplings, susceptibility
+from .medium import (ControlFieldSet, MediumParams, _coherence_polynomials,
+                     effective_couplings, susceptibility)
 from .multilayer import LayerStack, _amplitudes, RESONANT_DENOMINATOR_FLOOR
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
 
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 GOLDEN_TOL_DEG = 1e-4
-WINDOW_REFINE_TOL = 1e-3  # gamma units
+_COEFF_ROUNDING = 1e-13  # relative rounding of a window-polynomial coefficient
 FLAG_BREWSTER = "brewster_singularity"
 FLAG_RESONANT = "resonant_denominator"
 CHUNK_POINTS = 65_536  # points per evaluation chunk: ~1 MB per complex temporary
@@ -328,60 +329,68 @@ def find_sign_flip(theta_deg, delta, ctx: ScanContext,
     return 0.5 * (a + b)
 
 
-def _refine_minimum(f: Callable[[float], float], a: float, b: float, c: float,
-                    tol: float, max_iter: int = 60):
-    """Successive parabolic refinement of a bracketed minimum (a < b < c,
-    f(b) smallest); falls back to a golden step when the parabola
-    degenerates or leaves the bracket."""
-    fa, fb, fc = f(a), f(b), f(c)
-    for _ in range(max_iter):
-        if c - a < tol:
-            break
-        denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        if denom != 0:
-            x = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
-        else:
-            x = np.nan
-        if not (a < x < c) or not np.isfinite(x) or abs(x - b) < 1e-15:
-            x = 0.5 * (a + c) if abs(b - a) > abs(c - b) else 0.5 * (b + c)
-            if abs(x - b) < 1e-15:
-                break
-        fx = f(x)
-        if fx < fb:
-            if x < b:
-                c, fc = b, fb
-            else:
-                a, fa = b, fb
-            b, fb = x, fx
-        else:
-            if x < b:
-                a, fa = x, fx
-            else:
-                c, fc = x, fx
-    return b
+def _sign_changes(p: list, hi: float) -> list:
+    """[(x, rising)] at each x in (0, hi) where the real polynomial p
+    (coefficients, highest power first) changes sign.
 
-
-def find_transparency_windows(medium: MediumParams, detuning_range: tuple,
-                              n_grid: int = 4801,
-                              tol: float = WINDOW_REFINE_TOL) -> list:
-    """Detunings where the medium is closest to transparent.
-
-    Interior local minima of |chi(delta_p)| on a dense grid, each refined
-    by successive parabolic interpolation to better than ``tol`` gamma.
-    The magnitude (rather than the absorption alone) is used so the
-    located windows are the points of minimal total response, where both
-    dispersion and absorption are small; for this medium those are the
-    operating points of enhanced beam shift.  May return an empty list.
+    p is monotone between neighbouring sign changes of p', so each piece
+    between them whose ends differ in sign holds one, which bisection
+    narrows down to neighbouring floats.
     """
-    lo, hi = detuning_range
+    def f(x):  # Horner's rule
+        y = 0.0
+        for c in p:
+            y = y * x + c
+        return y
+
+    n = len(p) - 1
+    inner = _sign_changes([c * (n - k) for k, c in enumerate(p[:-1])], hi) if n > 1 else []
+    knots = [0.0, *(x for x, _ in inner), hi]
+    values = [f(x) for x in knots]
+    out = []
+    for a, b, fa, fb in zip(knots, knots[1:], values, values[1:]):
+        if fa < 0 < fb or fb < 0 < fa:
+            x = 0.5 * (a + b)
+            while a < x < b:
+                a, b = (a, x) if (f(x) > 0) == (fb > 0) else (x, b)
+                x = 0.5 * (a + b)
+            out.append((x, fb > 0))
+    return out
+
+
+def _critical_terms(num, den):
+    """(n' d, n d') for n(u) = |num|^2, d(u) = |den|^2 in u = delta_p^2:
+    num(-x) = -conj(num(x)) and den(-x) = conj(den(x)), so both squares
+    are even in delta_p."""
+    n, d = (np.convolve(p, p.conj()).real[::2] for p in (num, den))
+    return np.convolve(np.polyder(n), d), np.convolve(n, np.polyder(d))
+
+
+def find_transparency_windows(medium: MediumParams, detuning_range: tuple) -> list:
+    """Detunings where the medium is closest to transparent: the local
+    minima of |chi(delta_p)| strictly inside the range.
+
+    chi is a cubic num over a quartic den and |chi| is even in delta_p, so
+    the minima are exact: +-sqrt(u) at each u > 0 where q = n' d - n d',
+    the sign of d|chi|^2/du, turns from negative to positive, and 0 where
+    q > 0 as u -> 0.  Coefficients of q within rounding of their terms
+    are zero, and its powers of u (those of delta_p that num and den
+    share, as for beta = 0) are divided out, so that no multiple root is
+    split into spurious ones.  |chi|, not the absorption alone, is used:
+    both dispersion and absorption are small there, the operating points
+    of enhanced beam shift.  May return an empty list.
+    """
     if medium.eta == 0:
         return []
-    dps = np.linspace(lo, hi, n_grid)
-    mag = np.abs(susceptibility(dps, medium))
-    f = lambda dp: float(np.abs(susceptibility(float(dp), medium)))
-    interior = (mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])
-    return sorted(_refine_minimum(f, dps[i - 1], dps[i], dps[i + 1], tol)
-                  for i in np.flatnonzero(interior) + 1)
+    num, den = _coherence_polynomials(medium)
+    q = np.polysub(*_critical_terms(num, den))
+    q[np.abs(q) <= _COEFF_ROUNDING * sum(_critical_terms(np.abs(num), np.abs(den)))] = 0.0
+    q = np.trim_zeros(q, "b").tolist()
+    lo, hi = detuning_range
+    x = [u ** 0.5 for u, rising in _sign_changes(q, float(max(lo * lo, hi * hi)))
+         if rising]
+    windows = [-v for v in reversed(x)] + [0.0] * (q[-1] > 0) + x
+    return [w for w in windows if lo < w < hi]
 
 
 def extremal_angles(kind: str, detunings, ctx_base: ScanContext,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,19 @@ class TestCli:
         code, _ = run_cli(["windows", "--preset", "fig2-ctl"], tmp_path)
         assert code == 0
         assert "+0.0000" in capsys.readouterr().out
+
+    def test_windows_loads_no_numpy_polynomial(self, tmp_path):
+        # the window finder uses the np.roots family numpy already loads;
+        # numpy.polynomial would add milliseconds to every fresh process
+        out = str(tmp_path / "w.csv")
+        script = ("import sys; from spinhall.cli import main; "
+                  f"main(['windows', '--preset', 'fig4-ntype', '--out', {out!r}]); "
+                  "print('numpy.polynomial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_oracle_command(self, tmp_path, capsys):
         code, out = run_cli(["oracle", "--preset", "fig2-ctl", "--theta", "30"],
@@ -272,6 +288,10 @@ class TestCli:
         ["susceptibility", "--grid", "30,31,3"],
         ["windows", "--grid", "30,31,5"],
         ["oracle", "--grid", "1,2,3"],
+        ["reproduce", "fig2a", "--theta", "40"],
+        ["reproduce", "fig2a", "--detuning", "3"],
+        ["sweep", "--theta", "40"],
+        ["sweep", "--detuning", "0.5"],
     ])
     def test_malformed_input_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)

@@ -1,7 +1,9 @@
 """Atomic response: couplings, classification, coherence, susceptibility.
 
-The independent oracle for the closed-form coherence is the steady-state
-linear system of the four-level chain, solved numerically per point.
+The independent oracles for the closed-form coherence are steady-state
+linear systems solved numerically per point (tests/conftest.py): that of
+the reduced four-level chain and, to check the dark/bright reduction
+itself, that of the bare coherences driven by the four control fields.
 """
 
 import math
@@ -15,24 +17,11 @@ from spinhall import (Configuration, ControlField, ControlFieldSet,
                       DegenerateBrightState, EffectiveCouplings, MediumParams,
                       classify, coherence_ratio, effective_couplings,
                       permittivity, refractive_index, susceptibility)
+from spinhall.medium import _coherence_polynomials
+from conftest import bare_state_coherence, steady_state_coherence
 
 amplitude = st.floats(0.05, 5.0)
 phase = st.floats(0.0, 2 * math.pi)
-
-
-def steady_state_coherence(dp, m, probe=1.0):
-    """Independent route: solve the linearized steady state of the
-    (probe, bright, dark, upper) coherence chain."""
-    c = m.couplings
-    al, be, om = c.alpha, c.beta, c.omega_total
-    A = np.array([
-        [-(m.gamma_b / 2 - 1j * dp), 1j * al, 1j * be, 0],
-        [1j * np.conj(al), 1j * dp, 0, 1j * om],
-        [1j * np.conj(be), 0, 1j * dp, 0],
-        [0, 1j * om, 0, -(m.gamma_e / 2 - 1j * dp)],
-    ], dtype=complex)
-    rhs = np.array([-1j * probe, 0, 0, 0], dtype=complex)
-    return np.linalg.solve(A, rhs)[0] / probe
 
 
 class TestEffectiveCouplings:
@@ -193,6 +182,32 @@ class TestCoherenceRatio:
         closed = coherence_ratio(dp, m)
         solved = steady_state_coherence(dp, m)
         assert closed == pytest.approx(solved, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=200)
+    @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
+           p=st.tuples(phase, phase, phase, phase), dp=st.floats(-6.0, 6.0),
+           gb=st.floats(0.2, 3.0), ge=st.floats(0.2, 3.0))
+    def test_reduction_against_bare_basis_solve(self, a, p, dp, gb, ge):
+        # the four raw fields, not alpha/beta/omega_total, enter the solve;
+        # at resonance it is singular when beta = 0 (a decoupled dark state)
+        if abs(dp) < 1e-3:
+            dp = 1e-3
+        fields = ControlFieldSet.from_amplitudes(*a, *p)
+        m = MediumParams(gb, ge, 0.1, effective_couplings(fields))
+        assert coherence_ratio(dp, m) == pytest.approx(
+            bare_state_coherence(dp, fields, gb, ge), rel=1e-12)
+
+    @settings(max_examples=100)
+    @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
+           p=st.tuples(phase, phase, phase, phase),
+           gb=st.floats(0.2, 3.0), ge=st.floats(0.2, 3.0))
+    def test_polynomials_reproduce_ratio(self, a, p, gb, ge):
+        m = MediumParams(gb, ge, 0.1, effective_couplings(
+            ControlFieldSet.from_amplitudes(*a, *p)))
+        num, den = _coherence_polynomials(m)
+        dps = np.random.default_rng(3).uniform(-8.0, 8.0, 64)
+        np.testing.assert_allclose(np.polyval(num, dps) / np.polyval(den, dps),
+                                   coherence_ratio(dps, m), rtol=1e-12)
 
 
 class TestSusceptibility:

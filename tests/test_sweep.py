@@ -8,9 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from spinhall import (BeamParams, ControlFieldSet, LayerStack, NoMinimumInWindow,
+from spinhall import (BeamParams, ControlFieldSet, EffectiveCouplings, LayerStack,
+                      MediumParams, NoMinimumInWindow,
                       NoSignChange, ScanContext, SweepGrid, SweepTable,
                       effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
@@ -19,7 +20,7 @@ from spinhall import (BeamParams, ControlFieldSet, LayerStack, NoMinimumInWindow
 from spinhall.multilayer import RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from spinhall.shifts import BREWSTER_FLOOR, shift_kernel
 from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT
-from conftest import medium_from
+from conftest import medium_from, steady_state_coherence
 
 sweep_module = importlib.import_module("spinhall.sweep")
 
@@ -144,20 +145,23 @@ def reference_find_brewster(theta_window_deg, ctx, coarse=201):
     return reference_golden(f, grid[i - 1], grid[i + 1], sweep_module.GOLDEN_TOL_DEG)
 
 
-def reference_windows(medium, detuning_range, n_grid=4801,
-                      tol=sweep_module.WINDOW_REFINE_TOL):
-    """find_transparency_windows with the per-point loop over the grid."""
+def reference_windows(medium, detuning_range, n=12_001):
+    """(minima, step): the interior local minima of |chi| on an n-point
+    grid of the range and its step, |chi| from the steady-state solve of
+    the chain, so no code of the window finder or of the closed form."""
+    dps = np.linspace(*detuning_range, n)
     if medium.eta == 0:
-        return []
-    dps = np.linspace(*detuning_range, n_grid)
-    mag = np.abs(susceptibility(dps, medium))
-    f = lambda dp: float(np.abs(susceptibility(float(dp), medium)))
-    out = []
-    for i in range(1, n_grid - 1):
-        if mag[i] < mag[i - 1] and mag[i] <= mag[i + 1]:
-            out.append(sweep_module._refine_minimum(f, dps[i - 1], dps[i],
-                                                    dps[i + 1], tol))
-    return sorted(out)
+        return [], dps[1] - dps[0]
+    mag = np.abs(steady_state_coherence(dps, medium))
+    inner = np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
+    return dps[inner].tolist(), dps[1] - dps[0]
+
+
+def assert_windows_on_grid(got, want, step):
+    """The exact minima and the grid minima pair up within one grid step:
+    the grid point of least |chi| need not be the nearest one."""
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=step)
 
 
 def assert_tables_equal(got, want):
@@ -465,13 +469,34 @@ class TestTransparencyWindows:
     def test_matches_per_point_loop(self, preset, eta):
         medium = replace(preset_context(preset).medium, eta=eta)
         for window in ((-6.0, 6.0), (-1.0, 0.5)):
-            assert (find_transparency_windows(medium, window)
-                    == reference_windows(medium, window))
+            assert_windows_on_grid(find_transparency_windows(medium, window),
+                                   *reference_windows(medium, window))
 
-    @pytest.mark.parametrize("n_grid", [2, 3, 4])
-    def test_tiny_grids(self, ctl_medium, n_grid):
-        assert (find_transparency_windows(ctl_medium, (-1.0, 1.0), n_grid)
-                == reference_windows(ctl_medium, (-1.0, 1.0), n_grid))
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.tuples(*[st.floats(0.05, 5.0)] * 4),
+           p=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 4),
+           gb=st.floats(0.2, 3.0), ge=st.floats(0.2, 3.0),
+           kind=st.sampled_from(["fields", "beta=0", "omega_total=0"]))
+    # beta = 0, and the delta_p^2 terms of |num|^2 and |den|^2 both cancel:
+    # one flat window at 0, which rounding must not split in two
+    @example(a=(0.05,) * 4, p=(0.0,) * 4, gb=1.0, ge=0.2, kind="fields")
+    def test_windows_against_dense_grid(self, a, p, gb, ge, kind):
+        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, *p))
+        if kind != "fields":  # N-type, or its natural-Lambda limit
+            c = EffectiveCouplings(c.alpha, 0j, c.omega_total if kind == "beta=0" else 0.0)
+        medium = MediumParams(gb, ge, 0.1, c)
+        got = find_transparency_windows(medium, (-6.0, 6.0))
+        want, step = reference_windows(medium, (-6.0, 6.0))
+        # a window within one step of an end is below the grid's resolution
+        assume(all(-6.0 + step < w < 6.0 - step for w in got))
+        assert_windows_on_grid(got, want, step)
+
+    @pytest.mark.parametrize("preset", ["fig2-ctl", "fig3-lambda"])
+    def test_resonant_window_is_exact_off_grid(self, preset):
+        # the exact-EIT minimum is 0 on a range whose grids miss 0
+        windows = find_transparency_windows(preset_context(preset).medium,
+                                            (-1.0007, 1.0))
+        assert min(abs(w) for w in windows) <= 1e-12
 
 
 def coarse_argmax(kind, ctx, dp, window, coarse):
