@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -60,7 +61,12 @@ ORACLE_COLUMNS = ("theta_deg", "detuning", "delta_closed_lambda",
 def _blocks(n_rows: int):
     """Row slices of at most WRITE_ROWS rows that cover a table of n_rows."""
     for lo in range(0, n_rows, WRITE_ROWS):
-        yield slice(lo, lo + WRITE_ROWS)
+        yield slice(lo, min(lo + WRITE_ROWS, n_rows))
+
+
+def _row_count(data) -> int:
+    values, index = data[0]
+    return len(values if index is None else index)
 
 
 def _csv_slots(values, slots) -> None:
@@ -99,49 +105,121 @@ def _csv_slots(values, slots) -> None:
         slots.view(_SLOT_TEXT)["text"][slow] = text
 
 
-def _flag_codes(flags, n_rows: int):
-    """The distinct flags in order of first appearance and, per row, the
-    index of its flag among them; no flag column gives the one kind None."""
-    if flags is None:
-        return [None], np.zeros(n_rows, np.intp)
-    kinds = list(dict.fromkeys(flags))
-    code = {flag: i for i, flag in enumerate(kinds)}
-    return kinds, np.fromiter(map(code.__getitem__, flags), np.intp, n_rows)
+def _csv_numbers(values):
+    """The _SLOT text of each value of ``values``, as a (values, 17) uint8 array."""
+    slots = np.empty((len(values), 1), _SLOT)
+    _csv_slots(values[:, None], slots)
+    return slots.view(np.uint8).reshape(len(values), _SLOT.itemsize)
 
 
-def _write_csv(out, numeric, flags) -> None:
-    """CSV rows of ``numeric`` and ``flags`` to the binary handle ``out``.
+def _text_slots(texts, separator: bytes, unit: int = 1):
+    """Each byte string of ``texts`` NUL-padded and followed by ``separator``,
+    in slots of a whole number of ``unit`` bytes, as a (texts, bytes) uint8
+    array."""
+    width = -(-(max(map(len, texts)) + len(separator)) // unit) * unit
+    padded = [text.ljust(width - len(separator), b"\0") + separator for text in texts]
+    return np.array(padded, f"S{width}").view(np.uint8).reshape(len(texts), width)
 
-    Per block, each row is one _SLOT per value and the NUL-padded end of
-    the line (flag and newline), written with the NULs removed.
+
+def _slot_tables(data, numbers, texts) -> list:
+    """Per column of ``data``: None for a per-row column, else the slots of
+    its distinct values, one row each; ``numbers`` formats the numbers of
+    every such column in one call, and ``texts`` a column of strings."""
+    floats = [values for values, index in data
+              if index is not None and values.dtype.kind == "f"]
+    slots = numbers(np.concatenate(floats)) if floats else None
+    parts = (slots[end - len(values):end] for values, end
+             in zip(floats, itertools.accumulate(map(len, floats))))
+    return [None if index is None else next(parts) if values.dtype.kind == "f"
+            else texts(values.tolist()) for values, index in data]
+
+
+def _runs(data, tables, number_width: int) -> list:
+    """The runs of adjacent columns of ``data`` that a row block writes
+    together, as (start, stop, columns, index, slots): the per-row columns
+    between two indexed ones (index None, no slots; ``number_width`` units a
+    value) or the columns that share one index object, whose ``tables``
+    side by side are the slots.  start:stop are the run's units in a row."""
+    groups = []
+    for j, (_, index) in enumerate(data):
+        if groups and index is groups[-1][-1]:
+            groups[-1][0].append(j)
+        else:
+            groups.append(([j], index))
+    runs, start = [], 0
+    for columns, index in groups:
+        slots = (None if index is None else tables[columns[0]] if len(columns) == 1
+                 else np.concatenate([tables[j] for j in columns], axis=1))
+        stop = start + (number_width * len(columns) if slots is None
+                        else slots.shape[1])
+        runs.append((start, stop, columns, index, slots))
+        start = stop
+    return runs
+
+
+def _fill_rows(buf, rows: slice, data, runs, numbers) -> None:
+    """Write the slots of ``rows`` into ``buf`` (rows, units): ``numbers``
+    formats each per-row run, and each indexed run takes its slots."""
+    for start, stop, columns, index, slots in runs:
+        if index is None:
+            numbers(np.stack([data[j][0][rows] for j in columns], axis=1),
+                    buf[:, start:stop])
+        else:
+            buf[:, start:stop] = slots.take(index[rows], axis=0)
+
+
+def _write_csv(out, data) -> None:
+    """CSV rows of the columns ``data`` to the binary handle ``out``.
+
+    A row is one NUL-padded slot per value, each ending in ',' but the
+    last, whose ',' ends the line.  Numbers are _SLOT text; a column of
+    strings is its text.  Per block of rows, the per-row columns are
+    formatted and the indexed ones take the slots of their values,
+    formatted once; the block is written with the NULs removed.
     """
-    width = 17 * len(numeric)
-    kinds, codes = _flag_codes(flags, len(numeric[0]))
-    tails = np.array([b"\n" if flag is None else f",{flag}\n".encode()
-                      for flag in kinds])
-    for rows in _blocks(len(numeric[0])):
-        values = np.stack([column[rows] for column in numeric], axis=1)
-        buf = np.empty((len(values), width + tails.itemsize), np.uint8)
-        _csv_slots(values, buf[:, :width].view(_SLOT))
-        buf[:, width - 1] = 0  # the line's end replaces the last ','
-        buf[:, width:].view(tails.dtype)[:, 0] = tails.take(codes[rows])
+    runs = _runs(data, _slot_tables(data, _csv_numbers,
+                                    lambda texts: _text_slots(
+                                        [t.encode() for t in texts], b",")),
+                 _SLOT.itemsize)
+    for rows in _blocks(_row_count(data)):
+        buf = np.empty((rows.stop - rows.start, runs[-1][1]), np.uint8)
+        _fill_rows(buf, rows, data, runs,
+                   lambda values, units: _csv_slots(values, units.view(_SLOT)))
+        buf[:, -1] = ord("\n")
         out.write(buf.tobytes().translate(None, b"\0"))
 
 
-def _write_json(out, numeric, flags) -> None:
-    """The rows of ``numeric`` and ``flags`` to the binary handle ``out``,
-    laid out as the "rows" list of ``json.dumps(payload, indent=2)``
-    without its brackets: one ``jsontext.RowWriter`` buffer per block, its
-    numbers the bytes of ``float.__repr__`` and JSON_FLOAT's fallback."""
+def _write_json(out, data) -> None:
+    """The rows of the columns ``data`` to the binary handle ``out``, laid
+    out as the "rows" list of ``json.dumps(payload, indent=2)`` without its
+    brackets.  A row is its opening and one slot of words per value, each
+    ending in the separator that the row's end replaces in the last slot:
+    numbers are ``jsontext`` slots, the bytes of ``float.__repr__`` and
+    JSON_FLOAT's fallback; strings their JSON text.  Blocks are built as
+    by ``_write_csv``, in one buffer, and the first row drops its ','."""
     from . import jsontext  # on first use: CSV-only runs never compile it
-    n_rows = len(numeric[0])
+    n_rows = _row_count(data)
     if not n_rows:
         return
-    kinds, codes = _flag_codes(flags, n_rows)
-    writer = jsontext.RowWriter(len(numeric), kinds, min(WRITE_ROWS, n_rows))
+    fallback = JSON_FLOAT
+    runs = _runs(data, _slot_tables(
+        data, lambda values: jsontext.number_slots(values, fallback),
+        lambda texts: _text_slots([json.dumps(t).encode() for t in texts],
+                                  jsontext.SEPARATOR, 8).view(jsontext.WORD)),
+        jsontext.SLOT_WORDS)
+    width = len(jsontext.ROW_HEAD) + runs[-1][1]
+    buf = bytearray(8 * width * min(WRITE_ROWS, n_rows))
     for rows in _blocks(n_rows):
-        values = np.stack([column[rows] for column in numeric], axis=1)
-        out.write(writer.block(values, codes[rows], JSON_FLOAT))
+        words = np.frombuffer(buf, jsontext.WORD, (rows.stop - rows.start) * width)
+        words = words.reshape(-1, width)
+        words[:, :len(jsontext.ROW_HEAD)] = jsontext.ROW_HEAD
+        _fill_rows(words[:, len(jsontext.ROW_HEAD):], rows, data, runs,
+                   lambda values, units: jsontext.number_rows(values, units, fallback))
+        words[:, -1] = jsontext.ROW_END
+        if not rows.start:
+            buf[0] = 0
+        text = buf if words.nbytes == len(buf) else buf[:words.nbytes]
+        out.write(text.translate(None, b"\0"))
 
 
 def _check_header(header_comment: bool, fmt: str) -> None:
@@ -150,25 +228,27 @@ def _check_header(header_comment: bool, fmt: str) -> None:
                               "JSON carries the manifest in the file")
 
 
-def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
+def _write_rows(path: Path, columns, data, manifest: RunManifest,
                 header_comment: bool, fmt: str) -> None:
     """Stream a table to ``path`` block by block, replacing it atomically.
 
-    ``numeric`` holds one float array per leading column of ``columns``;
-    ``flags`` is the trailing string column, or None when there is none.
-    CSV values are the bytes of ``%.8e``; JSON has the bytes of
-    ``json.dumps(payload, indent=2)`` for payload {"columns", "rows",
-    "manifest"}, non-finite values written as null.  A manifest header
-    with JSON raises ValidationError before the file is opened.
+    ``data`` holds one (values, index) pair per name of ``columns``: row r
+    of a column is values[r] when index is None, else values[index[r]],
+    and ``index[rows]`` gives the indices of a slice of rows.  Values are
+    floats, or strings, which have an index.  CSV values are the bytes of
+    ``%.8e``; JSON has the bytes of ``json.dumps(payload, indent=2)`` for
+    payload {"columns", "rows", "manifest"}, non-finite values written as
+    null.  A manifest header with JSON raises ValidationError before the
+    file is opened.
     """
     _check_header(header_comment, fmt)
-    n_rows = len(numeric[0])
+    n_rows = _row_count(data)
     with atomic_output(path) as fh:
         if fmt == "json":
             fh.buffer.write(('{\n  "columns": [\n'
                              + ",\n".join(f"    {json.dumps(c)}" for c in columns)
                              + '\n  ],\n  "rows": [').encode())
-            _write_json(fh.buffer, numeric, flags)
+            _write_json(fh.buffer, data)
             fh.buffer.write((("\n  ]" if n_rows else "]") + ',\n  "manifest": '
                              + manifest.to_json().replace("\n", "\n  ")
                              + "\n}\n").encode())
@@ -177,15 +257,15 @@ def _write_rows(path: Path, columns, numeric, flags, manifest: RunManifest,
             fh.buffer.writelines(f"# {line}\n".encode()
                                  for line in manifest.to_json().splitlines())
         fh.buffer.write((",".join(columns) + "\n").encode())
-        _write_csv(fh.buffer, numeric, flags)
+        _write_csv(fh.buffer, data)
 
 
 def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,
-                  numeric, flags) -> Path:
+                  data) -> Path:
     """Data file, then its manifest; a failed manifest takes the data file
     with it, so a failed command leaves neither."""
     out = Path(args.out or cfg.output.out)
-    _write_rows(out, columns, numeric, flags, manifest,
+    _write_rows(out, columns, data, manifest,
                 cfg.output.manifest_header or args.manifest_header,
                 args.format or cfg.output.format)
     try:
@@ -197,11 +277,12 @@ def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,
 
 
 def _emit_table(table: SweepTable, cfg: RunConfig, args, argv) -> int:
-    manifest = RunManifest.for_run(argv, cfg, len(table), table.flagged_count)
-    out = _write_output(cfg, args, manifest, COLUMNS,
-                        [table.column(c) for c in COLUMNS[:-1]], table.flags)
-    print(f"wrote {len(table)} rows to {out} ({table.flagged_count} flagged)")
-    if len(table) and table.flagged_count / len(table) > MAX_FLAG_FRACTION:
+    counts = table.flag_counts
+    flagged = sum(counts.values())
+    manifest = RunManifest.for_run(argv, cfg, len(table), flagged, counts)
+    out = _write_output(cfg, args, manifest, COLUMNS, table.indexed_columns())
+    print(f"wrote {len(table)} rows to {out} ({flagged} flagged)")
+    if len(table) and flagged / len(table) > MAX_FLAG_FRACTION:
         return 3
     return 0
 
@@ -280,7 +361,7 @@ def cmd_windows(cfg, args, argv):
     windows = find_transparency_windows(medium, (lo, hi))
     print("transparency windows (gamma):",
           " ".join(f"{w:+.4f}" for w in windows) or "none")
-    table = _table(cfg, [args.theta], windows or [0.0], _etas(args))
+    table = _table(cfg, [args.theta], windows, _etas(args))
     return _emit_table(table, cfg, args, argv)
 
 
@@ -300,7 +381,7 @@ def cmd_oracle(cfg, args, argv):
     row = (args.theta, args.detuning, closed / beam.lam, quad_plus / beam.lam,
            quad_minus / beam.lam, rel)
     _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, 0), ORACLE_COLUMNS,
-                  [np.array([v], dtype=float) for v in row], None)
+                  [(np.array([v], dtype=float), None) for v in row])
     return 0
 
 

@@ -263,6 +263,7 @@ class RunManifest:
     config: dict
     row_count: int
     flagged_count: int
+    flag_counts: dict = field(default_factory=dict)  # rows by kind of flag
     tool: str = "spinhall"
     version: str = __version__
     timestamp_utc: str = ""
@@ -270,9 +271,10 @@ class RunManifest:
 
     @classmethod
     def for_run(cls, command, cfg: RunConfig, row_count: int,
-                flagged_count: int) -> "RunManifest":
+                flagged_count: int, flag_counts=None) -> "RunManifest":
         return cls(command=list(command), config=cfg.to_dict(),
                    row_count=row_count, flagged_count=flagged_count,
+                   flag_counts=dict(flag_counts or {}),
                    timestamp_utc=datetime.now(timezone.utc).isoformat())
 
     def to_json(self) -> str:

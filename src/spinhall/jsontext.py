@@ -18,8 +18,6 @@ only CSV neither compiles it nor builds its tables.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 TIE = 1e-6  # interval edges and rounding ties this close take the fallback
@@ -28,12 +26,12 @@ TIE = 1e-6  # interval edges and rounding ties this close take the fallback
 # system and every block faults them back in, which costs about a third
 # of the writer's time
 FORMAT_ROWS = 512
-_WORD = np.dtype("<u8")
+WORD = np.dtype("<u8")
 
 
 def _words(texts) -> np.ndarray:
     """Each text NUL-padded to 8 bytes, as one little-endian word."""
-    return np.array(texts, "S8").view(_WORD)
+    return np.array(texts, "S8").view(WORD)
 
 
 def _powers_of_ten(count: int):
@@ -53,33 +51,35 @@ _P10_HL = _P10_HI - _P10_HH
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _E_MIN = -271  # exponents of the fast path, up to 10^16 after a carry
 
-# One value is a slot of 7 words of NUL-padded text, ending in ",\n" and
-# the next value's indent.  Word 0 is the sign, "0.000" before a
-# positional value below 1 (by exponent -5 ... 0 and sign), the first
-# digit and its '.'; words 1-4 each hold 4 digits at the even bytes and a
-# '.' or NUL after each; word 5 is the ".0"'s '0' of an integer or
-# "e-05", then ",\n "; word 6 the rest of the indent.
+# One value is a slot of SLOT_WORDS words of NUL-padded text, its last
+# word the separator ",\n" and the next value's indent.  Word 0 is the
+# sign, "0.000" before a positional value below 1 (by exponent -5 ... 0
+# and sign), the first digit and its '.'; words 1-4 each hold 4 digits at
+# the even bytes and a '.' or NUL after each; word 5 is the ".0"'s '0' of
+# an integer or "e-05".
+SLOT_WORDS = 7
 _HEAD = _words([(b"-" if neg else b"\0") + (b"0.000"[:1 - e] if -4 <= e < 0 else b"")
                 for e in range(-5, 1) for neg in (0, 1)])
 _FIRST = _words([b"\0" * 6 + b"%d" % d for d in range(10)])
 _DOT0 = _words([b"", b"\0" * 7 + b"."] + [b""] * 15)
 _PAIRS = np.array([bytes([48 + i // 10, 0, 48 + i % 10, 0]) for i in range(100)],
-                  "S4").view("<u4").astype(_WORD)  # "ab" -> "a\0b\0"
+                  "S4").view("<u4").astype(WORD)  # "ab" -> "a\0b\0"
 _SPREAD = (_PAIRS[:, None] | _PAIRS << 32).ravel()  # "abcd" -> "a\0b\0c\0d\0"
 # word i by the digits kept (those before index keep) and by dot, where the
 # '.' follows digit dot - 1 (dot 0: none); digit 4i + 1 + m is at byte 2m
 _DIGIT = np.arange(1, 17)
 _KEEP = np.zeros((18, 16, 2), np.uint8)
 _KEEP[..., 0] = 0xFF * (_DIGIT < np.arange(18)[:, None])
-_KEEP = _KEEP.reshape(18, 32).view(_WORD).T.copy()
+_KEEP = _KEEP.reshape(18, 32).view(WORD).T.copy()
 _DOT = np.zeros((17, 16, 2), np.uint8)
 _DOT[..., 1] = ord(".") * (_DIGIT + 1 == np.arange(17)[:, None])
-_DOT = _DOT.reshape(17, 32).view(_WORD).T.copy()
-_TAIL = _words([(b"e%+03d" % e if not -4 <= e < 16 else b"0" if zero else b"")
-                .ljust(5, b"\0") + b",\n " for e in range(_E_MIN, 18)
-                for zero in (0, 1)])
-_INDENT = _words([b"     "])[0]
-_ROW_HEAD = _words([b",\n    [\n", b"      "])
+_DOT = _DOT.reshape(17, 32).view(WORD).T.copy()
+_TAIL = _words([b"e%+03d" % e if not -4 <= e < 16 else b"0" if zero else b""
+                for e in range(_E_MIN, 18) for zero in (0, 1)])
+SEPARATOR = b",\n      "  # between two values of a row, one word
+ROW_HEAD = _words([b",\n    [\n", b"      "])  # the first row drops its ','
+_SEPARATOR = _words([SEPARATOR])[0]
+ROW_END = _words([b"\n    ]"])[0]  # replaces the last value's separator
 _VALUE_TEXT = np.dtype({"names": ["text"], "formats": ["S45"], "offsets": [0],
                         "itemsize": 56})
 
@@ -148,10 +148,11 @@ def shortest_digits(values):
 
 
 def _value_slots(values, words, fallback) -> None:
-    """Fill ``words``, a (rows, cols, 7) array of _WORD, with the text of the
-    float block ``values`` as ``float.__repr__`` writes it (positional for
-    exponents -4 ... 15, "d.ddde-XX" otherwise), or as ``fallback`` writes
-    the values ``shortest_digits`` leaves undecided; null if not finite."""
+    """Fill ``words``, a (rows, cols, SLOT_WORDS) array of WORD, with the
+    text of the float block ``values`` as ``float.__repr__`` writes it
+    (positional for exponents -4 ... 15, "d.ddde-XX" otherwise), or as
+    ``fallback`` writes the values ``shortest_digits`` leaves undecided;
+    null if not finite."""
     slow, digits, e10, nd = (v.reshape(values.shape)
                              for v in shortest_digits(values.reshape(-1)))
     positional = (e10 >= 0) & (e10 < 16)
@@ -169,7 +170,7 @@ def _value_slots(values, words, fallback) -> None:
         words[..., 1 + i] = ((_SPREAD.take(group) & _KEEP[i].take(keep))
                              | _DOT[i].take(dot))
     words[..., 5] = _TAIL.take(2 * (e10 - _E_MIN) + (positional & (nd <= e10 + 1)))
-    words[..., 6] = _INDENT
+    words[..., 6] = _SEPARATOR
     if slow.any():
         part = values[slow]
         text = [fallback(v) if ok else "null"
@@ -177,44 +178,17 @@ def _value_slots(values, words, fallback) -> None:
         words.view(_VALUE_TEXT)["text"][..., 0][slow] = text
 
 
-class RowWriter:
-    """JSON text of successive blocks of table rows, laid out as the "rows"
-    list of ``json.dumps(payload, indent=2)`` without its brackets.
+def number_slots(values, fallback) -> np.ndarray:
+    """The slots of the float array ``values``, as (values, SLOT_WORDS) words."""
+    words = np.empty((len(values), 1, SLOT_WORDS), WORD)
+    _value_slots(values[:, None], words, fallback)
+    return words.reshape(len(values), SLOT_WORDS)
 
-    Each row is its opening, one 7-word slot per value and the flag with
-    the row's end, from a padded table of the distinct flags; the first
-    row of the first block drops its ','.  One buffer of ``max_rows`` rows
-    serves every block and is returned with its NULs removed.
-    """
 
-    def __init__(self, n_columns: int, kinds, max_rows: int):
-        """``kinds`` are the distinct flags, [None] for no flag column."""
-        ends = [("" if flag is None else json.dumps(flag)).encode() + b"\n    ]"
-                for flag in kinds]
-        words = -(-max(map(len, ends)) // 8)
-        self.ends = np.array(ends, f"S{8 * words}").view(_WORD).reshape(len(kinds), -1)
-        self.width = 2 + 7 * n_columns
-        self.last_value_ends_row = kinds == [None]
-        self.buf = bytearray(8 * (self.width + words) * max_rows)
-        self.first = True
-
-    def block(self, values, codes, fallback) -> bytearray:
-        """The text of the rows ``values`` (rows, cols) with flag indices
-        ``codes``; ``fallback`` writes the values the fast path leaves."""
-        width = self.width
-        words = np.frombuffer(self.buf, _WORD, len(values) * (width + self.ends.shape[1]))
-        words = words.reshape(len(values), -1)
-        words[:, :2] = _ROW_HEAD
-        slots = words[:, 2:width].reshape(len(values), -1, 7)
-        for lo in range(0, len(values), FORMAT_ROWS):
-            _value_slots(values[lo:lo + FORMAT_ROWS], slots[lo:lo + FORMAT_ROWS],
-                         fallback)
-        if self.last_value_ends_row:
-            words[:, width - 2] &= np.uint64(0xFF_FFFF_FFFF)  # no ",\n "
-            words[:, width - 1] = 0
-        words[:, width:] = self.ends[codes]
-        if self.first:
-            self.buf[0] = 0
-            self.first = False
-        text = self.buf if words.nbytes == len(self.buf) else self.buf[:words.nbytes]
-        return text.translate(None, b"\0")
+def number_rows(values, words, fallback) -> None:
+    """Fill ``words`` (rows, cols * SLOT_WORDS) with the slots of the rows
+    ``values`` (rows, cols), FORMAT_ROWS rows at a time."""
+    slots = words.reshape(len(values), -1, SLOT_WORDS)
+    for lo in range(0, len(values), FORMAT_ROWS):
+        _value_slots(values[lo:lo + FORMAT_ROWS], slots[lo:lo + FORMAT_ROWS],
+                     fallback)

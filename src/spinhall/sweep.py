@@ -3,7 +3,8 @@
 Every table is one broadcast of the detuning axis against the angle
 axis: ``evaluate`` computes the susceptibility once per detuning chunk,
 passes ``eps2 = 1 + chi[:, None]`` through the stack so the angle-only
-terms are shared by every detuning, and writes the rows by index.
+terms are shared by every detuning, and writes each detuning's block
+fields once and its points by row index (see ``SweepTable``).
 Chunks hold whole angle rows and at most CHUNK_POINTS points and are
 evaluated in order on the calling thread.  Singular points (Brewster
 floor, resonant stack denominator) are flagged in their row instead of
@@ -44,8 +45,13 @@ FLAG_BREWSTER = "brewster_singularity"
 FLAG_RESONANT = "resonant_denominator"
 CHUNK_POINTS = 65_536  # points per evaluation chunk: ~1 MB per complex temporary
 
-COLUMNS = ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp", "abs_rs",
-           "ratio_sp", "delta_plus_lambda", "theta_minus", "flags")
+FLAG_KINDS = ("", FLAG_RESONANT, FLAG_BREWSTER)  # indexed by a row's flag code
+_FLAG_TEXT = np.array(FLAG_KINDS)
+_FLAG_TEXT.flags.writeable = False
+
+BLOCK_FIELDS = ("detuning", "eta", "chi1", "chi2")  # once per angle row
+POINT_FIELDS = ("abs_rp", "abs_rs", "ratio_sp", "delta_plus_lambda", "theta_minus")
+COLUMNS = ("theta_deg", *BLOCK_FIELDS, *POINT_FIELDS, "flags")
 
 
 @dataclass(frozen=True)
@@ -127,51 +133,105 @@ class SweepGrid:
         return np.linspace(lo, hi, int(n))
 
 
-@dataclass
-class SweepTable:
-    """Column store of sweep results; one row per grid point."""
+@dataclass(frozen=True)
+class RowIndex:
+    """The value index of each row of a column whose row r holds value
+    (r // repeat) % period; ``index[rows]`` gives it for a slice of rows."""
 
-    theta_deg: np.ndarray
-    detuning: np.ndarray
-    eta: np.ndarray
-    chi1: np.ndarray
-    chi2: np.ndarray
-    abs_rp: np.ndarray
-    abs_rs: np.ndarray
-    ratio_sp: np.ndarray
-    delta_plus_lambda: np.ndarray
-    theta_minus: np.ndarray
-    flags: list
+    repeat: int
+    period: int
+    length: int
 
     def __len__(self):
-        return len(self.theta_deg)
+        return self.length
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(*rows.indices(self.length)) // self.repeat % self.period
+
+
+@dataclass
+class SweepTable:
+    """Sweep results stored by their structure.
+
+    Rows run (block, angle), angle fastest, with one block per (medium,
+    eta, detuning).  ``theta_rows`` holds the angles in degrees, one row
+    shared by every block, shape (1, k), or one row per detuning, shape
+    (detunings, k), which block b reads as row b % len(theta_rows).
+    ``blocks`` holds BLOCK_FIELDS once per block, ``points`` POINT_FIELDS
+    once per row, and ``codes`` each row's flag as an index into
+    FLAG_KINDS.  ``column(name)``, and the attribute of the same name,
+    give any column of COLUMNS as a flat read-only array.
+    """
+
+    theta_rows: np.ndarray
+    blocks: np.ndarray
+    points: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getattr__(self, name):
+        if name in COLUMNS:
+            return self.column(name)
+        raise AttributeError(name)
 
     @property
     def flagged_count(self) -> int:
-        return sum(1 for f in self.flags if f)
+        return int(np.count_nonzero(self.codes))
 
-    def column(self, name: str):
-        return getattr(self, name)
+    @property
+    def flag_counts(self) -> dict:
+        """Rows flagged by each kind of flag."""
+        counts = np.bincount(self.codes, minlength=len(FLAG_KINDS)).tolist()
+        return dict(zip(FLAG_KINDS[1:], counts[1:]))
+
+    def indexed_columns(self) -> list:
+        """(values, index) of each column of COLUMNS: row r holds values[r]
+        where index is None, else values[index[r]].  The block fields share
+        one RowIndex, and a column with as many values as rows has none."""
+        n, k = len(self), self.theta_rows.shape[1]
+        thetas = self.theta_rows.reshape(-1)
+        per_block = None if k == 1 else RowIndex(k, self.blocks.shape[1], n)
+        return ([(thetas, None if len(thetas) == n else RowIndex(1, len(thetas), n))]
+                + [(values, per_block) for values in self.blocks]
+                + [(values, None) for values in self.points]
+                + [(_FLAG_TEXT, self.codes)])
+
+    def column(self, name: str) -> np.ndarray:
+        if name in POINT_FIELDS:  # stored per row
+            flat = self.points[POINT_FIELDS.index(name)].view()
+        else:
+            values, index = self.indexed_columns()[COLUMNS.index(name)]
+            flat = values if index is None else values.take(index[:len(self)])
+        flat.flags.writeable = False
+        return flat
 
     def rows(self):
-        for i in range(len(self)):
-            yield tuple(self.column(c)[i] for c in COLUMNS)
+        """Row tuples in order: the numeric values, then the flag."""
+        columns = [self.column(c) for c in COLUMNS[:-1]]
+        for i, code in enumerate(self.codes.tolist()):
+            yield tuple(c[i] for c in columns) + (FLAG_KINDS[code],)
 
     @classmethod
-    def empty(cls, n: int) -> "SweepTable":
-        z = [np.zeros(n) for _ in range(10)]
-        return cls(*z, flags=[""] * n)
+    def empty(cls, n: int, thetas_deg) -> "SweepTable":
+        """A zero-filled table of n rows over the angle row(s) thetas_deg."""
+        theta_rows = np.array(thetas_deg, dtype=float, ndmin=2)
+        k = theta_rows.shape[1]
+        return cls(theta_rows, np.zeros((len(BLOCK_FIELDS), n // k if k else 0)),
+                   np.zeros((len(POINT_FIELDS), n)), np.zeros(n, np.uint8))
 
 
 def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                 eta: float, medium: MediumParams, stack: LayerStack,
                 beam: BeamParams):
-    """Evaluate one chunk at one (medium, eta) and write its rows from
-    ``start``: the detuning vector against either a shared 1-D angle row
-    or one angle row per detuning, theta fastest."""
+    """Evaluate one chunk at one (medium, eta) and write its blocks and rows
+    from row ``start``: the detuning vector against either a shared 1-D
+    angle row or one angle row per detuning, theta fastest."""
     thetas_rad = np.radians(thetas_deg)
-    chi = susceptibility(detunings, replace(medium, eta=eta))[:, None]
-    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, replace(stack, eps2=1.0 + chi))
+    chi = susceptibility(detunings, replace(medium, eta=eta))
+    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
+                               replace(stack, eps2=1.0 + chi[:, None]))
     abs_rp, abs_rs = np.abs(rp), np.abs(rs)
     with np.errstate(invalid="ignore", divide="ignore"):
         delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
@@ -181,17 +241,15 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
                 | ~np.isfinite(rp) | ~np.isfinite(rs))
     bad = resonant | (abs_rp < BREWSTER_FLOOR)
-    values = {"theta_deg": thetas_deg, "detuning": detunings[:, None],
-              "eta": eta, "chi1": chi.real, "chi2": chi.imag,
-              "abs_rp": abs_rp, "abs_rs": abs_rs,
-              "ratio_sp": np.where(bad, np.nan, ratio),
-              "delta_plus_lambda": np.where(bad, np.nan, delta_plus / beam.lam),
-              "theta_minus": np.where(bad, np.nan, theta_minus)}
+    blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
+    for i, value in enumerate((detunings, eta, chi.real, chi.imag)):
+        table.blocks[i, blocks] = value
     rows = slice(start, start + rp.size)
-    for name, value in values.items():
-        table.column(name)[rows].reshape(rp.shape)[...] = value
-    for i in np.flatnonzero(bad):
-        table.flags[start + i] = FLAG_RESONANT if resonant.flat[i] else FLAG_BREWSTER
+    for i, value in enumerate((abs_rp, abs_rs, np.where(bad, np.nan, ratio),
+                               np.where(bad, np.nan, delta_plus / beam.lam),
+                               np.where(bad, np.nan, theta_minus))):
+        table.points[i, rows] = value.reshape(-1)
+    table.codes[rows] = np.where(resonant, 1, 2 * bad).reshape(-1)  # FLAG_KINDS
 
 
 def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
@@ -203,7 +261,7 @@ def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
     shared by every detuning (1-D: the full product) or one row per
     detuning (shape ``(len(detunings), k)``).  The detunings are cut into
     chunks of whole angle rows, at most CHUNK_POINTS points each, and
-    each chunk writes its rows by index.  Angles outside (0, 90) degrees
+    each chunk writes its blocks and rows by index.  Angles outside (0, 90) degrees
     raise InvalidAngle before anything is evaluated.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
@@ -214,9 +272,11 @@ def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
     if per_detuning and len(thetas_deg) != len(detunings):
         raise ValueError("a 2-D thetas_deg needs one row per detuning")
     row = thetas_deg.shape[-1]
-    step = max(1, CHUNK_POINTS // max(row, 1))
     table = SweepTable.empty(len(media) * (1 if etas is None else len(etas))
-                             * len(detunings) * row)
+                             * len(detunings) * row, thetas_deg)
+    if not len(table):
+        return table
+    step = max(1, CHUNK_POINTS // row)
     start = 0
     for m in media:
         for eta in ([m.eta] if etas is None else etas):

@@ -137,6 +137,22 @@ class TestCli:
         assert code == 0
         assert "+0.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_window_writes_a_header_only_table(self, fmt, tmp_path, capsys):
+        # with no window found there is no row: none at detuning 0, which
+        # would read as a window at resonance
+        code, out = run_cli(["windows", "--preset", "fig2-ctl", "--eta", "0",
+                             "--format", fmt], tmp_path, out=f"out.{fmt}")
+        assert code == 0
+        assert "transparency windows (gamma): none" in capsys.readouterr().out
+        if fmt == "csv":
+            assert out.read_text() == GOLDEN_HEADER + "\n"
+        else:
+            payload = json.loads(out.read_text())
+            assert payload["rows"] == [] and payload["manifest"]["row_count"] == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["row_count"] == 0 and manifest["flagged_count"] == 0
+
     def test_windows_loads_no_numpy_polynomial(self, tmp_path):
         # the window finder uses the np.roots family numpy already loads;
         # numpy.polynomial would add milliseconds to every fresh process
@@ -361,7 +377,8 @@ class TestCli:
         linspace = np.linspace
         monkeypatch.setattr(np, "linspace", lambda lo, hi, n=50, **kw: (
             refuse(n) if n > 10**6 else linspace(lo, hi, n, **kw)))
-        monkeypatch.setattr(SweepTable, "empty", classmethod(lambda cls, n: refuse(n)))
+        monkeypatch.setattr(SweepTable, "empty",
+                            classmethod(lambda cls, n, *axes: refuse(n)))
         if config is not None:
             (tmp_path / "big.json").write_text(json.dumps({"sweep": config}))
             args = args + ["--config", str(tmp_path / "big.json")]

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spinhall import (BeamParams, ControlFieldSet, EffectiveCouplings, LayerStack,
                       MediumParams, NoMinimumInWindow,
-                      NoSignChange, ScanContext, SweepGrid, SweepTable,
+                      NoSignChange, ScanContext, SweepGrid,
                       effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
                       load_config, max_shift_vs_detuning, shift_vs_density,
@@ -48,37 +48,40 @@ def context(medium, delta_p=0.0, stack=None, beam=None):
 
 def reference_table(media, etas, detunings, thetas_deg, stack, beam):
     """The per-detuning evaluation the broadcast kernel replaced: one
-    scalar detuning (one theta row) at a time, same row order."""
+    scalar detuning (one theta row) at a time, same row order, as a flat
+    array per column of COLUMNS (the flags a list of strings).
+    ``thetas_deg`` is one angle row or, 2-D, one row per detuning."""
     thetas_deg = np.asarray(thetas_deg, dtype=float)
-    thetas_rad = np.radians(thetas_deg)
-    blocks = [(m, eta, dp) for m in media for eta in (etas or [m.eta])
-              for dp in detunings]
-    n = len(thetas_deg)
-    table = SweepTable.empty(len(blocks) * n)
-    for k, (m, eta, dp) in enumerate(blocks):
-        chi = susceptibility(float(dp), replace(m, eta=float(eta)))
-        rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, replace(stack, eps2=1.0 + chi))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
-            ratio = np.abs(rs) / np.abs(rp)
-        sl = slice(k * n, (k + 1) * n)
-        table.theta_deg[sl] = thetas_deg
-        table.detuning[sl] = dp
-        table.eta[sl] = eta
-        table.chi1[sl] = chi.real
-        table.chi2[sl] = chi.imag
-        table.abs_rp[sl] = np.abs(rp)
-        table.abs_rs[sl] = np.abs(rs)
-        table.ratio_sp[sl] = ratio
-        table.delta_plus_lambda[sl] = delta_plus / beam.lam
-        table.theta_minus[sl] = theta_minus
-        resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
-                    | ~np.isfinite(rp) | ~np.isfinite(rs))
-        bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
-        for col in (table.ratio_sp, table.delta_plus_lambda, table.theta_minus):
-            col[sl][bad] = np.nan
-        for i in np.nonzero(bad)[0]:
-            table.flags[k * n + i] = FLAG_RESONANT if resonant[i] else FLAG_BREWSTER
+    theta_rows = thetas_deg if thetas_deg.ndim == 2 else [thetas_deg] * len(detunings)
+    table = {c: [] for c in COLUMNS}
+    for m in media:
+        for eta in (etas or [m.eta]):
+            for dp, row in zip(detunings, theta_rows):
+                thetas_rad = np.radians(row)
+                chi = susceptibility(float(dp), replace(m, eta=float(eta)))
+                rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
+                                           replace(stack, eps2=1.0 + chi))
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
+                    ratio = np.abs(rs) / np.abs(rp)
+                resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
+                            | ~np.isfinite(rp) | ~np.isfinite(rs))
+                bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
+                n = len(row)
+                for col, value in (("theta_deg", row), ("detuning", dp), ("eta", eta),
+                                   ("chi1", chi.real), ("chi2", chi.imag),
+                                   ("abs_rp", np.abs(rp)), ("abs_rs", np.abs(rs)),
+                                   ("ratio_sp", ratio),
+                                   ("delta_plus_lambda", delta_plus / beam.lam),
+                                   ("theta_minus", theta_minus)):
+                    value = np.full(n, value, dtype=float)
+                    if col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
+                        value[bad] = np.nan
+                    table[col].append(value)
+                table["flags"] += [(FLAG_RESONANT if r else FLAG_BREWSTER) if b else ""
+                                   for r, b in zip(resonant, bad)]
+    for col in COLUMNS[:-1]:
+        table[col] = np.concatenate(table[col]) if table[col] else np.zeros(0)
     return table
 
 
@@ -165,10 +168,15 @@ def assert_windows_on_grid(got, want, step):
 
 
 def assert_tables_equal(got, want):
-    assert len(got) == len(want)
+    """A SweepTable equals a flat reference table bit for bit, but for the
+    sign of a zero: where chi underflows, the array susceptibility gives
+    -0.0 and the scalar one +0.0."""
+    assert len(got) == len(want["flags"])
     for col in COLUMNS[:-1]:
-        np.testing.assert_array_equal(got.column(col), want.column(col), err_msg=col)
-    assert got.flags == want.flags
+        bits = [np.where(c == 0.0, 0.0, c).tobytes()
+                for c in (got.column(col), want[col])]
+        assert bits[0] == bits[1], col
+    assert got.column("flags").tolist() == want["flags"]
 
 
 FIELD_SETS = [ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
@@ -251,8 +259,8 @@ class TestBroadcastKernel:
         for i, dp in enumerate(detunings):
             want = reference_table([lambda_medium], None, [dp], thetas[i],
                                    vacuum_stack, beam)
-            assert got.theta_minus[i] == want.theta_minus[0]
-            assert got.abs_rp[i] == want.abs_rp[0]
+            assert got.theta_minus[i] == want["theta_minus"][0]
+            assert got.abs_rp[i] == want["abs_rp"][0]
 
     @pytest.mark.parametrize("thetas", [[0.0, 10.0], [45.0, 90.0], [95.0], [np.nan]])
     def test_angle_outside_domain_raises(self, thetas, ctl_medium, vacuum_stack, beam):
@@ -277,7 +285,7 @@ class TestBroadcastKernel:
         assert len(table) == len(thetas) * len(detunings)
         nan = (np.isnan(table.ratio_sp) | np.isnan(table.delta_plus_lambda)
                | np.isnan(table.theta_minus))
-        flagged = np.array([bool(f) for f in table.flags])
+        flagged = table.codes != 0
         np.testing.assert_array_equal(nan, flagged)
         assert table.flagged_count == int(flagged.sum())
         for col in ("theta_deg", "detuning", "eta", "chi1", "chi2", "abs_rp", "abs_rs"):
@@ -294,10 +302,77 @@ class TestBroadcastKernel:
         stack = LayerStack(eps2=1.0 + 0j, eps3=eps3 + 0j)
         table = evaluate([ctl_medium], None, [0.0], [math.degrees(0.5)], stack, beam)
         assert np.isnan(table.abs_rp[0]) and np.isnan(table.abs_rs[0])
-        assert table.flags == [FLAG_RESONANT]
+        assert table.column("flags").tolist() == [FLAG_RESONANT]
         for col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
             assert np.isnan(table.column(col)[0])
 
+
+MEDIA = {"ctl": medium_from((1.5, 3.0, 2.5, 0.9)),
+         "lambda": medium_from((0.5, 0.5, 0.7, 0.7), phase1=np.pi),
+         "ntype": medium_from((0.5, 0.5, 0.7, 0.7))}
+
+
+class TestStructuredTable:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), preset=st.sampled_from(sorted(MEDIA)),
+           amplitudes=st.lists(st.floats(0.1, 2.0), max_size=2),
+           etas=st.one_of(st.none(), st.lists(st.one_of(st.just(0.0),
+                                                        st.floats(0.0, 0.3)),
+                                              min_size=1, max_size=3)),
+           detunings=st.lists(st.one_of(st.just(0.0), st.floats(-6.0, 6.0)),
+                              min_size=1, max_size=4),
+           k=st.integers(1, 5), per_detuning=st.booleans(),
+           brewster=st.booleans())
+    def test_columns_match_flat_reference(self, data, preset, amplitudes, etas,
+                                          detunings, k, per_detuning, brewster):
+        """column() of every column, the codes and the flag counts of the
+        structured table equal the per-detuning flat reference bit for bit,
+        over 1-D and 2-D angle axes, several media and eta lists, with
+        evaluation chunks that end inside a (medium, eta) group."""
+        medium = MEDIA[preset]
+        media = [medium] + [replace(medium, couplings=effective_couplings(
+            ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7))) for a in amplitudes]
+        angle = st.one_of(st.just(BREWSTER_DEG) if brewster else st.nothing(),
+                          st.floats(0.5, 89.5))
+        shape = (len(detunings), k) if per_detuning else (k,)
+        thetas = np.array(data.draw(st.lists(angle, min_size=int(np.prod(shape)),
+                                             max_size=int(np.prod(shape))),
+                                    label="thetas")).reshape(shape)
+        chunk = data.draw(st.integers(1, (len(detunings) + 1) * k), label="chunk")
+        stack, beam = LayerStack(eps2=1.0 + 0j), BeamParams(w0=50 * LAM, lam=LAM)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "CHUNK_POINTS", chunk)
+            got = evaluate(media, etas, detunings, thetas, stack, beam)
+        want = reference_table(media, etas, detunings, thetas, stack, beam)
+        assert_tables_equal(got, want)
+        kinds = np.array(sweep_module.FLAG_KINDS)
+        assert kinds[got.codes].tolist() == want["flags"]
+        assert got.flag_counts == {kind: want["flags"].count(kind)
+                                   for kind in (FLAG_RESONANT, FLAG_BREWSTER)}
+        assert got.flagged_count == sum(got.flag_counts.values())
+        # no NaN without a flag code, and a flag code NaNs every shift column
+        nan = np.zeros(len(got), bool)
+        for col in COLUMNS[:-1]:
+            nan |= np.isnan(got.column(col))
+        np.testing.assert_array_equal(nan, got.codes != 0)
+        for col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
+            assert np.all(np.isnan(got.column(col)[got.codes != 0])), col
+
+    def test_axis_values_are_stored_once(self, ctl_medium, vacuum_stack, beam):
+        grid = GRIDS["eta_list"]
+        table = sweep(grid, ctl_medium, vacuum_stack, beam)
+        assert table.theta_rows.shape == (1, 41)
+        assert table.blocks.shape == (4, 3 * 9)
+        assert table.points.shape == (5, 3 * 9 * 41)
+        assert table.codes.dtype == np.uint8
+
+    def test_columns_are_read_only(self, ctl_medium, vacuum_stack, beam):
+        table = sweep(GRIDS["eta_list"], ctl_medium, vacuum_stack, beam)
+        for col in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                table.column(col)[0] = table.column(col)[1]
+        with pytest.raises(ValueError, match="read-only"):
+            table.theta_deg[0] = 1.0
 
 class TestSweep:
     def test_rows_match_pointwise_evaluation(self, lambda_medium, vacuum_stack, beam):
@@ -336,7 +411,7 @@ class TestSweep:
     def test_brewster_point_is_flagged_not_fatal(self, ctl_medium, vacuum_stack, beam):
         grid = SweepGrid((BREWSTER_DEG - 1.0, BREWSTER_DEG, 2), (0.0, 1.0, 2))
         table = sweep(grid, ctl_medium, vacuum_stack, beam)
-        flagged = [i for i, f in enumerate(table.flags) if f == FLAG_BREWSTER]
+        flagged = np.flatnonzero(table.column("flags") == FLAG_BREWSTER)
         assert len(flagged) == 1
         i = flagged[0]
         assert table.theta_deg[i] == pytest.approx(BREWSTER_DEG)

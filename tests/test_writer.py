@@ -24,7 +24,8 @@ import spinhall.cli as cli
 from spinhall import (LayerStack, RunManifest, ValidationError, evaluate,
                       load_config)
 from spinhall.cli import ORACLE_COLUMNS, main
-from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT, SweepGrid, sweep
+from spinhall.sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, FLAG_RESONANT,
+                            RowIndex)
 
 FLOAT_FORMAT = "{:.8e}"  # 9 significant digits, lowercase exponent
 MANIFEST_CUT = b',\n  "manifest": '
@@ -54,64 +55,73 @@ def reference_write(path, columns, rows, manifest, header_comment, fmt):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def rows_of(numeric, flags):
-    """Row tuples as ``SweepTable.rows`` yields them: numpy scalars, then the flag."""
-    tail = [(f,) for f in flags] if flags is not None else [()] * len(numeric[0])
-    return [tuple(col[i] for col in numeric) + tail[i] for i in range(len(tail))]
+def flat_data(columns, flags=None):
+    """Writer columns of per-row float values and, when ``flags`` is given,
+    the trailing flag column as its distinct strings and a code per row."""
+    data = [(np.asarray(c, dtype=float), None) for c in columns]
+    if flags is not None:
+        kinds = list(dict.fromkeys(flags)) or [""]
+        data.append((np.array(kinds), np.array([kinds.index(f) for f in flags],
+                                               dtype=np.intp)))
+    return data
 
 
-def both_writers(tmp_path, columns, numeric, flags, header, fmt):
+def rows_of(data):
+    """Row tuples as ``SweepTable.rows`` yields them: numpy scalars, each
+    column expanded through its index."""
+    n = cli._row_count(data)
+    return list(zip(*(values if index is None else values[index[:n]]
+                      for values, index in data)))
+
+
+def both_writers(tmp_path, columns, data, header, fmt):
     """(streamed bytes, reference bytes) of one table under one manifest."""
-    manifest = RunManifest.for_run(["test"], load_config(), len(numeric[0]), 0)
+    manifest = RunManifest.for_run(["test"], load_config(), cli._row_count(data), 0)
     new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
-    cli._write_rows(new, columns, numeric, flags, manifest, header, fmt)
-    reference_write(old, columns, rows_of(numeric, flags), manifest, header, fmt)
+    cli._write_rows(new, columns, data, manifest, header, fmt)
+    reference_write(old, columns, rows_of(data), manifest, header, fmt)
     return new.read_bytes(), old.read_bytes()
 
 
-def table_columns(table):
-    return [table.column(c) for c in COLUMNS[:-1]], table.flags
-
-
 @pytest.fixture(scope="module")
-def flagged_table():
-    """An eta_list sweep plus a Brewster grid: NaN cells and both flag kinds."""
+def flagged_tables():
+    """Structured tables with NaN cells and Brewster flags, over a 1-D
+    angle row and over one angle row per detuning, two etas each."""
     cfg = load_config(preset="fig2-ctl")
-    medium, stack, beam = cfg.build()
-    grid = SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9), eta_list=(0.05, 0.1))
-    table = sweep(grid, medium, stack, beam)
+    medium, _, beam = cfg.build()
     brewster = math.degrees(math.atan(1 / 1.5))
-    flagged = evaluate([medium], None, [0.0, 1.0], [brewster, brewster + 1e-12],
-                       LayerStack(eps2=1.0 + 0j), beam)
-    assert flagged.flagged_count == 2
-    numeric = [np.concatenate([a, b]) for a, b in zip(table_columns(table)[0],
-                                                      table_columns(flagged)[0])]
-    return numeric, table.flags + flagged.flags
+    axes = [(np.linspace(-2.0, 2.0, 9),
+             np.append(np.linspace(30.0, 38.0, 41), [brewster, brewster + 1e-12])),
+            ([0.0, 0.5, 1.0], [[brewster, 34.0], [33.0, brewster], [36.0, 37.0]])]
+    tables = [evaluate([medium], [0.05, 0.1], detunings, thetas,
+                       LayerStack(eps2=1.0 + 0j), beam) for detunings, thetas in axes]
+    assert [table.flagged_count for table in tables] == [4, 2]
+    return [table.indexed_columns() for table in tables]
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("fmt, header", [("csv", False), ("csv", True),
                                              ("json", False)])
     @pytest.mark.parametrize("chunk", [65_536, 40, 1])
-    def test_table_bytes(self, fmt, header, chunk, flagged_table, tmp_path,
+    def test_table_bytes(self, fmt, header, chunk, flagged_tables, tmp_path,
                          monkeypatch):
         monkeypatch.setattr(cli, "WRITE_ROWS", chunk)
-        new, old = both_writers(tmp_path, COLUMNS, *flagged_table, header, fmt)
-        assert new == old
+        for data in flagged_tables:
+            new, old = both_writers(tmp_path, COLUMNS, data, header, fmt)
+            assert new == old
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_oracle_row_bytes(self, fmt, tmp_path):
         for row in [(30.0, 0.5, 1.25e-3, 1.2500001e-3, -0.0, 2.5e-9),
                     (33.69, -1.0, math.nan, math.inf, -math.inf, 5e-324)]:
-            numeric = [np.array([v]) for v in row]
-            new, old = both_writers(tmp_path, ORACLE_COLUMNS, numeric, None,
-                                    fmt == "csv", fmt)
+            new, old = both_writers(tmp_path, ORACLE_COLUMNS,
+                                    flat_data([[v] for v in row]), fmt == "csv", fmt)
             assert new == old
 
     def test_empty_table(self, tmp_path):
-        numeric = [np.zeros(0) for _ in COLUMNS[:-1]]
+        data = flat_data([np.zeros(0) for _ in COLUMNS[:-1]], flags=[])
         for fmt in ("csv", "json"):
-            new, old = both_writers(tmp_path, COLUMNS, numeric, [], False, fmt)
+            new, old = both_writers(tmp_path, COLUMNS, data, False, fmt)
             assert new == old
 
     @settings(max_examples=150, deadline=None)
@@ -137,16 +147,55 @@ class TestAgainstReference:
             min_size=n, max_size=n), label="flags")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "WRITE_ROWS", chunk)
-            new, old = both_writers(tmp_path_factory.mktemp("w"), columns, numeric,
-                                    flags, header, fmt)
+            new, old = both_writers(tmp_path_factory.mktemp("w"), columns,
+                                    flat_data(numeric, flags), header, fmt)
+        assert new == old
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           values=st.lists(st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                                5e-324, -2.2250738585e-313, 2.2250738585072014e-308,
+                                1e300, -1e-300, 0.5, 2.0, 1e16, 123456789.5,
+                                9.999999995, 33.69])),
+               min_size=1, max_size=24),
+           k=st.integers(1, 9), blocks=st.integers(0, 5),
+           per_detuning=st.booleans(), chunk=st.integers(1, 7),
+           fmt=st.sampled_from(["csv", "json"]), header=st.booleans())
+    def test_structured_table_any_block_size(self, data, values, k, blocks,
+                                             per_detuning, chunk, fmt, header,
+                                             tmp_path_factory):
+        """A table laid out as SweepTable.indexed_columns lays it out: an
+        angle column of k repeating values (or one row of them per block),
+        four block columns sharing one index, five per-row columns and the
+        flag codes, every value drawn from a pool that repeats NaN, -0.0,
+        subnormals and values the fast paths leave to the fallback; blocks
+        of 1-7 rows end inside an angle row."""
+        header = header and fmt == "csv"
+        n = k * blocks
+        pool = lambda count, offset: np.array(
+            [values[(offset + 5 * i) % len(values)] for i in range(count)], dtype=float)
+        period = k * blocks if per_detuning else k
+        per_block = RowIndex(k, blocks, n)
+        table = [(pool(period, 0), RowIndex(1, period, n))]
+        table += [(pool(blocks, 1 + j), per_block) for j in range(4)]
+        table += [(pool(n, 7 + j), None) for j in range(5)]
+        codes = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                          label="codes")
+        table.append((np.array(FLAG_KINDS), np.array(codes, dtype=np.uint8)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "WRITE_ROWS", chunk)
+            new, old = both_writers(tmp_path_factory.mktemp("w"), COLUMNS, table,
+                                    header, fmt)
         assert new == old
 
     def test_json_manifest_header_raises(self, tmp_path):
-        numeric = [np.array([1.0]) for _ in ORACLE_COLUMNS]
+        data = flat_data([[1.0] for _ in ORACLE_COLUMNS])
         manifest = RunManifest.for_run(["test"], load_config(), 1, 0)
         with pytest.raises(ValidationError, match="manifest-header"):
-            cli._write_rows(tmp_path / "out.json", ORACLE_COLUMNS, numeric, None,
-                            manifest, True, "json")
+            cli._write_rows(tmp_path / "out.json", ORACLE_COLUMNS, data, manifest,
+                            True, "json")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -163,7 +212,8 @@ class TestCliAgainstReference:
         table = evaluate([medium], cfg.sweep.eta_list or None, detunings,
                          np.linspace(33.0, 34.0, 7), stack, beam)
         ref = tmp_path / "ref.json"
-        manifest = RunManifest.for_run(argv, cfg, len(table), table.flagged_count)
+        manifest = RunManifest.for_run(argv, cfg, len(table), table.flagged_count,
+                                       table.flag_counts)
         reference_write(ref, COLUMNS, list(table.rows()), manifest, False, "json")
         got, want = out.read_bytes(), ref.read_bytes()
         assert got[:got.rfind(MANIFEST_CUT)] == want[:want.rfind(MANIFEST_CUT)]
@@ -193,7 +243,7 @@ class TestCliAgainstReference:
 def csv_lines(*columns, flags=None):
     """Data lines of ``columns`` (and ``flags``) as the CSV writer writes them."""
     out = io.BytesIO()
-    cli._write_csv(out, [np.asarray(c, dtype=float) for c in columns], flags)
+    cli._write_csv(out, flat_data(columns, flags))
     return out.getvalue().decode().splitlines()
 
 
@@ -259,7 +309,7 @@ class TestFormatter:
 def json_rows(*columns, flags=None):
     """Rows of ``columns`` (and ``flags``) as the JSON writer writes them."""
     out = io.BytesIO()
-    cli._write_json(out, [np.asarray(c, dtype=float) for c in columns], flags)
+    cli._write_json(out, flat_data(columns, flags))
     return out.getvalue().decode()
 
 
