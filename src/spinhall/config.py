@@ -278,7 +278,8 @@ class RunManifest:
                    timestamp_utc=datetime.now(timezone.utc).isoformat())
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        # the fields hold only JSON values, so no dataclasses.asdict deep copy
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     def write(self, data_path) -> Path:
         path = Path(str(data_path) + ".manifest.json")

@@ -1,5 +1,6 @@
 """Configuration loading, round-trip, CSV schema and CLI behavior."""
 
+import dataclasses
 import json
 import math
 import os
@@ -119,10 +120,16 @@ class TestCli:
         assert len(lines) == 2
         row = dict(zip(COLUMNS, lines[1].split(",")))
         assert float(row["delta_plus_lambda"]) > 0
-        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        text = (tmp_path / "out.csv.manifest.json").read_text()
+        manifest = json.loads(text)
         assert manifest["row_count"] == 1
         assert manifest["flagged_count"] == 0
+        assert manifest["flag_counts"] == {"brewster_singularity": 0,
+                                           "resonant_denominator": 0}
         assert manifest["tool"] == "spinhall"
+        # every field, serialised as dataclasses.asdict would give it
+        assert text == json.dumps(dataclasses.asdict(RunManifest(**manifest)),
+                                  indent=2, sort_keys=True) + "\n"
 
     def test_brewster_command(self, tmp_path, capsys):
         code, _ = run_cli(["brewster", "--preset", "fig2-ctl", "--detuning", "0"],
