@@ -4,9 +4,8 @@ glass / atomic-vapor / glass cavity driven by four coherent control fields."""
 __version__ = "0.1.0"
 
 from .errors import (DegenerateBrightState, InvalidAngle, NoMinimumInWindow,
-                     NoSignChange, ParseError, QuadratureNotConverged,
-                     ResonantDenominator, SingularDenominator, SpinHallError,
-                     ValidationError)
+                     NoSignChange, ParseError, ResonantDenominator,
+                     SingularDenominator, SpinHallError, ValidationError)
 from .medium import (Configuration, ControlField, ControlFieldSet,
                      EffectiveCouplings, MediumParams, classify,
                      coherence_ratio, effective_couplings, permittivity,

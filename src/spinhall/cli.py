@@ -21,7 +21,7 @@ from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
                      load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
-from .shifts import GridSpec, shift_from_beam_integral, shift_kernel
+from .shifts import shift_from_beam_integral, shift_kernel
 from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
                     evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
@@ -368,15 +368,15 @@ def cmd_windows(cfg, args, argv):
 def cmd_oracle(cfg, args, argv):
     if not 0.0 < args.theta < 90.0:
         raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
-    medium, stack, beam = cfg.build()
     ctx = _context(cfg, args.detuning, args.eta)
+    beam = ctx.beam
     layered = ctx.stack_at()
     theta = np.radians(args.theta)
     rp, rs = ctx.coefficients(theta)
     closed = float(shift_kernel(theta, rp, rs, beam)[0])
-    quad_plus, quad_minus = shift_from_beam_integral(theta, layered, beam, GridSpec())
+    quad_plus, quad_minus = shift_from_beam_integral(theta, layered, beam)
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
-    print(f"closed = {closed / beam.lam:.6e} lambda, quadrature = "
+    print(f"closed = {closed / beam.lam:.6e} lambda, moment = "
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
     row = (args.theta, args.detuning, closed / beam.lam, quad_plus / beam.lam,
            quad_minus / beam.lam, rel)

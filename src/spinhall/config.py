@@ -28,7 +28,7 @@ from .medium import (ControlFieldSet, EffectiveCouplings, MediumParams,
                      effective_couplings)
 from .multilayer import LayerStack, RESONANT_DENOMINATOR_FLOOR
 from .presets import preset_config
-from .shifts import BREWSTER_FLOOR, QUADRATURE_REL_CHANGE, BeamParams
+from .shifts import BREWSTER_FLOOR, BeamParams
 from .sweep import GOLDEN_TOL_DEG
 
 __all__ = ["RunConfig", "RunManifest", "load_config", "write_config", "TOLERANCES"]
@@ -40,7 +40,6 @@ TOLERANCES = {
     "brewster_floor_abs_rp": BREWSTER_FLOOR,
     "resonant_denominator_floor": RESONANT_DENOMINATOR_FLOOR,
     "golden_section_tol_deg": GOLDEN_TOL_DEG,
-    "quadrature_rel_change": QUADRATURE_REL_CHANGE,
 }
 
 

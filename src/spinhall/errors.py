@@ -24,11 +24,6 @@ class ResonantDenominator(SpinHallError):
     """Multilayer denominator 1 + r12*r23*exp(2i k2z d) is numerically zero."""
 
 
-class QuadratureNotConverged(SpinHallError):
-    """Doubling the quadrature grid moved the beam centroid by more than
-    the allowed relative change."""
-
-
 class NoMinimumInWindow(SpinHallError):
     """The search window does not bracket an interior minimum of |rp|."""
 

@@ -244,8 +244,13 @@ def _coherence_polynomials(m: MediumParams):
 
 
 def susceptibility(delta_p, m: MediumParams):
-    """chi = eta * coherence ratio; Re = dispersion, Im = absorption."""
-    return m.eta * coherence_ratio(delta_p, m)
+    """chi = eta * coherence ratio; Re = dispersion, Im = absorption.
+
+    A scalar detuning takes the array arithmetic too, so it gives the
+    bits of a table row, down to the sign of an underflowed zero.
+    """
+    chi = m.eta * np.asarray(coherence_ratio(delta_p, m))
+    return complex(chi) if np.ndim(delta_p) == 0 else chi
 
 
 def permittivity(delta_p, m: MediumParams):

@@ -13,28 +13,33 @@ and an extra 1/rayleigh_range.  The in-plane angular-spread term
 |d ln rp / dtheta|^2 is intentionally left out of this denominator: at
 a true zero of rp it diverges and would cap the lossless-cavity peak
 well below the half-waist bound w0/2 that the resonant cavity in fact
-attains.  The quadrature oracle below keeps the full first-order field,
-spread term included, so the truncation is measured rather than hidden.
+attains.  The oracle below keeps the full first-order field, spread
+term included, so the truncation is measured rather than hidden.
 
-The oracle synthesizes the reflected field at the beam waist,
+The oracle takes the reflected field at the beam waist,
 
     E+- ~ exp(-(x^2+y^2)/w0^2) [rp - 2i x rp' / (k1 w0^2)
                                  -+ 2 y cot(theta) (rp + rs) / (k1 w0^2)],
 
-and integrates the intensity centroid with tensor Gauss-Legendre
-quadrature.  Sums are evaluated with pairwise reduction, so results do
-not depend on evaluation chunking.
+whose intensity is a Gaussian times a quadratic in (x, y).  Its
+centroid over the whole plane is therefore an exact Gaussian moment,
+
+    delta+- = -+ (1/k1) cot(theta) Re[rp* (rp + rs)]
+              / (|rp|^2 + (|rp'|^2 + cot(theta)^2 |rp + rs|^2) / (k1 w0)^2),
+
+the closed form with the spread term |rp'|^2 put back and multiplied
+through by |rp|^2, so it stays finite where rp vanishes.  The test suite
+checks it against a 2-D Gauss-Legendre quadrature of the same field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import multilayer
-from .errors import InvalidAngle, QuadratureNotConverged
+from .errors import InvalidAngle
 from .multilayer import LayerStack, reflection_coefficients
 
 __all__ = [
@@ -45,7 +50,6 @@ __all__ = [
 ]
 
 BREWSTER_FLOOR = 1e-12
-QUADRATURE_REL_CHANGE = 1e-3
 MIN_WINDOW_HALF_WIDTHS = 6  # full window must span >= 6 beam half-widths
 
 
@@ -82,7 +86,9 @@ class BeamParams:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor-product Gauss-Legendre quadrature layout for the oracle."""
+    """Tensor-product Gauss-Legendre quadrature layout: the node count
+    per axis and the half window; the test suite's reference integral of
+    the oracle's field uses it."""
 
     nodes: int = 201
     half_extent_w0: float = 4.0  # half window in units of w0
@@ -115,57 +121,23 @@ def shift_kernel(theta_i, rp, rs, beam: BeamParams):
     return delta_plus, theta_minus
 
 
-@lru_cache(maxsize=None)
-def _legendre_nodes(n: int):
-    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1], computed once
-    per node count and process."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
+    """Centroid displacements (delta_plus, delta_minus) of the first-order
+    reflected field, as its exact Gaussian moment.
 
-
-def _centroids(theta_i, rp, rs, drp, beam, grid: GridSpec):
-    """Intensity centroids (delta_plus, delta_minus) of the synthesized
-    first-order reflected field at the waist plane."""
-    nodes, weights = _legendre_nodes(grid.nodes)
-    half = grid.half_extent_w0 * beam.w0
-    x = nodes * half
-    w = weights * half
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    W2 = np.outer(w, w)
-    envelope = np.exp(-(X ** 2 + Y ** 2) / beam.w0 ** 2)
-    u = 2.0 / (beam.k1 * beam.w0 ** 2)
-    cot = np.cos(theta_i) / np.sin(theta_i)
-    out = []
-    for sign in (+1.0, -1.0):
-        field = envelope * (rp - 1j * u * X * drp
-                            - sign * u * Y * cot * (rp + rs))
-        intensity = np.abs(field) ** 2
-        out.append(float(np.sum(W2 * Y * intensity) / np.sum(W2 * intensity)))
-    return tuple(out)
-
-
-def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams,
-                             quadrature: GridSpec = GridSpec()):
-    """Centroid displacements (delta_plus, delta_minus) by 2-D quadrature.
-
-    Independent check on the closed form: the reflected field is built
-    from the stack coefficients and their angular derivative, and its
-    intensity centroid is integrated numerically.  The grid is doubled
-    once; a relative change beyond QUADRATURE_REL_CHANGE raises
-    QuadratureNotConverged; an angle outside (0, pi/2) raises InvalidAngle.
+    Independent check on the closed form: the field is built from the
+    stack coefficients and the angular derivative of rp, and its intensity
+    centroid over the whole plane is evaluated in closed form.  An angle
+    outside (0, pi/2) raises InvalidAngle before the stack is evaluated.
     """
     if not 0.0 < theta_i < np.pi / 2:
         raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
     rp, rs = reflection_coefficients(theta_i, beam.lam, stack)
     # looked up at call time, so a wrapper bound on the module sees the call
     drp, _ = multilayer.stack_reflection_derivative(theta_i, beam.lam, stack)
-    coarse = _centroids(theta_i, rp, rs, drp, beam, quadrature)
-    fine = _centroids(theta_i, rp, rs, drp, beam,
-                      GridSpec(2 * quadrature.nodes, quadrature.half_extent_w0))
-    scale = max(abs(fine[0]), BREWSTER_FLOOR * beam.w0)
-    if abs(fine[0] - coarse[0]) > QUADRATURE_REL_CHANGE * scale:
-        raise QuadratureNotConverged(
-            f"centroid moved by {abs(fine[0] - coarse[0]):.3e} m on grid doubling")
-    return fine
+    cot = np.cos(theta_i) / np.sin(theta_i)
+    both = rp + rs
+    spread = (abs(drp) ** 2 + abs(cot * both) ** 2) / (beam.k1 * beam.w0) ** 2
+    delta = float(-cot * np.real(np.conj(rp) * both) / beam.k1
+                  / (abs(rp) ** 2 + spread))
+    return delta, -delta

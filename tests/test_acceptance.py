@@ -21,8 +21,8 @@ from spinhall import (BeamParams, ControlFieldSet, LayerStack, MediumParams,
                       ScanContext, effective_couplings, find_brewster,
                       find_sign_flip, find_transparency_windows,
                       max_shift_vs_detuning, reflection_coefficients,
-                      shift_from_beam_integral, shift_kernel, shift_vs_density,
-                      susceptibility)
+                      shift_kernel, shift_vs_density, susceptibility)
+from beam_quadrature import quadrature_shift
 from conftest import medium_from
 
 LAM = 780e-9
@@ -216,7 +216,7 @@ def test_criterion_9_oracle_equivalence(ctl_medium):
         if abs(rp) < 0.05 * abs(rs):
             continue
         closed = float(shift_kernel(theta, rp, rs, beam)[0])
-        quad_plus, quad_minus = shift_from_beam_integral(theta, stack, beam)
+        quad_plus, quad_minus = quadrature_shift(theta, stack, beam)
         worst = max(worst, abs(quad_plus - closed) / abs(closed))
         worst_mirror = max(worst_mirror,
                            abs(quad_plus + quad_minus) / abs(quad_plus))

@@ -7,10 +7,11 @@ itself, that of the bare coherences driven by the four control fields.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhall import (Configuration, ControlField, ControlFieldSet,
@@ -22,6 +23,8 @@ from conftest import bare_state_coherence, steady_state_coherence
 
 amplitude = st.floats(0.05, 5.0)
 phase = st.floats(0.0, 2 * math.pi)
+# down to the subnormals, where chi underflows
+tiny = st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e)
 
 
 class TestEffectiveCouplings:
@@ -243,6 +246,22 @@ class TestSusceptibility:
             for sign in (1, -1):
                 mags = np.abs(susceptibility(sign * dps, m))
                 assert np.all(np.diff(mags) < 0)
+
+    @settings(max_examples=200)
+    @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude), loop=phase,
+           eta=st.floats(0.0, 1.0) | tiny,
+           detunings=st.lists(st.floats(-6.0, 6.0) | tiny | tiny.map(operator.neg),
+                              min_size=1, max_size=20))
+    @example(a=(1.5, 3.0, 2.5, 0.9), loop=0.0, eta=4.26e-169, detunings=[-2.77e-225])
+    def test_scalar_bits_equal_array_bits(self, a, loop, eta, detunings):
+        # the sign of a zero included: a table row and a pointwise query
+        # at the same detuning write the same chi1, chi2 text
+        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, p1=loop))
+        m = MediumParams(1.0, 1.0, eta, c)
+        row = susceptibility(np.array(detunings), m)
+        points = np.array([susceptibility(dp, m) for dp in detunings])
+        assert type(susceptibility(detunings[0], m)) is complex
+        assert row.tobytes() == points.tobytes()
 
     def test_global_phase_leaves_susceptibility_unchanged(self):
         rng = np.random.default_rng(7)

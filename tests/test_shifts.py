@@ -1,4 +1,5 @@
-"""Beam shifts: closed form, bounds, antisymmetry, quadrature oracle."""
+"""Beam shifts: closed form, bounds, antisymmetry, the moment oracle and
+its quadrature reference."""
 
 import math
 
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhall import (BeamParams, GridSpec, LayerStack, QuadratureNotConverged,
-                      reflection_coefficients, shift_from_beam_integral,
-                      shift_kernel, susceptibility)
+from spinhall import (BeamParams, GridSpec, LayerStack, ScanContext,
+                      load_config, reflection_coefficients,
+                      shift_from_beam_integral, shift_kernel, susceptibility)
 import spinhall.multilayer as multilayer
 import spinhall.shifts as shifts_module
-from spinhall.shifts import _centroids, _legendre_nodes
+from beam_quadrature import QuadratureNotConverged, centroids, quadrature_shift
 
 LAM = 780e-9
 
@@ -51,8 +52,8 @@ class TestSpatialShift:
     def test_antisymmetry_exact(self, beam):
         # the two circular components are mirror images: the oracle
         # centroids, without angular spread, straddle the closed form
-        quad_plus, quad_minus = _centroids(0.6, 0.1 + 0.05j, 0.6 - 0.2j, 0j,
-                                           beam, GridSpec())
+        quad_plus, quad_minus = centroids(0.6, 0.1 + 0.05j, 0.6 - 0.2j, 0j,
+                                          beam, GridSpec())
         delta, _ = shift_kernel(0.6, 0.1 + 0.05j, 0.6 - 0.2j, beam)
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-12)
         assert quad_plus == pytest.approx(float(delta), rel=1e-6)
@@ -111,8 +112,8 @@ class TestQuadratureOracle:
         # theta-independent coefficients, no angular spread: ratio 1, zero
         # log-derivative; quadrature must land on the closed form
         theta = math.radians(30.0)
-        quad_plus, quad_minus = _centroids(theta, 0.5 + 0j, 0.5 + 0j, 0j, beam,
-                                           GridSpec())
+        quad_plus, quad_minus = centroids(theta, 0.5 + 0j, 0.5 + 0j, 0j, beam,
+                                          GridSpec())
         closed = float(shift_kernel(theta, 0.5 + 0j, 0.5 + 0j, beam)[0])
         assert quad_plus == pytest.approx(closed, rel=1e-2)
         assert quad_plus == pytest.approx(closed, rel=1e-6)  # spectral accuracy
@@ -160,8 +161,7 @@ class TestQuadratureOracle:
 
     def test_underresolved_grid_raises(self, beam, vacuum_stack):
         with pytest.raises(QuadratureNotConverged):
-            shift_from_beam_integral(math.radians(30.0), vacuum_stack, beam,
-                                     GridSpec(nodes=3))
+            quadrature_shift(math.radians(30.0), vacuum_stack, beam, GridSpec(nodes=3))
 
     def test_scaling_invariance_in_wavelength_units(self, ctl_medium):
         theta = math.radians(31.5)
@@ -176,31 +176,57 @@ class TestQuadratureOracle:
         assert results[2] == pytest.approx(results[1], rel=1e-9)
 
 
-class TestLegendreNodeCache:
-    @pytest.mark.parametrize("n", [2, 7, 201, 402])
-    def test_nodes_are_leggauss(self, n):
-        nodes, weights = _legendre_nodes(n)
-        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_array_equal(nodes, want_nodes)
-        np.testing.assert_array_equal(weights, want_weights)
-        assert _legendre_nodes(n)[0] is nodes  # computed once per node count
+def preset_points(min_ratio=0.05):
+    """(preset, theta, stack, beam) over the three presets at which
+    |rp| >= min_ratio |rs|, the closed form's domain of validity."""
+    points = []
+    for preset in ("fig2-ctl", "fig3-lambda", "fig4-ntype"):
+        medium, stack, beam = load_config(preset=preset).build()
+        for dp in (-1.3, 0.0, 0.5, 2.6):
+            layered = ScanContext(medium, stack, beam, delta_p=dp).stack_at()
+            for deg in (24.0, 30.0, 32.0, 36.0, 44.0):
+                theta = math.radians(deg)
+                rp, rs = reflection_coefficients(theta, beam.lam, layered)
+                if abs(rp) >= min_ratio * abs(rs):
+                    points.append((preset, theta, layered, beam))
+    return points
 
-    def test_cached_arrays_are_read_only(self):
-        nodes, weights = _legendre_nodes(5)
-        for array in (nodes, weights):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-            with pytest.raises(ValueError):
-                array += 1.0
 
-    def test_centroids_independent_of_the_cache(self, beam, ctl_medium,
-                                                monkeypatch):
-        stack = LayerStack(eps2=1.0 + susceptibility(0.3, ctl_medium))
-        theta = math.radians(33.2)
-        _legendre_nodes.cache_clear()
-        first = shift_from_beam_integral(theta, stack, beam)
-        again = shift_from_beam_integral(theta, stack, beam)
-        monkeypatch.setattr(shifts_module, "_legendre_nodes",
-                            np.polynomial.legendre.leggauss)
-        uncached = shift_from_beam_integral(theta, stack, beam)
-        assert first == again == uncached
+class TestMomentIdentity:
+    """The oracle's closed-form moment is the centroid the quadrature
+    integrates, over the whole plane."""
+
+    def test_moment_matches_quadrature(self):
+        points = preset_points()
+        assert len(points) >= 20
+        assert {p[0] for p in points} == {"fig2-ctl", "fig3-lambda", "fig4-ntype"}
+        for _, theta, stack, beam in points:
+            moment = shift_from_beam_integral(theta, stack, beam)
+            quad = quadrature_shift(theta, stack, beam)
+            assert moment[0] == pytest.approx(quad[0], rel=1e-12, abs=0)
+            assert moment[1] == pytest.approx(quad[1], rel=1e-12, abs=0)
+
+    @settings(max_examples=100)
+    @given(preset=st.sampled_from(["fig2-ctl", "fig3-lambda", "fig4-ntype"]),
+           deg=st.floats(1.0, 89.0), dp=st.floats(-6.0, 6.0))
+    def test_mirror_exact(self, preset, deg, dp):
+        medium, stack, beam = load_config(preset=preset).build()
+        layered = ScanContext(medium, stack, beam, delta_p=dp).stack_at()
+        plus, minus = shift_from_beam_integral(math.radians(deg), layered, beam)
+        assert np.isfinite(plus)
+        assert minus == -plus and np.signbit(minus) != np.signbit(plus)
+
+    def test_finite_where_rp_vanishes(self, beam, vacuum_stack, monkeypatch):
+        # a true zero of rp: the closed form has no value there, the
+        # moment and the quadrature both put the centroid on the axis
+        theta = math.radians(33.7)
+        _, rs = reflection_coefficients(theta, LAM, vacuum_stack)
+        drp, _ = multilayer.stack_reflection_derivative(theta, LAM, vacuum_stack)
+        assert abs(drp) > 0
+        monkeypatch.setattr(shifts_module, "reflection_coefficients",
+                            lambda *args: (0j, rs))
+        plus, minus = shift_from_beam_integral(theta, vacuum_stack, beam)
+        assert plus == 0.0 and minus == -plus
+        assert np.isnan(shift_kernel(theta, 0j, rs, beam)[0])
+        quad_plus, _ = centroids(theta, 0j, rs, drp, beam)
+        assert abs(quad_plus) < 1e-12 * beam.w0
