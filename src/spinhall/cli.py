@@ -112,26 +112,50 @@ def _csv_numbers(values):
     return slots.view(np.uint8).reshape(len(values), _SLOT.itemsize)
 
 
-def _text_slots(texts, separator: bytes, unit: int = 1):
+def _text_slots(texts, separator: bytes, dtype):
     """Each byte string of ``texts`` NUL-padded and followed by ``separator``,
-    in slots of a whole number of ``unit`` bytes, as a (texts, bytes) uint8
-    array."""
-    width = -(-(max(map(len, texts)) + len(separator)) // unit) * unit
+    in slots of the fewest ``dtype`` units that hold the longest, as a
+    (texts, units) array."""
+    units = -(-(max(map(len, texts), default=0) + len(separator)) // dtype.itemsize)
+    width = units * dtype.itemsize
     padded = [text.ljust(width - len(separator), b"\0") + separator for text in texts]
-    return np.array(padded, f"S{width}").view(np.uint8).reshape(len(texts), width)
+    return np.array(padded, f"S{width}").view(dtype).reshape(len(texts), units)
 
 
-def _slot_tables(data, numbers, texts) -> list:
-    """Per column of ``data``: None for a per-row column, else the slots of
-    its distinct values, one row each; ``numbers`` formats the numbers of
-    every such column in one call, and ``texts`` a column of strings."""
+def _slot_tables(data, numbers, quote, separator: bytes, dtype) -> list:
+    """Per column of ``data``: None for a per-row column, else the text
+    slots of its distinct values, one row each, as ``dtype`` units and as
+    wide as the column's widest text needs.  ``numbers`` formats the
+    numbers of every such column in one call, as slots that end in
+    ``separator``, which their text never holds; ``quote`` gives the text
+    of a string."""
     floats = [values for values, index in data
               if index is not None and values.dtype.kind == "f"]
-    slots = numbers(np.concatenate(floats)) if floats else None
-    parts = (slots[end - len(values):end] for values, end
-             in zip(floats, itertools.accumulate(map(len, floats))))
-    return [None if index is None else next(parts) if values.dtype.kind == "f"
-            else texts(values.tolist()) for values, index in data]
+    numbered = iter(numbers(np.concatenate(floats)).tobytes().translate(None, b"\0")
+                    .split(separator)[:-1] if floats else [])
+
+    def texts(values):
+        if values.dtype.kind == "f":
+            return list(itertools.islice(numbered, len(values)))
+        return [quote(t) for t in values.tolist()]
+
+    return [None if index is None
+            else _text_slots(texts(values), separator, dtype)
+            for values, index in data]
+
+
+def _csv_tables(data) -> list:
+    """The CSV slot tables of ``data``: bytes, each value ending in ','."""
+    return _slot_tables(data, _csv_numbers, str.encode, b",", np.dtype(np.uint8))
+
+
+def _json_tables(data) -> list:
+    """The JSON slot tables of ``data``: words, each value ending in
+    ``jsontext.SEPARATOR``."""
+    from . import jsontext  # on first use: CSV-only runs never compile it
+    return _slot_tables(data, lambda values: jsontext.number_slots(values, JSON_FLOAT),
+                        lambda text: json.dumps(text).encode(), jsontext.SEPARATOR,
+                        jsontext.WORD)
 
 
 def _runs(data, tables, number_width: int) -> list:
@@ -172,21 +196,24 @@ def _write_csv(out, data) -> None:
     """CSV rows of the columns ``data`` to the binary handle ``out``.
 
     A row is one NUL-padded slot per value, each ending in ',' but the
-    last, whose ',' ends the line.  Numbers are _SLOT text; a column of
-    strings is its text.  Per block of rows, the per-row columns are
-    formatted and the indexed ones take the slots of their values,
-    formatted once; the block is written with the NULs removed.
+    last, whose ',' ends the line.  Per-row numbers are _SLOT text; an
+    indexed column is the text of its values, formatted once, in slots as
+    wide as its widest.  Per block of rows, the per-row columns are
+    formatted and the indexed ones take their slots, in one reused
+    buffer, which is written with the NULs removed.
     """
-    runs = _runs(data, _slot_tables(data, _csv_numbers,
-                                    lambda texts: _text_slots(
-                                        [t.encode() for t in texts], b",")),
-                 _SLOT.itemsize)
-    for rows in _blocks(_row_count(data)):
-        buf = np.empty((rows.stop - rows.start, runs[-1][1]), np.uint8)
-        _fill_rows(buf, rows, data, runs,
+    n_rows = _row_count(data)
+    runs = _runs(data, _csv_tables(data), _SLOT.itemsize)
+    width = runs[-1][1]
+    buf = bytearray(width * min(WRITE_ROWS, n_rows))
+    for rows in _blocks(n_rows):
+        units = np.frombuffer(buf, np.uint8, (rows.stop - rows.start) * width)
+        units = units.reshape(-1, width)
+        _fill_rows(units, rows, data, runs,
                    lambda values, units: _csv_slots(values, units.view(_SLOT)))
-        buf[:, -1] = ord("\n")
-        out.write(buf.tobytes().translate(None, b"\0"))
+        units[:, -1] = ord("\n")
+        text = buf if units.nbytes == len(buf) else buf[:units.nbytes]
+        out.write(text.translate(None, b"\0"))
 
 
 def _write_json(out, data) -> None:
@@ -196,17 +223,13 @@ def _write_json(out, data) -> None:
     ending in the separator that the row's end replaces in the last slot:
     numbers are ``jsontext`` slots, the bytes of ``float.__repr__`` and
     JSON_FLOAT's fallback; strings their JSON text.  Blocks are built as
-    by ``_write_csv``, in one buffer, and the first row drops its ','."""
+    by ``_write_csv``, and the first row drops its ','."""
     from . import jsontext  # on first use: CSV-only runs never compile it
     n_rows = _row_count(data)
     if not n_rows:
         return
     fallback = JSON_FLOAT
-    runs = _runs(data, _slot_tables(
-        data, lambda values: jsontext.number_slots(values, fallback),
-        lambda texts: _text_slots([json.dumps(t).encode() for t in texts],
-                                  jsontext.SEPARATOR, 8).view(jsontext.WORD)),
-        jsontext.SLOT_WORDS)
+    runs = _runs(data, _json_tables(data), jsontext.SLOT_WORDS)
     width = len(jsontext.ROW_HEAD) + runs[-1][1]
     buf = bytearray(8 * width * min(WRITE_ROWS, n_rows))
     for rows in _blocks(n_rows):

@@ -21,11 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 TIE = 1e-6  # interval edges and rounding ties this close take the fallback
-# rows formatted at once: the temporaries then total about 1 MB, which the
-# allocator keeps for the next rows; at 2,048 rows it returns them to the
-# system and every block faults them back in, which costs about a third
-# of the writer's time
-FORMAT_ROWS = 512
+# rows formatted at once.  Writing the three-density 201 x 201 sweep as
+# the first write of a fresh process (2-core host, median of 8), 1,024
+# rows took 0.25 s, against 0.29 s at 512 rows and 0.30 s at 2,048
+FORMAT_ROWS = 1024
 WORD = np.dtype("<u8")
 
 

@@ -189,14 +189,15 @@ class SweepTable:
     def indexed_columns(self) -> list:
         """(values, index) of each column of COLUMNS: row r holds values[r]
         where index is None, else values[index[r]].  The block fields share
-        one RowIndex, and a column with as many values as rows has none."""
+        one RowIndex, and a column with as many values as rows has none.
+        The flags' values are FLAG_KINDS up to the highest code in use."""
         n, k = len(self), self.theta_rows.shape[1]
         thetas = self.theta_rows.reshape(-1)
         per_block = None if k == 1 else RowIndex(k, self.blocks.shape[1], n)
         return ([(thetas, None if len(thetas) == n else RowIndex(1, len(thetas), n))]
                 + [(values, per_block) for values in self.blocks]
                 + [(values, None) for values in self.points]
-                + [(_FLAG_TEXT, self.codes)])
+                + [(_FLAG_TEXT[:self.codes.max(initial=0) + 1], self.codes)])
 
     def column(self, name: str) -> np.ndarray:
         if name in POINT_FIELDS:  # stored per row

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 import spinhall.cli as cli
 from spinhall import (LayerStack, RunManifest, ValidationError, evaluate,
-                      load_config)
+                      jsontext, load_config)
 from spinhall.cli import ORACLE_COLUMNS, main
-from spinhall.sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, FLAG_RESONANT,
-                            RowIndex)
+from spinhall.sweep import (COLUMNS, FLAG_BREWSTER, FLAG_RESONANT, RowIndex,
+                            SweepTable)
 
 FLOAT_FORMAT = "{:.8e}"  # 9 significant digits, lowercase exponent
 MANIFEST_CUT = b',\n  "manifest": '
@@ -83,6 +84,13 @@ def both_writers(tmp_path, columns, data, header, fmt):
     return new.read_bytes(), old.read_bytes()
 
 
+def flag_column(codes):
+    """The flag column that ``SweepTable.indexed_columns`` gives for ``codes``."""
+    table = SweepTable.empty(len(codes), [0.0])
+    table.codes[:] = codes
+    return table.indexed_columns()[-1]
+
+
 @pytest.fixture(scope="module")
 def flagged_tables():
     """Structured tables with NaN cells and Brewster flags, over a 1-D
@@ -96,6 +104,12 @@ def flagged_tables():
     tables = [evaluate([medium], [0.05, 0.1], detunings, thetas,
                        LayerStack(eps2=1.0 + 0j), beam) for detunings, thetas in axes]
     assert [table.flagged_count for table in tables] == [4, 2]
+    # codes that use no flag, resonant only, brewster only or both, whose
+    # flag columns hold one, two, three and three kinds; and no rows
+    tables += [replace(tables[0], codes=np.resize(np.array(kinds, np.uint8),
+                                                  len(tables[0])))
+               for kinds in ([0], [0, 1], [0, 2], [0, 1, 2])]
+    tables.append(SweepTable.empty(0, [33.0, 34.0]))
     return [table.indexed_columns() for table in tables]
 
 
@@ -169,7 +183,7 @@ class TestAgainstReference:
         """A table laid out as SweepTable.indexed_columns lays it out: an
         angle column of k repeating values (or one row of them per block),
         four block columns sharing one index, five per-row columns and the
-        flag codes, every value drawn from a pool that repeats NaN, -0.0,
+        flag column of codes that use no flag, one kind or both, every value drawn from a pool that repeats NaN, -0.0,
         subnormals and values the fast paths leave to the fallback; blocks
         of 1-7 rows end inside an angle row."""
         header = header and fmt == "csv"
@@ -181,9 +195,11 @@ class TestAgainstReference:
         table = [(pool(period, 0), RowIndex(1, period, n))]
         table += [(pool(blocks, 1 + j), per_block) for j in range(4)]
         table += [(pool(n, 7 + j), None) for j in range(5)]
-        codes = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        kinds = data.draw(st.sampled_from([[0], [0, 1], [0, 2], [0, 1, 2]]),
+                          label="kinds")
+        codes = data.draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n),
                           label="codes")
-        table.append((np.array(FLAG_KINDS), np.array(codes, dtype=np.uint8)))
+        table.append(flag_column(codes))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "WRITE_ROWS", chunk)
             new, old = both_writers(tmp_path_factory.mktemp("w"), COLUMNS, table,
@@ -426,3 +442,33 @@ def test_json_golden_data_digest(name, tmp_path):
     data = out.read_bytes()
     digest = hashlib.sha256(data[:data.rfind(MANIFEST_CUT)]).hexdigest()
     assert digest == GOLDEN_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eta_grid_slots_fit_their_text(fmt):
+    """Each indexed column of the ETA_GRID table is laid out at its own
+    width: its widest text plus the separator, rounded up to a byte (CSV)
+    or an 8-byte word (JSON).  The table is unflagged, so its flag column
+    holds only ""."""
+    medium, stack, beam = load_config(preset="fig2-ctl").build()
+    axes = ETA_GRID["sweep"]
+    table = evaluate([medium], axes["eta_list"], np.linspace(*axes["detuning"]),
+                     np.linspace(*axes["theta_deg"]), stack, beam)
+    data = table.indexed_columns()
+    assert table.flagged_count == 0 and data[-1][0].tolist() == [""]
+    if fmt == "csv":
+        tables, separator, unit = cli._csv_tables(data), b",", 1
+        text = lambda v: _fmt(v).encode()
+    else:
+        tables, separator, unit = cli._json_tables(data), jsontext.SEPARATOR, 8
+        text = lambda v: json.dumps(v).encode()
+    assert [slots is None for slots in tables] == [index is None for _, index in data]
+    for (values, index), slots in zip(data, tables):
+        if index is None:
+            continue
+        texts = [text(v) for v in values.tolist()]
+        width = -(-(max(map(len, texts)) + len(separator)) // unit) * unit
+        raw = slots.view(np.uint8)
+        assert raw.shape == (len(values), width)
+        assert [row.tobytes().replace(b"\0", b"") for row in raw] == [
+            t + separator for t in texts]
