@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,13 +106,6 @@ def _csv_slots(values, slots) -> None:
         slots.view(_SLOT_TEXT)["text"][slow] = text
 
 
-def _csv_numbers(values):
-    """The _SLOT text of each value of ``values``, as a (values, 17) uint8 array."""
-    slots = np.empty((len(values), 1), _SLOT)
-    _csv_slots(values[:, None], slots)
-    return slots.view(np.uint8).reshape(len(values), _SLOT.itemsize)
-
-
 def _text_slots(texts, separator: bytes, dtype):
     """Each byte string of ``texts`` NUL-padded and followed by ``separator``,
     in slots of the fewest ``dtype`` units that hold the longest, as a
@@ -122,40 +116,65 @@ def _text_slots(texts, separator: bytes, dtype):
     return np.array(padded, f"S{width}").view(dtype).reshape(len(texts), units)
 
 
-def _slot_tables(data, numbers, quote, separator: bytes, dtype) -> list:
+class _Layout(NamedTuple):
+    """How one format lays a table's rows out in a buffer of ``unit``s.
+
+    A row is ``head``, then one NUL-padded slot per value, each ending in
+    ``separator``, whose last unit ``end`` replaces.  ``numbers(values,
+    units)`` fills ``units`` (rows, cols * number_units) with the slots of
+    the float block ``values`` (rows, cols); ``quote`` gives the text of a
+    string.  The table's first row drops its first ``drop`` bytes.
+    """
+    unit: np.dtype
+    head: np.ndarray
+    end: int
+    separator: bytes
+    number_units: int
+    numbers: Callable
+    quote: Callable
+    drop: int
+
+
+@functools.cache
+def _layout(fmt: str) -> _Layout:
+    """The row layout of ``fmt``, built once per process.  CSV numbers are
+    _SLOT text; JSON numbers are ``jsontext`` slots, the bytes of
+    ``float.__repr__`` and JSON_FLOAT's fallback, and strings their JSON
+    text, in the layout of ``json.dumps(payload, indent=2)``."""
+    if fmt == "csv":
+        return _Layout(np.dtype(np.uint8), np.zeros(0, np.uint8), ord("\n"), b",",
+                       _SLOT.itemsize,
+                       lambda values, units: _csv_slots(values, units.view(_SLOT)),
+                       str.encode, 0)
+    from . import jsontext  # on first use: CSV-only runs never compile it
+    return _Layout(jsontext.WORD, jsontext.ROW_HEAD, jsontext.ROW_END,
+                   jsontext.SEPARATOR, jsontext.SLOT_WORDS,
+                   lambda values, units: jsontext.number_rows(values, units, JSON_FLOAT),
+                   lambda text: json.dumps(text).encode(), 1)
+
+
+def _slot_tables(data, layout: _Layout) -> list:
     """Per column of ``data``: None for a per-row column, else the text
-    slots of its distinct values, one row each, as ``dtype`` units and as
-    wide as the column's widest text needs.  ``numbers`` formats the
-    numbers of every such column in one call, as slots that end in
-    ``separator``, which their text never holds; ``quote`` gives the text
-    of a string."""
+    slots of its distinct values, one row each, as ``layout`` units and
+    as wide as the column's widest text needs.  The numbers of every such
+    column are formatted in one (values, 1) block."""
     floats = [values for values, index in data
               if index is not None and values.dtype.kind == "f"]
-    numbered = iter(numbers(np.concatenate(floats)).tobytes().translate(None, b"\0")
-                    .split(separator)[:-1] if floats else [])
+    numbered = iter([])
+    if floats:  # jsontext cannot shape an empty block
+        units = np.empty((sum(map(len, floats)), layout.number_units), layout.unit)
+        layout.numbers(np.concatenate(floats)[:, None], units)
+        numbered = iter(units.tobytes().translate(None, b"\0")
+                        .split(layout.separator)[:-1])
 
     def texts(values):
         if values.dtype.kind == "f":
             return list(itertools.islice(numbered, len(values)))
-        return [quote(t) for t in values.tolist()]
+        return [layout.quote(t) for t in values.tolist()]
 
     return [None if index is None
-            else _text_slots(texts(values), separator, dtype)
+            else _text_slots(texts(values), layout.separator, layout.unit)
             for values, index in data]
-
-
-def _csv_tables(data) -> list:
-    """The CSV slot tables of ``data``: bytes, each value ending in ','."""
-    return _slot_tables(data, _csv_numbers, str.encode, b",", np.dtype(np.uint8))
-
-
-def _json_tables(data) -> list:
-    """The JSON slot tables of ``data``: words, each value ending in
-    ``jsontext.SEPARATOR``."""
-    from . import jsontext  # on first use: CSV-only runs never compile it
-    return _slot_tables(data, lambda values: jsontext.number_slots(values, JSON_FLOAT),
-                        lambda text: json.dumps(text).encode(), jsontext.SEPARATOR,
-                        jsontext.WORD)
 
 
 def _runs(data, tables, number_width: int) -> list:
@@ -181,67 +200,34 @@ def _runs(data, tables, number_width: int) -> list:
     return runs
 
 
-def _fill_rows(buf, rows: slice, data, runs, numbers) -> None:
-    """Write the slots of ``rows`` into ``buf`` (rows, units): ``numbers``
-    formats each per-row run, and each indexed run takes its slots."""
-    for start, stop, columns, index, slots in runs:
-        if index is None:
-            numbers(np.stack([data[j][0][rows] for j in columns], axis=1),
-                    buf[:, start:stop])
-        else:
-            buf[:, start:stop] = slots.take(index[rows], axis=0)
-
-
-def _write_csv(out, data) -> None:
-    """CSV rows of the columns ``data`` to the binary handle ``out``.
-
-    A row is one NUL-padded slot per value, each ending in ',' but the
-    last, whose ',' ends the line.  Per-row numbers are _SLOT text; an
-    indexed column is the text of its values, formatted once, in slots as
-    wide as its widest.  Per block of rows, the per-row columns are
-    formatted and the indexed ones take their slots, in one reused
-    buffer, which is written with the NULs removed.
-    """
-    n_rows = _row_count(data)
-    runs = _runs(data, _csv_tables(data), _SLOT.itemsize)
-    width = runs[-1][1]
-    buf = bytearray(width * min(WRITE_ROWS, n_rows))
-    for rows in _blocks(n_rows):
-        units = np.frombuffer(buf, np.uint8, (rows.stop - rows.start) * width)
-        units = units.reshape(-1, width)
-        _fill_rows(units, rows, data, runs,
-                   lambda values, units: _csv_slots(values, units.view(_SLOT)))
-        units[:, -1] = ord("\n")
-        text = buf if units.nbytes == len(buf) else buf[:units.nbytes]
-        out.write(text.translate(None, b"\0"))
-
-
-def _write_json(out, data) -> None:
+def _write_table(out, data, layout: _Layout) -> None:
     """The rows of the columns ``data`` to the binary handle ``out``, laid
-    out as the "rows" list of ``json.dumps(payload, indent=2)`` without its
-    brackets.  A row is its opening and one slot of words per value, each
-    ending in the separator that the row's end replaces in the last slot:
-    numbers are ``jsontext`` slots, the bytes of ``float.__repr__`` and
-    JSON_FLOAT's fallback; strings their JSON text.  Blocks are built as
-    by ``_write_csv``, and the first row drops its ','."""
-    from . import jsontext  # on first use: CSV-only runs never compile it
+    out by ``layout``: CSV lines, or the "rows" list of JSON without its
+    brackets.  An indexed column is the text of its values, formatted
+    once, in slots as wide as its widest.  Per block of rows, the per-row
+    columns are formatted and the indexed ones take their slots, in one
+    reused buffer, which is written with the NULs removed."""
     n_rows = _row_count(data)
     if not n_rows:
         return
-    fallback = JSON_FLOAT
-    runs = _runs(data, _json_tables(data), jsontext.SLOT_WORDS)
-    width = len(jsontext.ROW_HEAD) + runs[-1][1]
-    buf = bytearray(8 * width * min(WRITE_ROWS, n_rows))
+    runs = _runs(data, _slot_tables(data, layout), layout.number_units)
+    head = len(layout.head)
+    width = head + runs[-1][1]
+    buf = bytearray(layout.unit.itemsize * width * min(WRITE_ROWS, n_rows))
     for rows in _blocks(n_rows):
-        words = np.frombuffer(buf, jsontext.WORD, (rows.stop - rows.start) * width)
-        words = words.reshape(-1, width)
-        words[:, :len(jsontext.ROW_HEAD)] = jsontext.ROW_HEAD
-        _fill_rows(words[:, len(jsontext.ROW_HEAD):], rows, data, runs,
-                   lambda values, units: jsontext.number_rows(values, units, fallback))
-        words[:, -1] = jsontext.ROW_END
+        units = np.frombuffer(buf, layout.unit, (rows.stop - rows.start) * width)
+        units = units.reshape(-1, width)
+        units[:, :head] = layout.head
+        for start, stop, columns, index, slots in runs:
+            if index is None:
+                layout.numbers(np.stack([data[j][0][rows] for j in columns], axis=1),
+                               units[:, head + start:head + stop])
+            else:
+                units[:, head + start:head + stop] = slots.take(index[rows], axis=0)
+        units[:, -1] = layout.end
         if not rows.start:
-            buf[0] = 0
-        text = buf if words.nbytes == len(buf) else buf[:words.nbytes]
+            buf[:layout.drop] = bytes(layout.drop)
+        text = buf if units.nbytes == len(buf) else buf[:units.nbytes]
         out.write(text.translate(None, b"\0"))
 
 
@@ -271,7 +257,7 @@ def _write_rows(path: Path, columns, data, manifest: RunManifest,
             fh.buffer.write(('{\n  "columns": [\n'
                              + ",\n".join(f"    {json.dumps(c)}" for c in columns)
                              + '\n  ],\n  "rows": [').encode())
-            _write_json(fh.buffer, data)
+            _write_table(fh.buffer, data, _layout("json"))
             fh.buffer.write((("\n  ]" if n_rows else "]") + ',\n  "manifest": '
                              + manifest.to_json().replace("\n", "\n  ")
                              + "\n}\n").encode())
@@ -280,7 +266,7 @@ def _write_rows(path: Path, columns, data, manifest: RunManifest,
             fh.buffer.writelines(f"# {line}\n".encode()
                                  for line in manifest.to_json().splitlines())
         fh.buffer.write((",".join(columns) + "\n").encode())
-        _write_csv(fh.buffer, data)
+        _write_table(fh.buffer, data, _layout("csv"))
 
 
 def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,

@@ -177,13 +177,6 @@ def _value_slots(values, words, fallback) -> None:
         words.view(_VALUE_TEXT)["text"][..., 0][slow] = text
 
 
-def number_slots(values, fallback) -> np.ndarray:
-    """The slots of the float array ``values``, as (values, SLOT_WORDS) words."""
-    words = np.empty((len(values), 1, SLOT_WORDS), WORD)
-    _value_slots(values[:, None], words, fallback)
-    return words.reshape(len(values), SLOT_WORDS)
-
-
 def number_rows(values, words, fallback) -> None:
     """Fill ``words`` (rows, cols * SLOT_WORDS) with the slots of the rows
     ``values`` (rows, cols), FORMAT_ROWS rows at a time."""

@@ -106,6 +106,10 @@ class EffectiveCouplings:
     def __post_init__(self):
         if not np.isfinite(self.omega_total) or self.omega_total < 0:
             raise ValueError(f"omega_total must be finite and >= 0, got {self.omega_total}")
+        # the coherence ratio squares each coupling
+        if not all(x * x < np.inf for x in (abs(self.alpha), abs(self.beta),
+                                            self.omega_total)):
+            raise ValueError("|alpha|, |beta| and omega_total must have finite squares")
 
     @property
     def zeta(self) -> float:
@@ -163,8 +167,10 @@ def effective_couplings(fields: ControlFieldSet) -> EffectiveCouplings:
                 "upper-leg fields are zero: the dark/bright split is "
                 "direction-dependent; construct EffectiveCouplings directly")
         return EffectiveCouplings(0j, 0j, 0.0)
-    alpha = (np.conj(o1) * o3 + np.conj(o2) * o4) / omega
-    beta = (np.conj(o1) * np.conj(o4) - np.conj(o2) * np.conj(o3)) / omega
+    # an overflow gives inf or NaN couplings, which EffectiveCouplings refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = (np.conj(o1) * o3 + np.conj(o2) * o4) / omega
+        beta = (np.conj(o1) * np.conj(o4) - np.conj(o2) * np.conj(o3)) / omega
     return EffectiveCouplings(complex(alpha), complex(beta), omega)
 
 

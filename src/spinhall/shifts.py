@@ -70,6 +70,10 @@ class BeamParams:
             raise ValueError("w0 and lam must be > 0")
         if self.eps_incident <= 0:
             raise ValueError("eps_incident must be > 0")
+        # the stack squares k0, the shift w0 and k1 w0
+        if not all(x * x < np.inf for x in (self.k0, self.w0, self.k1 * self.w0)):
+            raise ValueError("lam and w0 out of range: the squares of k0 = 2 pi / lam, "
+                             "w0 and k1 w0 must be finite")
 
     @property
     def k0(self) -> float:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
                       find_brewster, load_config, max_shift_vs_detuning,
@@ -26,6 +27,30 @@ GOLDEN_HEADER = ("theta_deg,detuning,eta,chi1,chi2,abs_rp,abs_rs,ratio_sp,"
 # preset, then the oracle's data row: 3 presets x 3 angles away from the
 # Brewster dip at detuning 0.5
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.csv")
+
+# positive finite values from 1e-300 to 1e300, their decades drawn often
+FINITE_EXTREMES = (st.sampled_from([1e-300, 1e-150, 1e-20, 1e20, 1e150, 1e300])
+                   | st.floats(1e-300, 1e300))
+
+
+@st.composite
+def config_dicts(draw):
+    """A config object whose wavelength, waist, thickness, density, decay
+    rates and field amplitudes are each drawn from FINITE_EXTREMES or left
+    to their defaults, over a 3 x 3 sweep."""
+    def maybe(block, key, strategy):
+        if draw(st.booleans(), label=f"{block}.{key} set"):
+            data[block][key] = draw(strategy, label=f"{block}.{key}")
+
+    data = {"medium": {}, "stack": {}, "beam": {},
+            "sweep": {"theta_deg": [30.0, 38.0, 3], "detuning": [-1.0, 1.0, 3]}}
+    maybe("stack", "lam", FINITE_EXTREMES)
+    maybe("stack", "thickness_d", FINITE_EXTREMES)
+    maybe("beam", "w0_lambdas", FINITE_EXTREMES)
+    for key in ("eta", "gamma_b", "gamma_e"):
+        maybe("medium", key, FINITE_EXTREMES)
+    maybe("medium", "amplitudes", st.lists(FINITE_EXTREMES, min_size=4, max_size=4))
+    return data
 
 
 class TestLoadConfig:
@@ -82,13 +107,36 @@ class TestLoadConfig:
         assert cfg.medium.eta == 0.01
         assert cfg.medium.amplitudes == (0.5, 0.5, 0.7, 0.7)
 
-    def test_round_trip(self, tmp_path):
-        cfg = config_from_dict({
-            "medium": {"eta": 0.05, "amplitudes": [1.0, 2.0, 0.5, 0.5]},
-            "sweep": {"theta_deg": [31.0, 35.0, 11], "eta_list": [0.01, 0.1]},
-            "output": {"out": "custom.csv", "manifest_header": True},
-        })
-        path = tmp_path / "cfg.json"
+    @settings(max_examples=150, deadline=None)
+    @given(data=config_dicts(), extra=st.data())
+    def test_round_trip(self, data, extra, tmp_path_factory):
+        """``load_config`` reads back what ``write_config`` wrote, for any
+        config that validates, every field drawn or left to its default."""
+        draw = extra.draw
+        axis = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2,
+                        unique=True).map(sorted)
+        for name in ("theta_deg", "detuning"):
+            if draw(st.booleans(), label=name):
+                lo, hi = draw(axis, label=name)
+                data["sweep"][name] = [lo, hi, draw(st.integers(2, 50))]
+        data["sweep"]["eta_list"] = draw(st.none() | st.lists(
+            FINITE_EXTREMES, min_size=1, max_size=3), label="eta_list")
+        data["medium"]["phases"] = draw(st.lists(
+            st.floats(-1e300, 1e300), min_size=4, max_size=4), label="phases")
+        if draw(st.booleans(), label="direct couplings"):
+            pair = st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2)
+            data["medium"].update(alpha=draw(pair), beta=draw(pair),
+                                  omega_total=draw(st.floats(0.0, 1e150)))
+        data["stack"]["eps1"] = draw(st.lists(FINITE_EXTREMES, min_size=2,
+                                              max_size=2), label="eps1")
+        data["output"] = {"out": draw(st.text(), label="out"),
+                          "format": draw(st.sampled_from(["csv", "json"])),
+                          "manifest_header": draw(st.booleans())}
+        try:
+            cfg = config_from_dict(data)
+        except ValidationError:
+            assume(False)
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
         write_config(cfg, path)
         assert load_config(path) == cfg
 
@@ -162,16 +210,18 @@ class TestCli:
 
     def test_windows_loads_no_numpy_polynomial(self, tmp_path):
         # the window finder uses the np.roots family numpy already loads;
-        # numpy.polynomial would add milliseconds to every fresh process
+        # numpy.polynomial would add milliseconds to every fresh process,
+        # and a CSV-only run never compiles the JSON number tables
         out = str(tmp_path / "w.csv")
         script = ("import sys; from spinhall.cli import main; "
                   f"main(['windows', '--preset', 'fig4-ntype', '--out', {out!r}]); "
-                  "print('numpy.polynomial' in sys.modules)")
+                  "print('numpy.polynomial' in sys.modules, "
+                  "'spinhall.jsontext' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "False False"
 
     def test_oracle_command(self, tmp_path, capsys):
         code, out = run_cli(["oracle", "--preset", "fig2-ctl", "--theta", "30"],
@@ -367,6 +417,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["shift"], ["windows"], ["oracle"],
+                                         ["susceptibility"], ["reproduce", "fig4c"]])
+    @pytest.mark.parametrize("config", [
+        {"stack": {"lam": 1e-300}},  # k0 squared overflows
+        {"stack": {"lam": 1e300}},  # so does w0 = 50 lam
+        {"beam": {"w0_lambdas": 1e300}},
+        {"beam": {"w0_lambdas": 1e160}},  # (k1 w0) squared
+        {"medium": {"amplitudes": [1.0, 1.0, 1e300, 1.0]}},  # Omega squared
+        {"medium": {"alpha": [1e300, 0.0], "beta": [0.0, 0.0], "omega_total": 1.0}},
+    ])
+    def test_config_value_whose_square_overflows_exits_2(self, command, config,
+                                                         tmp_path, capsys):
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(command + ["--config", str(cfg_path)], out_dir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert list(out_dir.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=config_dicts(), fmt=st.sampled_from(["csv", "json"]),
+           command=st.sampled_from([["susceptibility"], ["shift"], ["sweep"],
+                                    ["brewster"], ["windows"], ["oracle"],
+                                    ["reproduce", "fig4c"], ["reproduce", "fig5b"]]))
+    def test_any_config_exits_with_both_files_or_neither(self, data, fmt, command,
+                                                         tmp_path_factory):
+        """Every command under any config with finite values raises nothing:
+        it exits 0 or 3 with the data file and its manifest, or 2 with
+        neither."""
+        out_dir = tmp_path_factory.mktemp("run")
+        cfg_path = out_dir / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        out = out_dir / f"out.{fmt}"
+        code = main(command + ["--config", str(cfg_path), "--format", fmt,
+                               "--out", str(out)])
+        written = {out.exists(), Path(f"{out}.manifest.json").exists()}
+        assert (code, written) in [(0, {True}), (3, {True}), (2, {False})]
 
     @pytest.mark.parametrize("args, config", [
         (["shift", "--grid", "30,38,1000000000"], None),

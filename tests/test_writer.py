@@ -259,7 +259,7 @@ class TestCliAgainstReference:
 def csv_lines(*columns, flags=None):
     """Data lines of ``columns`` (and ``flags``) as the CSV writer writes them."""
     out = io.BytesIO()
-    cli._write_csv(out, flat_data(columns, flags))
+    cli._write_table(out, flat_data(columns, flags), cli._layout("csv"))
     return out.getvalue().decode().splitlines()
 
 
@@ -325,7 +325,7 @@ class TestFormatter:
 def json_rows(*columns, flags=None):
     """Rows of ``columns`` (and ``flags``) as the JSON writer writes them."""
     out = io.BytesIO()
-    cli._write_json(out, flat_data(columns, flags))
+    cli._write_table(out, flat_data(columns, flags), cli._layout("json"))
     return out.getvalue().decode()
 
 
@@ -457,11 +457,12 @@ def test_eta_grid_slots_fit_their_text(fmt):
     data = table.indexed_columns()
     assert table.flagged_count == 0 and data[-1][0].tolist() == [""]
     if fmt == "csv":
-        tables, separator, unit = cli._csv_tables(data), b",", 1
+        separator, unit = b",", 1
         text = lambda v: _fmt(v).encode()
     else:
-        tables, separator, unit = cli._json_tables(data), jsontext.SEPARATOR, 8
+        separator, unit = jsontext.SEPARATOR, 8
         text = lambda v: json.dumps(v).encode()
+    tables = cli._slot_tables(data, cli._layout(fmt))
     assert [slots is None for slots in tables] == [index is None for _, index in data]
     for (values, index), slots in zip(data, tables):
         if index is None:
