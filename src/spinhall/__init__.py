@@ -16,8 +16,7 @@ from .shifts import (BeamParams, GridSpec, shift_from_beam_integral,
                      shift_kernel)
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
-                    find_transparency_windows, max_shift_vs_detuning,
-                    shift_vs_density, sweep)
+                    find_transparency_windows, max_shift_vs_detuning, sweep)
 from .config import RunConfig, RunManifest, load_config, write_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

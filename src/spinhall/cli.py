@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -324,7 +325,7 @@ def _etas(args):
 
 def _table(cfg: RunConfig, thetas_deg, detunings, etas) -> SweepTable:
     medium, stack, beam = cfg.build()
-    return evaluate([medium], etas, detunings, thetas_deg, stack, beam)
+    return evaluate(medium, etas, detunings, thetas_deg, stack, beam)
 
 
 def cmd_susceptibility(cfg, args, argv):
@@ -375,8 +376,6 @@ def cmd_windows(cfg, args, argv):
 
 
 def cmd_oracle(cfg, args, argv):
-    if not 0.0 < args.theta < 90.0:
-        raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
     ctx = _context(cfg, args.detuning, args.eta)
     beam = ctx.beam
     layered = ctx.stack_at()
@@ -468,6 +467,10 @@ UNREAD_FLAGS = {"susceptibility": ("grid",), "windows": ("grid",),
                 "oracle": ("grid",), "sweep": ("theta", "detuning"),
                 "reproduce": ("eta", "grid", "theta", "detuning")}
 
+# a value such as -1e-3 or -inf, which argparse would take for an option
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$",
+                              re.IGNORECASE)
+
 COMMANDS = {
     "susceptibility": cmd_susceptibility,
     "shift": cmd_shift,
@@ -490,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         _add_common(p)
         if name == "reproduce":
             p.add_argument("target", help="dataset name, e.g. fig2d")
@@ -507,6 +511,8 @@ def main(argv=None) -> int:
                 raise ValidationError(f"--{flag} has no effect on {args.command}")
         args.theta = 33.69 if args.theta is None else args.theta
         args.detuning = 0.0 if args.detuning is None else args.detuning
+        if not 0.0 < args.theta < 90.0:
+            raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
         if args.eta is not None and not 0 <= args.eta < float("inf"):
             raise ValidationError("--eta must be finite and >= 0")
         if not np.isfinite(args.detuning):

@@ -12,8 +12,9 @@ class DegenerateBrightState(SpinHallError):
 
 
 class SingularDenominator(SpinHallError):
-    """The steady-state coherence denominator vanished at a detuning not
-    covered by the removable-limit formula."""
+    """The steady-state coherence ratio is not finite (its denominator
+    vanished, or its terms overflowed) at a detuning not covered by the
+    removable-limit formula."""
 
 
 class InvalidAngle(SpinHallError):

@@ -218,19 +218,21 @@ def coherence_ratio(delta_p, m: MediumParams):
     zeta = c.zeta
     gb2 = m.gamma_b / 2
     ge2 = m.gamma_e / 2
-    num = dp * (-omega2 + 1j * dp * (ge2 - 1j * dp))
-    den = (1j * dp * (ge2 - 1j * dp) * zeta
-           + 1j * omega2 * dp * (gb2 - 1j * dp)
-           + (gb2 - 1j * dp) * (ge2 - 1j * dp) * dp ** 2
-           - omega2 * abs(c.beta) ** 2)
     # a subnormal detuning is the resonance to double precision; num, den underflow
     at_zero = np.abs(dp) < np.finfo(float).tiny
-    bad = (den == 0) & ~at_zero
+    with np.errstate(all="ignore"):
+        num = dp * (-omega2 + 1j * dp * (ge2 - 1j * dp))
+        den = (1j * dp * (ge2 - 1j * dp) * zeta
+               + 1j * omega2 * dp * (gb2 - 1j * dp)
+               + (gb2 - 1j * dp) * (ge2 - 1j * dp) * dp ** 2
+               - omega2 * abs(c.beta) ** 2)
+        out = np.where(at_zero, _resonance_limit(m),
+                       num / np.where(at_zero, 1.0, den))
+    # a vanishing denominator, or terms that overflow at a large detuning
+    bad = ~np.isfinite(out)
     if np.any(bad):
         raise SingularDenominator(
-            f"coherence denominator vanished at delta_p={dp[bad].flat[0]!r}")
-    out = np.where(at_zero, _resonance_limit(m),
-                   num / np.where(at_zero, 1.0, den))
+            f"coherence ratio is not finite at delta_p={float(dp[bad].flat[0])!r}")
     if np.ndim(delta_p) == 0:
         return complex(out)
     return out

@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange
-from .medium import (ControlFieldSet, MediumParams, _coherence_polynomials,
-                     effective_couplings, susceptibility)
+from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange, SpinHallError
+from .medium import MediumParams, _coherence_polynomials, susceptibility
 from .multilayer import LayerStack, _amplitudes, RESONANT_DENOMINATOR_FLOOR
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
 
@@ -36,7 +35,6 @@ __all__ = [
     "find_transparency_windows",
     "extremal_angles",
     "max_shift_vs_detuning",
-    "shift_vs_density",
 ]
 
 GOLDEN_TOL_DEG = 1e-4
@@ -106,15 +104,13 @@ class ScanContext:
 class SweepGrid:
     """Evaluation grid; angles in degrees, detunings in gamma units.
 
-    ``eta_list`` expands the density column; ``amplitude_list`` (control
-    field sets) stacks whole sub-tables in order, slowest axis first:
-    rows run (amplitude, eta, detuning, theta) from slow to fast.
+    ``eta_list`` expands the density column: rows run (eta, detuning,
+    theta) from slow to fast.
     """
 
     theta_range: tuple  # (min_deg, max_deg, count)
     detuning_range: tuple  # (min_gamma, max_gamma, count)
     eta_list: Optional[Sequence[float]] = None
-    amplitude_list: Optional[Sequence[ControlFieldSet]] = None
 
     def __post_init__(self):
         for name, (lo, hi, count) in (("theta_range", self.theta_range),
@@ -153,8 +149,8 @@ class RowIndex:
 class SweepTable:
     """Sweep results stored by their structure.
 
-    Rows run (block, angle), angle fastest, with one block per (medium,
-    eta, detuning).  ``theta_rows`` holds the angles in degrees, one row
+    Rows run (block, angle), angle fastest, with one block per (eta,
+    detuning).  ``theta_rows`` holds the angles in degrees, one row
     shared by every block, shape (1, k), or one row per detuning, shape
     (detunings, k), which block b reads as row b % len(theta_rows).
     ``blocks`` holds BLOCK_FIELDS once per block, ``points`` POINT_FIELDS
@@ -226,7 +222,7 @@ class SweepTable:
 def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                 eta: float, medium: MediumParams, stack: LayerStack,
                 beam: BeamParams):
-    """Evaluate one chunk at one (medium, eta) and write its blocks and rows
+    """Evaluate one chunk at one eta and write its blocks and rows
     from row ``start``: the detuning vector against either a shared 1-D
     angle row or one angle row per detuning, theta fastest."""
     thetas_rad = np.radians(thetas_deg)
@@ -253,12 +249,12 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     table.codes[rows] = np.where(resonant, 1, 2 * bad).reshape(-1)  # FLAG_KINDS
 
 
-def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
+def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
              detunings, thetas_deg, stack: LayerStack, beam: BeamParams) -> SweepTable:
     """Table over explicit axes; every table in the package comes from here.
 
-    Rows run (medium, eta, detuning, theta), slowest first.  ``etas=None``
-    keeps each medium's own density.  ``thetas_deg`` is one angle row
+    Rows run (eta, detuning, theta), slowest first.  ``etas=None`` keeps
+    the medium's own density.  ``thetas_deg`` is one angle row
     shared by every detuning (1-D: the full product) or one row per
     detuning (shape ``(len(detunings), k)``).  The detunings are cut into
     chunks of whole angle rows, at most CHUNK_POINTS points each, and
@@ -273,19 +269,18 @@ def evaluate(media: Sequence[MediumParams], etas: Optional[Sequence[float]],
     if per_detuning and len(thetas_deg) != len(detunings):
         raise ValueError("a 2-D thetas_deg needs one row per detuning")
     row = thetas_deg.shape[-1]
-    table = SweepTable.empty(len(media) * (1 if etas is None else len(etas))
-                             * len(detunings) * row, thetas_deg)
+    etas = [medium.eta] if etas is None else etas
+    table = SweepTable.empty(len(etas) * len(detunings) * row, thetas_deg)
     if not len(table):
         return table
     step = max(1, CHUNK_POINTS // row)
     start = 0
-    for m in media:
-        for eta in ([m.eta] if etas is None else etas):
-            for lo in range(0, len(detunings), step):
-                chunk = detunings[lo:lo + step]
-                angles = thetas_deg[lo:lo + step] if per_detuning else thetas_deg
-                _fill_block(table, start, angles, chunk, float(eta), m, stack, beam)
-                start += len(chunk) * row
+    for eta in etas:
+        for lo in range(0, len(detunings), step):
+            chunk = detunings[lo:lo + step]
+            angles = thetas_deg[lo:lo + step] if per_detuning else thetas_deg
+            _fill_block(table, start, angles, chunk, float(eta), medium, stack, beam)
+            start += len(chunk) * row
     return table
 
 
@@ -293,12 +288,10 @@ def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
           beam: BeamParams) -> SweepTable:
     """Evaluate susceptibility, reflection and shifts over the full grid.
 
-    Row order is (amplitude set, eta, detuning, theta), theta fastest.
-    Per-point singularities are flagged, never raised.
+    Row order is (eta, detuning, theta), theta fastest.  Per-point
+    singularities are flagged, never raised.
     """
-    media = ([replace(medium, couplings=effective_couplings(fs))
-              for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
-    return evaluate(media, grid.eta_list or None, grid.detunings(),
+    return evaluate(medium, grid.eta_list or None, grid.detunings(),
                     grid.thetas_deg(), stack, beam)
 
 
@@ -335,13 +328,13 @@ def _golden_minimize(f: Callable, a, b, tol: float):
 
 
 def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
-                  coarse: int = 201, tol_deg: float = GOLDEN_TOL_DEG) -> float:
+                  coarse: int = 201) -> float:
     """Angle (degrees) minimizing |rp| inside the window.
 
     The window is scanned on a coarse grid, CHUNK_POINTS angles at a time
     so a long scan holds the temporaries of one chunk; the minimum must be
     interior (otherwise NoMinimumInWindow) and is then refined by golden
-    section inside its bracketing cell.
+    section to GOLDEN_TOL_DEG inside its bracketing cell.
     """
     lo, hi = theta_window_deg
     grid = np.linspace(lo, hi, coarse)
@@ -351,34 +344,27 @@ def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
     if i == 0 or i == coarse - 1 or not (vals[i] < vals[0] and vals[i] < vals[-1]):
         raise NoMinimumInWindow(f"|rp| has no interior minimum in {theta_window_deg}")
     f = lambda t_deg, rows: ctx.abs_rp(np.radians(t_deg))
-    return _golden_minimize(f, grid[i - 1], grid[i + 1], tol_deg)[0]
+    return _golden_minimize(f, grid[i - 1], grid[i + 1], GOLDEN_TOL_DEG)[0]
 
 
-def find_sign_flip(theta_deg, delta, ctx: ScanContext,
-                   tol_deg: float = GOLDEN_TOL_DEG) -> float:
+def find_sign_flip(theta_deg, delta, ctx: ScanContext) -> float:
     """Angle (degrees) where the tabulated spatial shift changes sign.
 
-    ``theta_deg``/``delta`` are a table slice providing the bracket; the
-    crossing is refined by bisection on the sign of the shift.
+    ``theta_deg``/``delta`` are a table slice providing the bracket: the
+    first neighbouring pair of its finite, nonzero shifts whose signs
+    differ.  The crossing is refined to GOLDEN_TOL_DEG by bisection on the
+    sign of the shift.
     """
     theta_deg = np.asarray(theta_deg, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    sign = np.sign(delta)
-    ok = np.isfinite(delta) & (sign != 0)
-    idx = None
-    prev = None
-    for i in range(len(delta)):
-        if not ok[i]:
-            continue
-        if prev is not None and sign[i] != sign[prev]:
-            idx = (prev, i)
-            break
-        prev = i
-    if idx is None:
+    usable = np.flatnonzero(np.isfinite(delta) & (delta != 0))
+    sign = np.sign(delta[usable])
+    flips = np.flatnonzero(sign[1:] != sign[:-1])
+    if not flips.size:
         raise NoSignChange("no sign change in the supplied slice")
-    a, b = theta_deg[idx[0]], theta_deg[idx[1]]
+    a, b = theta_deg[usable[flips[0]]], theta_deg[usable[flips[0] + 1]]
     fa = float(ctx.delta_plus(np.radians(a)))
-    while b - a > tol_deg:
+    while b - a > GOLDEN_TOL_DEG:
         mid = 0.5 * (a + b)
         fm = float(ctx.delta_plus(np.radians(mid)))
         if np.isnan(fm) or fm == 0.0:
@@ -439,12 +425,17 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple) -> li
     share, as for beta = 0) are divided out, so that no multiple root is
     split into spurious ones.  |chi|, not the absorption alone, is used:
     both dispersion and absorption are small there, the operating points
-    of enhanced beam shift.  May return an empty list.
+    of enhanced beam shift.  May return an empty list; raises
+    SpinHallError where a coefficient of q overflows.
     """
     if medium.eta == 0:
         return []
     num, den = _coherence_polynomials(medium)
-    q = np.polysub(*_critical_terms(num, den))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.polysub(*_critical_terms(num, den))
+    if not np.all(np.isfinite(q)):
+        raise SpinHallError("the transparency-window polynomial of this medium "
+                            "overflows")
     q[np.abs(q) <= _COEFF_ROUNDING * sum(_critical_terms(np.abs(num), np.abs(den)))] = 0.0
     q = np.trim_zeros(q, "b").tolist()
     lo, hi = detuning_range
@@ -502,13 +493,3 @@ def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
     detunings = np.asarray(detunings, dtype=float)
     return detunings, extremal_angles(kind, detunings, ctx_base,
                                       theta_window_deg, coarse)[1]
-
-
-def shift_vs_density(etas, theta_fixed_deg: float, ctx: ScanContext):
-    """delta_plus (units of the wavelength) versus density parameter at a
-    fixed angle and the context's detuning: the rows of one ``evaluate``
-    table over the eta axis, NaN where the table flags the point."""
-    etas = np.asarray(etas, dtype=float)
-    table = evaluate([ctx.medium], etas, [ctx.delta_p], [theta_fixed_deg],
-                     ctx.stack, ctx.beam)
-    return etas, table.delta_plus_lambda

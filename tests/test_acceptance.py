@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from spinhall import (BeamParams, ControlFieldSet, LayerStack, MediumParams,
-                      ScanContext, effective_couplings, find_brewster,
+                      ScanContext, effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
                       max_shift_vs_detuning, reflection_coefficients,
-                      shift_kernel, shift_vs_density, susceptibility)
+                      shift_kernel, susceptibility)
 from beam_quadrature import quadrature_shift
 from conftest import medium_from
 
@@ -116,11 +116,15 @@ def test_criterion_4_transparency_windows(ctl_medium, lambda_medium, ntype_mediu
 
 def test_criterion_5_density_dependence(ctl_medium, lambda_medium, ntype_medium):
     etas = (0.01, 0.05, 0.1, 0.2)
-    _, n_vals = shift_vs_density(etas, 33.6, context(ntype_medium))
+    ctx = context(ntype_medium)
+    n_vals = evaluate(ctx.medium, etas, [ctx.delta_p], [33.6], ctx.stack,
+                      ctx.beam).delta_plus_lambda
     ok_n = bool(np.all(np.diff(n_vals) < 0)) and n_vals[1] > n_vals[2]
     flat = []
     for medium in (lambda_medium, ctl_medium):
-        _, vals = shift_vs_density(etas, 33.6, context(medium))
+        ctx = context(medium)
+        vals = evaluate(ctx.medium, etas, [ctx.delta_p], [33.6], ctx.stack,
+                        ctx.beam).delta_plus_lambda
         flat.append(bool(np.all(np.abs(vals - vals[0]) <= 1e-6 * abs(vals[0]))))
     ok = ok_n and all(flat)
     assert report("5", ok, f"ntype delta(eta)={np.round(n_vals, 3)} strictly "

@@ -1,6 +1,8 @@
 """Configuration loading, round-trip, CSV schema and CLI behavior."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -51,6 +53,51 @@ def config_dicts(draw):
         maybe("medium", key, FINITE_EXTREMES)
     maybe("medium", "amplitudes", st.lists(FINITE_EXTREMES, min_size=4, max_size=4))
     return data
+
+
+# the numeric flags each command reads; given a flag it does not read, a
+# command exits 2
+READ_FLAGS = {"susceptibility": ("theta", "detuning", "eta"),
+              "shift": ("theta", "detuning", "eta", "grid"),
+              "sweep": ("eta", "grid"),
+              "brewster": ("detuning", "eta", "grid"),
+              "windows": ("theta", "eta"),
+              "oracle": ("theta", "detuning", "eta"),
+              "reproduce": ()}
+# not drawn: three unread flags that the benchmark's point queries pass,
+# and that stay accepted and ignored until the benchmark drops them
+# (brewster --theta, windows --detuning, and shift --grid --theta), and
+# --threads, which has no effect and prints a note
+IGNORED_FLAGS = {"brewster": ("theta",), "windows": ("detuning",)}
+# a numeric flag value as a user types it: in range, or an extreme
+FLAG_EXTREMES = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e300", "-1e300",
+                                 "1e-300", "-1e-300", "0", "-1e-3", "-2.5E-1"])
+FLAG_VALUES = {"theta": st.floats(0.5, 89.5).map(repr) | FLAG_EXTREMES,
+               "detuning": st.floats(-6.0, 6.0).map(repr) | FLAG_EXTREMES,
+               "eta": st.floats(0.0, 0.3).map(repr) | FLAG_EXTREMES}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv without --out, unread flags given): a command with numeric
+    flags, each read or unread, and a grid of 2 to 4 angles in [0, 95]."""
+    command = draw(st.sampled_from(sorted(READ_FLAGS)))
+    flags = {}
+    if draw(st.booleans(), label="grid"):
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 95.0), min_size=2,
+                                      max_size=2, unique=True)))
+        flags["grid"] = f"{lo!r},{hi!r},{draw(st.integers(2, 4))}"
+    skipped = IGNORED_FLAGS.get(command, ()) + (("theta",) if command == "shift"
+                                                and flags else ())
+    for flag in ("theta", "detuning", "eta"):
+        if flag not in skipped and draw(st.booleans(), label=flag):
+            flags[flag] = draw(FLAG_VALUES[flag], label=flag)
+    argv = [command, *(["fig4c"] if command == "reproduce" else []), "--preset",
+            draw(st.sampled_from(["fig2-ctl", "fig3-lambda", "fig4-ntype"])),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value]
+    return argv, [flag for flag in flags if flag not in READ_FLAGS[command]]
 
 
 class TestLoadConfig:
@@ -302,13 +349,17 @@ class TestCli:
         ["oracle", "--theta", "95"],
         ["oracle", "--theta", "0"],
         ["oracle", "--theta", "nan"],
+        ["windows", "--theta", "nan"],
+        ["shift", "--theta", "-1e1"],
     ])
     def test_angle_outside_domain_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
         assert code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "(0, 90) degrees" in err
+        assert captured.out == ""  # checked before any command prints
         assert list(tmp_path.iterdir()) == []  # no data file, no manifest
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -355,6 +406,12 @@ class TestCli:
         ["windows", "--eta", "nan"],
         ["shift", "--detuning", "nan"],
         ["brewster", "--detuning", "inf"],
+        ["brewster", "--detuning", "-inf"],
+        ["shift", "--eta", "-1e-3"],
+        # the coherence ratio overflows
+        ["shift", "--detuning", "1e300"],
+        ["oracle", "--detuning", "1e150"],
+        ["susceptibility", "--detuning", "-1e300"],
         # flags the command does not read
         ["reproduce", "fig2a", "--eta", "0.5"],
         ["reproduce", "fig2a", "--grid", "30,31,3"],
@@ -373,6 +430,30 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E-1"])
+    def test_negative_value_in_scientific_notation_after_a_space(self, value,
+                                                                 tmp_path):
+        # argparse on its own takes "-1e-3" after a space for an option
+        args = ["shift", "--preset", "fig2-ctl"]
+        code, spaced = run_cli(args + ["--detuning", value], tmp_path, "spaced.csv")
+        assert code == 0
+        code, joined = run_cli(args + [f"--detuning={value}"], tmp_path, "joined.csv")
+        assert code == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_window_polynomial_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps({"medium": {"amplitudes": [1e150] * 4}}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(["windows", "--config", str(cfg_path)], out_dir)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "overflows" in captured.err
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["shift", "--theta", "30"],
@@ -458,6 +539,31 @@ class TestCli:
                                "--out", str(out)])
         written = {out.exists(), Path(f"{out}.manifest.json").exists()}
         assert (code, written) in [(0, {True}), (3, {True}), (2, {False})]
+
+    @settings(max_examples=100, deadline=None)
+    @given(line=command_lines())
+    def test_any_flags_exit_with_both_files_or_one_error_line(self, line,
+                                                             tmp_path_factory):
+        """Every command under any numeric flag values exits 0 or 3 with
+        the data file and its manifest, or 2 with one error line, nothing
+        on stdout and no file; a flag the command does not read exits 2."""
+        argv, unread = line
+        out_dir = tmp_path_factory.mktemp("flags")
+        out = out_dir / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        err = stderr.getvalue()
+        files = sorted(p.name for p in out_dir.iterdir())
+        if code in (0, 3) and not unread:
+            assert files == ["out", "out.manifest.json"] and err == ""
+        else:
+            assert code == 2, err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert stdout.getvalue() == "" and files == []
 
     @pytest.mark.parametrize("args, config", [
         (["shift", "--grid", "30,38,1000000000"], None),

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from spinhall import (Configuration, ControlField, ControlFieldSet,
                       DegenerateBrightState, EffectiveCouplings, MediumParams,
-                      classify, coherence_ratio, effective_couplings,
-                      permittivity, refractive_index, susceptibility)
+                      SingularDenominator, classify, coherence_ratio,
+                      effective_couplings, permittivity, refractive_index,
+                      susceptibility)
 from spinhall.medium import _coherence_polynomials
 from conftest import bare_state_coherence, steady_state_coherence
 
@@ -161,6 +162,18 @@ class TestCoherenceRatio:
         for m in (ctl_medium, lambda_medium, ntype_medium):
             for dp in (1e3, -1e3):
                 assert abs(coherence_ratio(dp, m)) < 2e-3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dp", [1e300, -1e150, [0.5, 1e300]])
+    def test_overflowing_ratio_raises(self, dp, ctl_medium, lambda_medium,
+                                      ntype_medium):
+        # its terms overflow to a NaN ratio, which a table would flag as a
+        # resonant stack; the error names the detuning, and nothing warns
+        for m in (ctl_medium, lambda_medium, ntype_medium):
+            with pytest.raises(SingularDenominator, match=r"not finite at delta_p=-?1e\+"):
+                coherence_ratio(np.asarray(dp), m)
+            with pytest.raises(SingularDenominator):
+                susceptibility(np.asarray(dp), m)
 
     def test_two_level_limit(self):
         # no control fields at all: resonance value 2i/gamma_b

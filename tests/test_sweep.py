@@ -15,8 +15,8 @@ from spinhall import (BeamParams, ControlFieldSet, EffectiveCouplings, LayerStac
                       NoSignChange, ScanContext, SweepGrid,
                       effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
-                      load_config, max_shift_vs_detuning, shift_vs_density,
-                      susceptibility, sweep)
+                      load_config, max_shift_vs_detuning, susceptibility,
+                      sweep)
 from spinhall.multilayer import RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from spinhall.shifts import BREWSTER_FLOOR, shift_kernel
 from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT
@@ -46,7 +46,7 @@ def context(medium, delta_p=0.0, stack=None, beam=None):
                        delta_p=delta_p)
 
 
-def reference_table(media, etas, detunings, thetas_deg, stack, beam):
+def reference_table(medium, etas, detunings, thetas_deg, stack, beam):
     """The per-detuning evaluation the broadcast kernel replaced: one
     scalar detuning (one theta row) at a time, same row order, as a flat
     array per column of COLUMNS (the flags a list of strings).
@@ -54,32 +54,31 @@ def reference_table(media, etas, detunings, thetas_deg, stack, beam):
     thetas_deg = np.asarray(thetas_deg, dtype=float)
     theta_rows = thetas_deg if thetas_deg.ndim == 2 else [thetas_deg] * len(detunings)
     table = {c: [] for c in COLUMNS}
-    for m in media:
-        for eta in (etas or [m.eta]):
-            for dp, row in zip(detunings, theta_rows):
-                thetas_rad = np.radians(row)
-                chi = susceptibility(float(dp), replace(m, eta=float(eta)))
-                rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
-                                           replace(stack, eps2=1.0 + chi))
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
-                    ratio = np.abs(rs) / np.abs(rp)
-                resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
-                            | ~np.isfinite(rp) | ~np.isfinite(rs))
-                bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
-                n = len(row)
-                for col, value in (("theta_deg", row), ("detuning", dp), ("eta", eta),
-                                   ("chi1", chi.real), ("chi2", chi.imag),
-                                   ("abs_rp", np.abs(rp)), ("abs_rs", np.abs(rs)),
-                                   ("ratio_sp", ratio),
-                                   ("delta_plus_lambda", delta_plus / beam.lam),
-                                   ("theta_minus", theta_minus)):
-                    value = np.full(n, value, dtype=float)
-                    if col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
-                        value[bad] = np.nan
-                    table[col].append(value)
-                table["flags"] += [(FLAG_RESONANT if r else FLAG_BREWSTER) if b else ""
-                                   for r, b in zip(resonant, bad)]
+    for eta in (etas or [medium.eta]):
+        for dp, row in zip(detunings, theta_rows):
+            thetas_rad = np.radians(row)
+            chi = susceptibility(float(dp), replace(medium, eta=float(eta)))
+            rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
+                                       replace(stack, eps2=1.0 + chi))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
+                ratio = np.abs(rs) / np.abs(rp)
+            resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
+                        | ~np.isfinite(rp) | ~np.isfinite(rs))
+            bad = resonant | (np.abs(rp) < BREWSTER_FLOOR)
+            n = len(row)
+            for col, value in (("theta_deg", row), ("detuning", dp), ("eta", eta),
+                               ("chi1", chi.real), ("chi2", chi.imag),
+                               ("abs_rp", np.abs(rp)), ("abs_rs", np.abs(rs)),
+                               ("ratio_sp", ratio),
+                               ("delta_plus_lambda", delta_plus / beam.lam),
+                               ("theta_minus", theta_minus)):
+                value = np.full(n, value, dtype=float)
+                if col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
+                    value[bad] = np.nan
+                table[col].append(value)
+            table["flags"] += [(FLAG_RESONANT if r else FLAG_BREWSTER) if b else ""
+                               for r, b in zip(resonant, bad)]
     for col in COLUMNS[:-1]:
         table[col] = np.concatenate(table[col]) if table[col] else np.zeros(0)
     return table
@@ -176,11 +175,11 @@ def assert_tables_equal(got, want):
     assert got.column("flags").tolist() == want["flags"]
 
 
+# the "amplitude_list" grid sweeps one medium per control field set
 FIELD_SETS = [ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
 GRIDS = {
     "eta_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9), eta_list=(0.05, 0.1, 0.2)),
-    "amplitude_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9),
-                                amplitude_list=FIELD_SETS),
+    "amplitude_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9)),
     "brewster": SweepGrid((BREWSTER_DEG, BREWSTER_DEG + 1e-12, 2), (0.0, 1.0, 3)),
 }
 
@@ -202,17 +201,18 @@ class TestBroadcastKernel:
             monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 2 * n_theta + 1)
         elif chunk == "one_row":
             monkeypatch.setattr(sweep_module, "CHUNK_POINTS", n_theta)
-        media = ([replace(medium, couplings=effective_couplings(fs))
-                  for fs in grid.amplitude_list] if grid.amplitude_list else [medium])
-        want = reference_table(media, grid.eta_list, grid.detunings(),
-                               grid.thetas_deg(), vacuum_stack, beam)
-        with ThreadPoolExecutor(callers) as pool:
-            tables = list(pool.map(lambda _: sweep(grid, medium, vacuum_stack, beam),
-                                   range(callers)))
-        for got in tables:
-            assert_tables_equal(got, want)
-            if grid_name == "brewster" and preset != "ntype_medium":
-                assert got.flagged_count == 2  # both angles at the transparent detuning
+        media = ([replace(medium, couplings=effective_couplings(fs)) for fs in FIELD_SETS]
+                 if grid_name == "amplitude_list" else [medium])
+        for m in media:
+            want = reference_table(m, grid.eta_list, grid.detunings(),
+                                   grid.thetas_deg(), vacuum_stack, beam)
+            with ThreadPoolExecutor(callers) as pool:
+                tables = list(pool.map(lambda _: sweep(grid, m, vacuum_stack, beam),
+                                       range(callers)))
+            for got in tables:
+                assert_tables_equal(got, want)
+                if grid_name == "brewster" and preset != "ntype_medium":
+                    assert got.flagged_count == 2  # both angles at the transparent detuning
 
     def test_every_block_runs_on_the_calling_thread(self, ctl_medium, vacuum_stack,
                                                     beam, monkeypatch):
@@ -251,10 +251,10 @@ class TestBroadcastKernel:
     def test_one_angle_row_per_detuning(self, lambda_medium, vacuum_stack, beam):
         detunings = np.array([0.0, 0.1, 0.2])
         thetas = np.array([[33.0], [33.5], [34.0]])
-        got = evaluate([lambda_medium], None, detunings, thetas, vacuum_stack, beam)
+        got = evaluate(lambda_medium, None, detunings, thetas, vacuum_stack, beam)
         assert list(got.theta_deg) == [33.0, 33.5, 34.0]
         for i, dp in enumerate(detunings):
-            want = reference_table([lambda_medium], None, [dp], thetas[i],
+            want = reference_table(lambda_medium, None, [dp], thetas[i],
                                    vacuum_stack, beam)
             assert got.theta_minus[i] == want["theta_minus"][0]
             assert got.abs_rp[i] == want["abs_rp"][0]
@@ -263,7 +263,7 @@ class TestBroadcastKernel:
     def test_angle_outside_domain_raises(self, thetas, ctl_medium, vacuum_stack, beam):
         from spinhall import InvalidAngle
         with pytest.raises(InvalidAngle):
-            evaluate([ctl_medium], None, [0.0], thetas, vacuum_stack, beam)
+            evaluate(ctl_medium, None, [0.0], thetas, vacuum_stack, beam)
 
     @settings(max_examples=60, deadline=None)
     @given(preset=st.sampled_from(["ctl", "lambda", "ntype"]),
@@ -277,7 +277,7 @@ class TestBroadcastKernel:
                   "ntype": medium_from((0.5, 0.5, 0.7, 0.7))}[preset]
         thetas = thetas + [BREWSTER_DEG] * brewster
         detunings = detunings + [0.0] * resonance
-        table = evaluate([medium], None, detunings, thetas, LayerStack(eps2=1.0 + 0j),
+        table = evaluate(medium, None, detunings, thetas, LayerStack(eps2=1.0 + 0j),
                          BeamParams(w0=50 * LAM, lam=LAM))
         assert len(table) == len(thetas) * len(detunings)
         nan = (np.isnan(table.ratio_sp) | np.isnan(table.delta_plus_lambda)
@@ -297,7 +297,7 @@ class TestBroadcastKernel:
         monkeypatch.setattr(sweep_module, "susceptibility",
                             lambda detunings, medium: np.full(np.shape(detunings), chi))
         stack = LayerStack(eps2=1.0 + 0j, eps3=eps3 + 0j)
-        table = evaluate([ctl_medium], None, [0.0], [math.degrees(0.5)], stack, beam)
+        table = evaluate(ctl_medium, None, [0.0], [math.degrees(0.5)], stack, beam)
         assert np.isnan(table.abs_rp[0]) and np.isnan(table.abs_rs[0])
         assert table.column("flags").tolist() == [FLAG_RESONANT]
         for col in ("ratio_sp", "delta_plus_lambda", "theta_minus"):
@@ -312,7 +312,7 @@ MEDIA = {"ctl": medium_from((1.5, 3.0, 2.5, 0.9)),
 class TestStructuredTable:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), preset=st.sampled_from(sorted(MEDIA)),
-           amplitudes=st.lists(st.floats(0.1, 2.0), max_size=2),
+           amplitude=st.one_of(st.none(), st.floats(0.1, 2.0)),
            etas=st.one_of(st.none(), st.lists(st.one_of(st.just(0.0),
                                                         st.floats(0.0, 0.3)),
                                               min_size=1, max_size=3)),
@@ -320,15 +320,17 @@ class TestStructuredTable:
                               min_size=1, max_size=4),
            k=st.integers(1, 5), per_detuning=st.booleans(),
            brewster=st.booleans())
-    def test_columns_match_flat_reference(self, data, preset, amplitudes, etas,
+    def test_columns_match_flat_reference(self, data, preset, amplitude, etas,
                                           detunings, k, per_detuning, brewster):
         """column() of every column, the codes and the flag counts of the
         structured table equal the per-detuning flat reference bit for bit,
-        over 1-D and 2-D angle axes, several media and eta lists, with
-        evaluation chunks that end inside a (medium, eta) group."""
+        over 1-D and 2-D angle axes, preset media or their lower control
+        fields set to ``amplitude``, and eta lists, with evaluation chunks
+        that end inside an eta group."""
         medium = MEDIA[preset]
-        media = [medium] + [replace(medium, couplings=effective_couplings(
-            ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7))) for a in amplitudes]
+        if amplitude is not None:
+            medium = replace(medium, couplings=effective_couplings(
+                ControlFieldSet.from_amplitudes(amplitude, amplitude, 0.7, 0.7)))
         angle = st.one_of(st.just(BREWSTER_DEG) if brewster else st.nothing(),
                           st.floats(0.5, 89.5))
         shape = (len(detunings), k) if per_detuning else (k,)
@@ -339,8 +341,8 @@ class TestStructuredTable:
         stack, beam = LayerStack(eps2=1.0 + 0j), BeamParams(w0=50 * LAM, lam=LAM)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sweep_module, "CHUNK_POINTS", chunk)
-            got = evaluate(media, etas, detunings, thetas, stack, beam)
-        want = reference_table(media, etas, detunings, thetas, stack, beam)
+            got = evaluate(medium, etas, detunings, thetas, stack, beam)
+        want = reference_table(medium, etas, detunings, thetas, stack, beam)
         assert_tables_equal(got, want)
         kinds = np.array(sweep_module.FLAG_KINDS)
         assert kinds[got.codes].tolist() == want["flags"]
@@ -396,14 +398,6 @@ class TestSweep:
         table = sweep(grid, ntype_medium, vacuum_stack, beam)
         assert len(table) == 12
         assert sorted(set(table.eta)) == [0.05, 0.1]
-
-    def test_amplitude_list_stacks_blocks(self, ntype_medium, vacuum_stack, beam):
-        sets = [ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
-        grid = SweepGrid((33.0, 34.0, 3), (0.0, 1.0, 2), amplitude_list=sets)
-        table = sweep(grid, ntype_medium, vacuum_stack, beam)
-        assert len(table) == 12
-        # blocks are stacked in field-set order, slowest axis first
-        assert not np.allclose(table.chi2[:6], table.chi2[6:])
 
     def test_brewster_point_is_flagged_not_fatal(self, ctl_medium, vacuum_stack, beam):
         grid = SweepGrid((BREWSTER_DEG - 1.0, BREWSTER_DEG, 2), (0.0, 1.0, 2))
@@ -708,18 +702,21 @@ class TestCurves:
 
     def test_ntype_density_curve_decreasing(self, ntype_medium):
         ctx = context(ntype_medium)
-        etas, vals = shift_vs_density((0.01, 0.05, 0.1, 0.2), 33.6, ctx)
+        vals = evaluate(ctx.medium, (0.01, 0.05, 0.1, 0.2), [ctx.delta_p], [33.6],
+                        ctx.stack, ctx.beam).delta_plus_lambda
         assert np.all(np.diff(vals) < 0)
 
     def test_lambda_density_curve_flat(self, lambda_medium):
         ctx = context(lambda_medium)
-        _, vals = shift_vs_density((0.01, 0.05, 0.1, 0.2), 33.6, ctx)
+        vals = evaluate(ctx.medium, (0.01, 0.05, 0.1, 0.2), [ctx.delta_p], [33.6],
+                        ctx.stack, ctx.beam).delta_plus_lambda
         assert np.all(np.abs(vals - vals[0]) <= 1e-6 * abs(vals[0]))
 
     def test_vacuum_density_endpoint(self, ntype_medium, vacuum_stack, beam):
         # eta -> 0 reproduces the empty-cavity stack value
         ctx = context(ntype_medium)
-        _, vals = shift_vs_density((0.0, 1e-12), 33.6, ctx)
+        vals = evaluate(ctx.medium, (0.0, 1e-12), [ctx.delta_p], [33.6],
+                        ctx.stack, ctx.beam).delta_plus_lambda
         empty = context(replace(ntype_medium, eta=0.0))
         ref = float(empty.delta_plus(math.radians(33.6))) / LAM
         assert vals[0] == ref
@@ -728,22 +725,25 @@ class TestCurves:
     def test_density_monotonicity_on_fifty_point_grid(self, ntype_medium,
                                                       lambda_medium, ctl_medium):
         etas = np.linspace(0.01, 0.2, 50)
-        _, n_vals = shift_vs_density(etas, 33.6, context(ntype_medium))
+        ctx = context(ntype_medium)
+        n_vals = evaluate(ctx.medium, etas, [ctx.delta_p], [33.6], ctx.stack,
+                          ctx.beam).delta_plus_lambda
         assert np.all(np.diff(n_vals) < 0)
         for medium in (lambda_medium, ctl_medium):
-            _, flat = shift_vs_density(etas, 33.6, context(medium))
+            ctx = context(medium)
+            flat = evaluate(ctx.medium, etas, [ctx.delta_p], [33.6], ctx.stack,
+                            ctx.beam).delta_plus_lambda
             assert np.all(np.abs(flat - flat[0]) <= 1e-6 * abs(flat[0]))
 
     @pytest.mark.parametrize("theta", [33.6, 33.69, 33.7])
     def test_density_curve_is_the_table(self, theta):
-        # the curve is the table's rows at the same points, bit for bit
+        # the table's eta axis is the pointwise shift at each eta, bit for bit
         medium, stack, beam = load_config(preset="fig4-ntype").build()
         etas = np.linspace(0.01, 0.2, 50)
-        ctx = ScanContext(medium, stack, beam, delta_p=0.1)
-        got_etas, curve = shift_vs_density(etas, theta, ctx)
-        table = evaluate([medium], etas, [0.1], [theta], stack, beam)
-        np.testing.assert_array_equal(got_etas, etas)
-        assert np.array_equal(curve, table.delta_plus_lambda)
+        curve = evaluate(medium, etas, [0.1], [theta], stack, beam).delta_plus_lambda
+        np.testing.assert_array_equal(curve, [
+            float(ScanContext(replace(medium, eta=eta), stack, beam, delta_p=0.1)
+                  .delta_plus(np.radians(theta))) / beam.lam for eta in etas])
 
     def test_lambda_angular_maximum_grows_near_resonance(self, lambda_medium):
         ctx = context(lambda_medium)

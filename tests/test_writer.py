@@ -101,7 +101,7 @@ def flagged_tables():
     axes = [(np.linspace(-2.0, 2.0, 9),
              np.append(np.linspace(30.0, 38.0, 41), [brewster, brewster + 1e-12])),
             ([0.0, 0.5, 1.0], [[brewster, 34.0], [33.0, brewster], [36.0, 37.0]])]
-    tables = [evaluate([medium], [0.05, 0.1], detunings, thetas,
+    tables = [evaluate(medium, [0.05, 0.1], detunings, thetas,
                        LayerStack(eps2=1.0 + 0j), beam) for detunings, thetas in axes]
     assert [table.flagged_count for table in tables] == [4, 2]
     # codes that use no flag, resonant only, brewster only or both, whose
@@ -225,7 +225,7 @@ class TestCliAgainstReference:
         medium, stack, beam = cfg.build()
         lo, hi, n = cfg.sweep.detuning
         detunings = np.linspace(lo, hi, int(n))
-        table = evaluate([medium], cfg.sweep.eta_list or None, detunings,
+        table = evaluate(medium, cfg.sweep.eta_list or None, detunings,
                          np.linspace(33.0, 34.0, 7), stack, beam)
         ref = tmp_path / "ref.json"
         manifest = RunManifest.for_run(argv, cfg, len(table), table.flagged_count,
@@ -452,7 +452,7 @@ def test_eta_grid_slots_fit_their_text(fmt):
     holds only ""."""
     medium, stack, beam = load_config(preset="fig2-ctl").build()
     axes = ETA_GRID["sweep"]
-    table = evaluate([medium], axes["eta_list"], np.linspace(*axes["detuning"]),
+    table = evaluate(medium, axes["eta_list"], np.linspace(*axes["detuning"]),
                      np.linspace(*axes["theta_deg"]), stack, beam)
     data = table.indexed_columns()
     assert table.flagged_count == 0 and data[-1][0].tolist() == [""]
