@@ -305,8 +305,9 @@ def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
 
 
 def _parse_grid(text: str, points_per_angle: int = 1):
-    """(T0, T1, N) from --grid, held to the rule of a config-file grid and,
-    with ``points_per_angle`` rows per angle, to the table-size limit."""
+    """(T0, T1, N) from --grid, held to the rule of a config-file grid, to
+    angles in (0, 90) degrees and, with ``points_per_angle`` rows per
+    angle, to the table-size limit."""
     try:
         lo, hi, n = text.split(",")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -314,6 +315,8 @@ def _parse_grid(text: str, points_per_angle: int = 1):
         raise ValidationError(f"--grid expects T0,T1,N, got {text!r}") from None
     if n < 2 or not lo < hi:
         raise ValidationError(f"--grid needs T0 < T1 and N >= 2, got {text!r}")
+    if not (0.0 < lo and hi < 90.0):
+        raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
     check_table_points(n, points_per_angle)
     return lo, hi, n
 

@@ -11,6 +11,7 @@ JSON booleans), then against its domain.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import dataclasses
 import json
@@ -121,6 +122,12 @@ class RunConfig:
             beam = BeamParams(w0=self.beam.w0_lambdas * self.stack.lam,
                               lam=self.stack.lam,
                               eps_incident=float(self.stack.eps1[0]))
+            # the stack squares the outer layers' wave numbers
+            k0_squared = beam.k0 ** 2
+            if not (cmath.isfinite(k0_squared * stack.eps1)
+                    and cmath.isfinite(k0_squared * stack.eps3)):
+                raise ValueError("eps1 and eps3 out of range: k0^2 eps1 and k0^2 eps3 "
+                                 "must be finite")
         except (ValueError, TypeError) as exc:
             raise ValidationError(str(exc)) from exc
         return medium, stack, beam

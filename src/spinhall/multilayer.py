@@ -105,9 +105,10 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
 
 
 def _amplitudes(theta_i, lam, stack):
-    """Vectorized core: (rp, rs, min |denominator|) without error checks."""
-    _, _, kz = _wave_vectors(theta_i, lam, stack)
+    """Vectorized core: (rp, rs, min |denominator|) without error checks
+    or warnings; a value that overflows comes out non-finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, _, kz = _wave_vectors(theta_i, lam, stack)
         phase = np.exp(2j * kz[1] * stack.thickness_d)
         (rp, den_p), (rs, den_s) = (
             _composite(_interface(q1, q2), _interface(q2, q3), phase)
@@ -124,12 +125,13 @@ def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):
         dr = [2u (s^2 - m^2 P^2) + 4 q1 q2 (2w P + m s P')] / (s t + n m P)^2,
 
     u = q1' q2 - q1 q2', w = q2' q3 - q2 q3', P' = 2i d k2z' P; infinite
-    where some kz vanishes (a critical angle).
+    where some kz vanishes (a critical angle), and non-finite, without a
+    warning, where a term overflows.
     """
-    k0, kx, kz = _wave_vectors(theta_i, lam, stack)
-    dkx = np.real(np.sqrt(stack.eps1)) * k0 * np.cos(theta_i)
     out = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k0, kx, kz = _wave_vectors(theta_i, lam, stack)
+        dkx = np.real(np.sqrt(stack.eps1)) * k0 * np.cos(theta_i)
         dkz = tuple(-kx * dkx / k for k in kz)
         phase = np.exp(2j * kz[1] * stack.thickness_d)
         dphase = 2j * stack.thickness_d * dkz[1] * phase

@@ -111,18 +111,22 @@ def shift_kernel(theta_i, rp, rs, beam: BeamParams):
     ``theta_i``, ``rp`` and ``rs`` are scalars or arrays that broadcast
     together.  Entries with |rp| below BREWSTER_FLOOR, where the
     first-order expansion is unreliable, come out as NaN; tables flag them.
+    Toward normal incidence, where cot(theta) or |(1 + rs/rp) cot|^2
+    overflows, both shifts take their limit 0.
     """
     rp = np.asarray(rp, dtype=complex)
     ok = np.abs(rp) >= BREWSTER_FLOOR
     safe_rp = np.where(ok, rp, 1.0)
-    one_plus = 1 + np.asarray(rs, dtype=complex) / safe_rp
-    cot = np.cos(theta_i) / np.sin(theta_i)
     k1w2 = beam.k1 * beam.w0 ** 2
-    den = beam.k1 * k1w2 + np.abs(one_plus * cot) ** 2
-    delta_plus = np.where(ok, -k1w2 * np.real(one_plus) * cot / den, np.nan)
-    theta_minus = np.where(
-        ok, k1w2 * np.imag(one_plus) * cot / den / beam.rayleigh, np.nan)
-    return delta_plus, theta_minus
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        one_plus = 1 + np.asarray(rs, dtype=complex) / safe_rp
+        cot = np.cos(theta_i) / np.sin(theta_i)
+        den = beam.k1 * k1w2 + np.abs(one_plus * cot) ** 2
+        delta_plus = -k1w2 * np.real(one_plus) * cot / den
+        theta_minus = k1w2 * np.imag(one_plus) * cot / den / beam.rayleigh
+    normal = np.isinf(cot) | np.isinf(den)
+    return (np.where(ok, np.where(normal, 0.0, delta_plus), np.nan),
+            np.where(ok, np.where(normal, 0.0, theta_minus), np.nan))
 
 
 def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
@@ -139,9 +143,12 @@ def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams
     rp, rs = reflection_coefficients(theta_i, beam.lam, stack)
     # looked up at call time, so a wrapper bound on the module sees the call
     drp, _ = multilayer.stack_reflection_derivative(theta_i, beam.lam, stack)
-    cot = np.cos(theta_i) / np.sin(theta_i)
     both = rp + rs
-    spread = (abs(drp) ** 2 + abs(cot * both) ** 2) / (beam.k1 * beam.w0) ** 2
-    delta = float(-cot * np.real(np.conj(rp) * both) / beam.k1
-                  / (abs(rp) ** 2 + spread))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cot = np.cos(theta_i) / np.sin(theta_i)
+        spread = (abs(drp) ** 2 + abs(cot * both) ** 2) / (beam.k1 * beam.w0) ** 2
+        delta = float(-cot * np.real(np.conj(rp) * both) / beam.k1
+                      / (abs(rp) ** 2 + spread))
+    if np.isinf(spread):  # toward normal incidence, at a critical angle or w0 -> 0
+        delta = 0.0
     return delta, -delta

@@ -1,12 +1,14 @@
 """Evaluation tables, Brewster / sign-flip location and window finding.
 
-Every table is one broadcast of the detuning axis against the angle
-axis: ``evaluate`` computes the susceptibility once per detuning chunk,
-passes ``eps2 = 1 + chi[:, None]`` through the stack so the angle-only
-terms are shared by every detuning, and writes each detuning's block
-fields once and its points by row index (see ``SweepTable``).
-Chunks hold whole angle rows and at most CHUNK_POINTS points and are
-evaluated in order on the calling thread.  Singular points (Brewster
+Every table is one broadcast of its (eta, detuning) blocks against the
+angle axis: ``evaluate`` computes the susceptibility of a chunk of
+blocks, passes ``eps2 = 1 + chi[:, None]`` through the stack so the
+angle-only terms are shared by every block, and writes each block's
+fields once and its points by row index (see ``SweepTable``).  Every
+stack evaluation here (tables, the pointwise ``ScanContext`` and the
+extremum scans) runs in the chunks of ``_chunks``: whole angle rows, at
+most CHUNK_POINTS points each, in order on the calling thread, so its
+temporaries are bounded whatever the axes.  Singular points (Brewster
 floor, resonant stack denominator) are flagged in their row instead of
 aborting the table.
 """
@@ -41,7 +43,7 @@ GOLDEN_TOL_DEG = 1e-4
 _COEFF_ROUNDING = 1e-13  # relative rounding of a window-polynomial coefficient
 FLAG_BREWSTER = "brewster_singularity"
 FLAG_RESONANT = "resonant_denominator"
-CHUNK_POINTS = 65_536  # points per evaluation chunk: ~1 MB per complex temporary
+CHUNK_POINTS = 32_768  # points per evaluation chunk: 512 KB per complex temporary
 
 FLAG_KINDS = ("", FLAG_RESONANT, FLAG_BREWSTER)  # indexed by a row's flag code
 _FLAG_TEXT = np.array(FLAG_KINDS)
@@ -52,9 +54,23 @@ POINT_FIELDS = ("abs_rp", "abs_rs", "ratio_sp", "delta_plus_lambda", "theta_minu
 COLUMNS = ("theta_deg", *BLOCK_FIELDS, *POINT_FIELDS, "flags")
 
 
+def _chunks(blocks: int, row: int):
+    """Slices that cover range(blocks) in order, each of at most
+    CHUNK_POINTS // row blocks of ``row`` points and of one block at
+    least, or one empty slice when there are no blocks."""
+    step = max(1, CHUNK_POINTS // max(row, 1))
+    for lo in range(0, max(blocks, 1), step):
+        yield slice(lo, min(lo + step, blocks))
+
+
 @dataclass(frozen=True)
 class ScanContext:
-    """Physics bundle for pointwise evaluation at a fixed detuning."""
+    """Physics bundle for pointwise evaluation at a fixed detuning.
+
+    Any number of angles is evaluated as one-row tables of at most
+    CHUNK_POINTS angles each, so every value rounds exactly as the table
+    row at the same point does.
+    """
 
     medium: MediumParams
     stack: LayerStack
@@ -73,23 +89,25 @@ class ScanContext:
         """Stack with the intracavity permittivity set for this detuning."""
         return replace(self.stack, eps2=self._row_stack.eps2[0, 0])
 
-    def _row(self, theta):
-        """(angles, rp, rs) of theta in radians as a one-row table, so every
-        value rounds exactly as the table row at the same point does."""
+    def _row(self, theta, f) -> list:
+        """The arrays f(angles, rp, rs) gives on each chunk of theta in
+        radians, each joined over the chunks and shaped like theta."""
         row = np.asarray(theta, dtype=float).reshape(-1)
-        rp, rs, _ = _amplitudes(row, self.beam.lam, self._row_stack)
-        return row, rp, rs
+        parts = [f(row[chunk], *_amplitudes(row[chunk], self.beam.lam,
+                                            self._row_stack)[:2])
+                 for chunk in _chunks(len(row), 1)]
+        return [np.concatenate(p, axis=-1).reshape(np.shape(theta)) for p in zip(*parts)]
 
     def coefficients(self, theta):
         """(rp, rs) at angle(s) theta in radians, shaped like theta."""
-        _, rp, rs = self._row(theta)
-        return rp.reshape(np.shape(theta)), rs.reshape(np.shape(theta))
+        return tuple(self._row(theta, lambda t, rp, rs: (rp, rs)))
 
     def abs_rp(self, theta):
-        return np.abs(self.coefficients(theta)[0])
+        return self._row(theta, lambda t, rp, rs: (np.abs(rp),))[0]
 
     def _shift(self, theta, which: int):
-        return shift_kernel(*self._row(theta), self.beam)[which].reshape(np.shape(theta))
+        return self._row(theta, lambda t, rp, rs: (
+            shift_kernel(t, rp, rs, self.beam)[which],))[0]
 
     def delta_plus(self, theta):
         """Spatial shift (meters) of the right-circular component."""
@@ -220,13 +238,19 @@ class SweepTable:
 
 
 def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
-                eta: float, medium: MediumParams, stack: LayerStack,
+                etas, medium: MediumParams, stack: LayerStack,
                 beam: BeamParams):
-    """Evaluate one chunk at one eta and write its blocks and rows
-    from row ``start``: the detuning vector against either a shared 1-D
-    angle row or one angle row per detuning, theta fastest."""
+    """Evaluate one chunk of blocks and write its blocks and rows from
+    row ``start``: block i at ``detunings[i]`` and density ``etas[i]``,
+    against either a shared 1-D angle row or one angle row per block,
+    theta fastest.  chi takes one susceptibility call per run of etas
+    equal to the bit, so each block gets the bits of its own eta."""
     thetas_rad = np.radians(thetas_deg)
-    chi = susceptibility(detunings, replace(medium, eta=eta))
+    bits = etas.view(np.uint64)  # -0.0 starts a run of its own after 0.0
+    edges = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(etas)]
+    chi = np.concatenate([
+        susceptibility(detunings[a:b], replace(medium, eta=float(etas[a])))
+        for a, b in zip(edges, edges[1:])])
     rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
                                replace(stack, eps2=1.0 + chi[:, None]))
     abs_rp, abs_rs = np.abs(rp), np.abs(rs)
@@ -239,7 +263,7 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                 | ~np.isfinite(rp) | ~np.isfinite(rs))
     bad = resonant | (abs_rp < BREWSTER_FLOOR)
     blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
-    for i, value in enumerate((detunings, eta, chi.real, chi.imag)):
+    for i, value in enumerate((detunings, etas, chi.real, chi.imag)):
         table.blocks[i, blocks] = value
     rows = slice(start, start + rp.size)
     for i, value in enumerate((abs_rp, abs_rs, np.where(bad, np.nan, ratio),
@@ -256,10 +280,11 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
     Rows run (eta, detuning, theta), slowest first.  ``etas=None`` keeps
     the medium's own density.  ``thetas_deg`` is one angle row
     shared by every detuning (1-D: the full product) or one row per
-    detuning (shape ``(len(detunings), k)``).  The detunings are cut into
-    chunks of whole angle rows, at most CHUNK_POINTS points each, and
-    each chunk writes its blocks and rows by index.  Angles outside (0, 90) degrees
-    raise InvalidAngle before anything is evaluated.
+    detuning (shape ``(len(detunings), k)``).  The (eta, detuning)
+    blocks form one flat axis, cut into the chunks of ``_chunks`` (whole
+    angle rows, at most CHUNK_POINTS points), so a chunk may span etas;
+    each chunk writes its blocks and rows by index.  Angles outside
+    (0, 90) degrees raise InvalidAngle before anything is evaluated.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     thetas_deg = np.asarray(thetas_deg, dtype=float)
@@ -269,18 +294,16 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
     if per_detuning and len(thetas_deg) != len(detunings):
         raise ValueError("a 2-D thetas_deg needs one row per detuning")
     row = thetas_deg.shape[-1]
-    etas = [medium.eta] if etas is None else etas
-    table = SweepTable.empty(len(etas) * len(detunings) * row, thetas_deg)
+    etas = np.array([medium.eta] if etas is None else etas, dtype=float)
+    n = len(detunings)
+    table = SweepTable.empty(len(etas) * n * row, thetas_deg)
     if not len(table):
         return table
-    step = max(1, CHUNK_POINTS // row)
-    start = 0
-    for eta in etas:
-        for lo in range(0, len(detunings), step):
-            chunk = detunings[lo:lo + step]
-            angles = thetas_deg[lo:lo + step] if per_detuning else thetas_deg
-            _fill_block(table, start, angles, chunk, float(eta), medium, stack, beam)
-            start += len(chunk) * row
+    for chunk in _chunks(len(etas) * n, row):
+        blocks = np.arange(chunk.start, chunk.stop)
+        _fill_block(table, chunk.start * row,
+                    thetas_deg[blocks % n] if per_detuning else thetas_deg,
+                    detunings[blocks % n], etas[blocks // n], medium, stack, beam)
     return table
 
 
@@ -331,15 +354,14 @@ def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
                   coarse: int = 201) -> float:
     """Angle (degrees) minimizing |rp| inside the window.
 
-    The window is scanned on a coarse grid, CHUNK_POINTS angles at a time
-    so a long scan holds the temporaries of one chunk; the minimum must be
-    interior (otherwise NoMinimumInWindow) and is then refined by golden
-    section to GOLDEN_TOL_DEG inside its bracketing cell.
+    The window is scanned on a coarse grid (in chunks, by ``ctx``); the
+    minimum must be interior (otherwise NoMinimumInWindow) and is then
+    refined by golden section to GOLDEN_TOL_DEG inside its bracketing
+    cell.
     """
     lo, hi = theta_window_deg
     grid = np.linspace(lo, hi, coarse)
-    vals = np.concatenate([ctx.abs_rp(np.radians(grid[k:k + CHUNK_POINTS]))
-                           for k in range(0, coarse, CHUNK_POINTS)])
+    vals = ctx.abs_rp(np.radians(grid))
     i = int(np.argmin(vals))
     if i == 0 or i == coarse - 1 or not (vals[i] < vals[0] and vals[i] < vals[-1]):
         raise NoMinimumInWindow(f"|rp| has no interior minimum in {theta_window_deg}")
@@ -450,13 +472,16 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     """Per-detuning extremum over incidence angle: (angles_deg, values).
 
     ``kind`` is "spatial" (largest |delta_plus|, valued in units of the
-    wavelength) or "angular" (largest theta_minus).  The coarse scan is
-    one broadcast of the detunings against the angle grid, with
-    ``eps2 = 1 + chi[:, None]`` as in the table kernel; the best grid
-    point of every detuning is then refined by one lockstep golden
-    section over all detunings, and the refined angle is kept only where
-    it beats the grid.  Each detuning takes the steps a search of its
-    own would take; an empty detuning list gives empty arrays.
+    wavelength) or "angular" (largest theta_minus).  The coarse scan
+    broadcasts the detunings against the angle grid, with
+    ``eps2 = 1 + chi[:, None]`` as in the table kernel, a chunk of whole
+    grid rows at a time, and keeps only each detuning's best grid point
+    and value.  These are refined by one lockstep golden section over all
+    detunings, whose points are evaluated in chunks too, and the refined
+    angle is kept only where it beats the grid.  So the working set does
+    not grow with the number of detunings.  Each detuning takes the steps
+    a search of its own would take; an empty detuning list gives empty
+    arrays.
     """
     if kind not in ("spatial", "angular"):
         raise ValueError("kind must be 'spatial' or 'angular'")
@@ -471,15 +496,23 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
         delta_plus, theta_minus = shift_kernel(t, rp, rs, beam)
         return -np.abs(delta_plus) if kind == "spatial" else -theta_minus
 
-    vals = objective(grid_rad, eps2[:, None])
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    i = np.argmin(vals, axis=1)
-    grid_best = -vals[np.arange(len(i)), i]
-    t_best = _golden_minimize(lambda t, rows: objective(t, eps2[rows]),
-                              grid_rad[np.maximum(i - 1, 0)],
+    def at_points(t, rows):  # the objective at t[j] against eps2[rows[j]]
+        out = np.empty(len(t))
+        for chunk in _chunks(len(t), 1):
+            out[chunk] = objective(t[chunk], eps2[rows[chunk]])
+        return out
+
+    i = np.empty(len(detunings), np.intp)
+    grid_best = np.empty(len(detunings))
+    for chunk in _chunks(len(detunings), coarse):
+        vals = objective(grid_rad, eps2[chunk, None])
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+        i[chunk] = np.argmin(vals, axis=1)
+        grid_best[chunk] = -vals[np.arange(len(vals)), i[chunk]]
+    t_best = _golden_minimize(at_points, grid_rad[np.maximum(i - 1, 0)],
                               grid_rad[np.minimum(i + 1, coarse - 1)],
                               np.radians(GOLDEN_TOL_DEG))
-    refined = -objective(t_best, eps2)
+    refined = -at_points(t_best, np.arange(len(detunings)))
     better = refined > grid_best
     best = np.where(better, refined, grid_best)
     angles = np.where(better, t_best, grid_rad[i])

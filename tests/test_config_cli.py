@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
                       find_brewster, load_config, max_shift_vs_detuning,
@@ -37,9 +37,10 @@ FINITE_EXTREMES = (st.sampled_from([1e-300, 1e-150, 1e-20, 1e20, 1e150, 1e300])
 
 @st.composite
 def config_dicts(draw):
-    """A config object whose wavelength, waist, thickness, density, decay
-    rates and field amplitudes are each drawn from FINITE_EXTREMES or left
-    to their defaults, over a 3 x 3 sweep."""
+    """A config object whose wavelength, waist, thickness, outer
+    permittivities, density, decay rates and field amplitudes are each
+    drawn from FINITE_EXTREMES or left to their defaults, over a 3 x 3
+    sweep."""
     def maybe(block, key, strategy):
         if draw(st.booleans(), label=f"{block}.{key} set"):
             data[block][key] = draw(strategy, label=f"{block}.{key}")
@@ -48,6 +49,8 @@ def config_dicts(draw):
             "sweep": {"theta_deg": [30.0, 38.0, 3], "detuning": [-1.0, 1.0, 3]}}
     maybe("stack", "lam", FINITE_EXTREMES)
     maybe("stack", "thickness_d", FINITE_EXTREMES)
+    for key in ("eps1", "eps3"):
+        maybe("stack", key, st.tuples(FINITE_EXTREMES, st.just(0.0)).map(list))
     maybe("beam", "w0_lambdas", FINITE_EXTREMES)
     for key in ("eta", "gamma_b", "gamma_e"):
         maybe("medium", key, FINITE_EXTREMES)
@@ -351,6 +354,8 @@ class TestCli:
         ["oracle", "--theta", "nan"],
         ["windows", "--theta", "nan"],
         ["shift", "--theta", "-1e1"],
+        ["brewster", "--grid", "0,67,3"],
+        ["brewster", "--grid", "30,90,5"],
     ])
     def test_angle_outside_domain_exits_2(self, args, tmp_path, capsys):
         code, out = run_cli(args + ["--preset", "fig2-ctl"], tmp_path)
@@ -508,6 +513,9 @@ class TestCli:
         {"beam": {"w0_lambdas": 1e160}},  # (k1 w0) squared
         {"medium": {"amplitudes": [1.0, 1.0, 1e300, 1.0]}},  # Omega squared
         {"medium": {"alpha": [1e300, 0.0], "beta": [0.0, 0.0], "omega_total": 1.0}},
+        {"stack": {"eps1": [1e300, 0.0]}},  # k0^2 eps1
+        {"stack": {"eps3": [1e300, 0.0]}},  # k0^2 eps3
+        {"stack": {"eps3": [2.25, 1e300]}},
     ])
     def test_config_value_whose_square_overflows_exits_2(self, command, config,
                                                          tmp_path, capsys):
@@ -521,16 +529,20 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(data=config_dicts(), fmt=st.sampled_from(["csv", "json"]),
            command=st.sampled_from([["susceptibility"], ["shift"], ["sweep"],
                                     ["brewster"], ["windows"], ["oracle"],
                                     ["reproduce", "fig4c"], ["reproduce", "fig5b"]]))
+    # k0^2 eps1 and k0^2 eps3 overflow
+    @example(data={"stack": {"eps1": [1e300, 0.0]}}, fmt="csv", command=["shift"])
+    @example(data={"stack": {"eps3": [1e300, 0.0]}}, fmt="csv", command=["shift"])
     def test_any_config_exits_with_both_files_or_neither(self, data, fmt, command,
                                                          tmp_path_factory):
-        """Every command under any config with finite values raises nothing:
-        it exits 0 or 3 with the data file and its manifest, or 2 with
-        neither."""
+        """Every command under any config with finite values raises nothing
+        and warns nothing: it exits 0 or 3 with the data file and its
+        manifest, or 2 with neither."""
         out_dir = tmp_path_factory.mktemp("run")
         cfg_path = out_dir / "cfg.json"
         cfg_path.write_text(json.dumps(data))
@@ -540,13 +552,20 @@ class TestCli:
         written = {out.exists(), Path(f"{out}.manifest.json").exists()}
         assert (code, written) in [(0, {True}), (3, {True}), (2, {False})]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(line=command_lines())
+    # toward normal incidence the shifts overflowed on their way to 0
+    @example(line=(["shift", "--preset", "fig2-ctl", "--theta", "1e-200"], []))
+    @example(line=(["oracle", "--preset", "fig2-ctl", "--theta", "1e-200"], []))
+    # a grid from 0 degrees
+    @example(line=(["brewster", "--preset", "fig2-ctl", "--grid", "0,67,3"], []))
     def test_any_flags_exit_with_both_files_or_one_error_line(self, line,
                                                              tmp_path_factory):
         """Every command under any numeric flag values exits 0 or 3 with
-        the data file and its manifest, or 2 with one error line, nothing
-        on stdout and no file; a flag the command does not read exits 2."""
+        the data file and its manifest and nothing on stderr, or 2 with one
+        error line, nothing on stdout and no file; a flag the command does
+        not read exits 2.  No numpy warning is raised."""
         argv, unread = line
         out_dir = tmp_path_factory.mktemp("flags")
         out = out_dir / "out"
@@ -683,6 +702,20 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == GOLDEN_HEADER
         assert len(lines) == 101  # 2 angles x 50 densities
+
+    def test_reproduce_fig4c_fills_one_chunk(self, tmp_path, monkeypatch):
+        # its 50 etas x 1 detuning x 2 angles are one chunk of the flat
+        # (eta, detuning) axis, not one chunk per eta
+        sweep_module = sys.modules["spinhall.sweep"]
+        fill, blocks = sweep_module._fill_block, []
+
+        def spy(table, start, thetas_deg, detunings, *rest):
+            blocks.append(len(detunings))
+            fill(table, start, thetas_deg, detunings, *rest)
+
+        monkeypatch.setattr(sweep_module, "_fill_block", spy)
+        code, _ = run_cli(["reproduce", "fig4c"], tmp_path)
+        assert code == 0 and blocks == [50]
 
     def test_calls_in_one_process_share_no_state(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -58,6 +58,17 @@ class TestSpatialShift:
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-12)
         assert quad_plus == pytest.approx(float(delta), rel=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [1e-300, 1e-310, 0.0])
+    def test_normal_incidence_limit_is_zero(self, theta, beam, vacuum_stack):
+        # |(1 + rs/rp) cot|^2, and below 1e-308 cot itself, overflow on
+        # the way to the limit 0; no warning, no NaN
+        rp, rs = reflection_coefficients(theta, LAM, vacuum_stack)
+        assert shift_kernel(theta, rp, rs, beam) == (0.0, 0.0)
+        assert shift_kernel(np.array([theta, 0.6]), rp, rs, beam)[0][0] == 0.0
+        if theta:
+            assert shift_from_beam_integral(theta, vacuum_stack, beam) == (0.0, -0.0)
+
     def test_brewster_floor_gives_nan(self, beam):
         delta, tilt = shift_kernel(0.6, 1e-13 + 0j, 0.6 + 0j, beam)
         assert np.isnan(delta) and np.isnan(tilt)

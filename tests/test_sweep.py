@@ -3,6 +3,7 @@
 import importlib
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -242,11 +243,61 @@ class TestBroadcastKernel:
 
         monkeypatch.setattr(sweep_module, "_fill_block", spy)
         table = sweep(grid, ctl_medium, vacuum_stack, beam)
-        assert [n for _, n, _ in rows] == [2, 2, 2, 2, 1] * 3
+        # one flat axis of 3 etas x 9 detunings: chunks run across etas
+        assert [n for _, n, _ in rows] == [2] * 13 + [1]
         assert all(t == 41 for _, _, t in rows)
         assert sorted(start for start, _, _ in rows) == list(
             np.cumsum([0] + [n * 41 for _, n, _ in rows[:-1]]))
         assert len(table) == 3 * 9 * 41
+
+    @pytest.mark.parametrize("per_detuning", [False, True])
+    def test_chunk_across_an_eta_boundary(self, per_detuning, ntype_medium,
+                                          vacuum_stack, beam, monkeypatch):
+        # 3 etas x 4 detunings in chunks of 5 blocks: the first chunk holds
+        # eta 0.0 and one block of eta -0.0, which differs only in the sign
+        # of its zero (and so of chi's), the second spans -0.0 and 0.15
+        etas = [0.0, -0.0, 0.15]
+        detunings = np.array([-0.4, 0.0, 0.3, 1.2])
+        thetas = (np.linspace(32.0, 35.0, 12).reshape(4, 3) if per_detuning
+                  else np.array([33.0, 33.69, 34.5]))
+        monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 5 * 3 + 2)
+        fill = sweep_module._fill_block
+        chunk_etas = []
+
+        def spy(table, start, thetas_deg, detunings, etas, *rest):
+            chunk_etas.append(etas.tolist())
+            fill(table, start, thetas_deg, detunings, etas, *rest)
+
+        monkeypatch.setattr(sweep_module, "_fill_block", spy)
+        got = evaluate(ntype_medium, etas, detunings, thetas, vacuum_stack, beam)
+        assert [len(e) for e in chunk_etas] == [5, 5, 2]
+        assert [sorted(set(map(str, e))) for e in chunk_etas] == [
+            ["-0.0", "0.0"], ["-0.0", "0.15"], ["0.15"]]
+        assert_tables_equal(got, reference_table(ntype_medium, etas, detunings, thetas,
+                                                 vacuum_stack, beam))
+
+    def test_no_evaluation_exceeds_a_chunk(self, ntype_medium, vacuum_stack, beam,
+                                           monkeypatch):
+        # tables, extremum scans and pointwise queries all evaluate the
+        # stack in chunks of at most CHUNK_POINTS points
+        monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 64)
+        amplitudes = sweep_module._amplitudes
+        sizes = []
+
+        def spy(theta_i, lam, stack):
+            out = amplitudes(theta_i, lam, stack)
+            sizes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(sweep_module, "_amplitudes", spy)
+        ctx = context(ntype_medium)
+        evaluate(ntype_medium, [0.05, 0.1], np.linspace(-1, 1, 9),
+                 np.linspace(30, 38, 21), vacuum_stack, beam)
+        sweep_module.extremal_angles("angular", np.linspace(-2, 2, 200), ctx,
+                                     coarse=31)
+        find_brewster((30.0, 38.0), ctx, coarse=301)
+        ctx.delta_plus(np.radians(np.linspace(30, 38, 500)))
+        assert max(sizes) <= 64 and sum(sizes) > 10 * 64
 
     def test_one_angle_row_per_detuning(self, lambda_medium, vacuum_stack, beam):
         detunings = np.array([0.0, 0.1, 0.2])
@@ -670,6 +721,22 @@ class TestExtremalAngles:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
             assert np.all(np.isfinite(got[1]))
+
+    def test_working_set_does_not_grow_with_detunings(self):
+        # the coarse scan keeps each chunk's best grid point only: 601
+        # detunings hold about what fig5d's 81 do (69 MB and 9 MB when
+        # the whole scan was one broadcast)
+        ctx = preset_context("fig4-ntype")
+        sweep_module.extremal_angles("angular", [0.0], ctx)  # caches, first calls
+        peaks = []
+        for n in (81, 601):
+            tracemalloc.start()
+            try:
+                sweep_module.extremal_angles("angular", np.linspace(-2, 2, n), ctx)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1e6, peaks
 
     @pytest.mark.parametrize("kind", ["spatial", "angular"])
     def test_empty_detuning_list(self, kind, lambda_medium):
