@@ -12,8 +12,7 @@ from .medium import (Configuration, ControlField, ControlFieldSet,
                      refractive_index, susceptibility)
 from .multilayer import (LayerStack, reflection_coefficients,
                          stack_reflection_derivative)
-from .shifts import (BeamParams, GridSpec, shift_from_beam_integral,
-                     shift_kernel)
+from .shifts import BeamParams, moment_kernel, shift_from_beam_integral, shift_kernel
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
                     find_transparency_windows, max_shift_vs_detuning, sweep)

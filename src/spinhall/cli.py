@@ -19,17 +19,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import multilayer
 from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
                      load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
-from .shifts import shift_from_beam_integral, shift_kernel
+from .shifts import moment_kernel, shift_kernel
 from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
                     evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
-# not called here: fig5b/5d call extremal_angles, so they enter no
-# sweep.solver span.  Bound for perfbench/tracer.py and its binding test
-# until the tracer is re-pointed (ROADMAP item 3)
+# not called here (fig5b/5d call extremal_angles, oracle calls moment_kernel);
+# bound for perfbench/tracer.py and its binding test until ROADMAP item 3
+from .shifts import shift_from_beam_integral  # noqa: F401
 from .sweep import max_shift_vs_detuning  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
@@ -380,17 +381,18 @@ def cmd_windows(cfg, args, argv):
 
 def cmd_oracle(cfg, args, argv):
     ctx = _context(cfg, args.detuning, args.eta)
-    beam = ctx.beam
-    layered = ctx.stack_at()
-    theta = np.radians(args.theta)
-    rp, rs = ctx.coefficients(theta)
-    closed = float(shift_kernel(theta, rp, rs, beam)[0])
-    quad_plus, quad_minus = shift_from_beam_integral(theta, layered, beam)
+    beam, layered = ctx.beam, ctx.stack_at()
+    theta = np.radians([args.theta])  # one row, so (rp, rs) round as a table's
+    rp, rs = multilayer.reflection_coefficients(theta, beam.lam, layered)
+    # looked up at call time, so a wrapper bound on the module sees the call
+    drp, _ = multilayer.stack_reflection_derivative(theta, beam.lam, layered)
+    closed = float(shift_kernel(theta, rp, rs, beam)[0][0])
+    quad_plus = float(moment_kernel(theta, rp, rs, drp, beam)[0])
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
     print(f"closed = {closed / beam.lam:.6e} lambda, moment = "
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
     row = (args.theta, args.detuning, closed / beam.lam, quad_plus / beam.lam,
-           quad_minus / beam.lam, rel)
+           -quad_plus / beam.lam, rel)
     _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, 0), ORACLE_COLUMNS,
                   [(np.array([v], dtype=float), None) for v in row])
     return 0

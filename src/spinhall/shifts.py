@@ -28,8 +28,10 @@ centroid over the whole plane is therefore an exact Gaussian moment,
               / (|rp|^2 + (|rp'|^2 + cot(theta)^2 |rp + rs|^2) / (k1 w0)^2),
 
 the closed form with the spread term |rp'|^2 put back and multiplied
-through by |rp|^2, so it stays finite where rp vanishes.  The test suite
-checks it against a 2-D Gauss-Legendre quadrature of the same field.
+through by |rp|^2, so it stays finite where rp vanishes.  ``moment_kernel``
+evaluates it from (rp, rs, rp') as ``shift_kernel`` does the closed form;
+the test suite checks it against a 2-D Gauss-Legendre quadrature of the
+same field.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ from .multilayer import LayerStack, reflection_coefficients
 
 __all__ = [
     "BeamParams",
-    "GridSpec",
+    "moment_kernel",
     "shift_kernel",
     "shift_from_beam_integral",
 ]
 
 BREWSTER_FLOOR = 1e-12
-MIN_WINDOW_HALF_WIDTHS = 6  # full window must span >= 6 beam half-widths
+_CANCELLATION = 32 * np.finfo(float).eps  # relative rounding of rp + rs
 
 
 @dataclass(frozen=True)
@@ -88,21 +90,10 @@ class BeamParams:
         return np.pi * self.w0 ** 2 / self.lam
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor-product Gauss-Legendre quadrature layout: the node count
-    per axis and the half window; the test suite's reference integral of
-    the oracle's field uses it."""
-
-    nodes: int = 201
-    half_extent_w0: float = 4.0  # half window in units of w0
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("nodes must be >= 2")
-        if 2 * self.half_extent_w0 < MIN_WINDOW_HALF_WIDTHS:
-            raise ValueError(
-                f"window must span >= {MIN_WINDOW_HALF_WIDTHS} beam half-widths")
+def _cancels(total, scale):
+    """Where rp + rs is rounding only: ``total`` = rp + rs within
+    _CANCELLATION of ``scale`` = |rp|, or 1 + rs/rp within it of 1."""
+    return np.abs(total) <= _CANCELLATION * scale
 
 
 def shift_kernel(theta_i, rp, rs, beam: BeamParams):
@@ -112,7 +103,7 @@ def shift_kernel(theta_i, rp, rs, beam: BeamParams):
     together.  Entries with |rp| below BREWSTER_FLOOR, where the
     first-order expansion is unreliable, come out as NaN; tables flag them.
     Toward normal incidence, where cot(theta) or |(1 + rs/rp) cot|^2
-    overflows, both shifts take their limit 0.
+    overflows or 1 + rs/rp is rounding only, both shifts take their limit 0.
     """
     rp = np.asarray(rp, dtype=complex)
     ok = np.abs(rp) >= BREWSTER_FLOOR
@@ -124,31 +115,36 @@ def shift_kernel(theta_i, rp, rs, beam: BeamParams):
         den = beam.k1 * k1w2 + np.abs(one_plus * cot) ** 2
         delta_plus = -k1w2 * np.real(one_plus) * cot / den
         theta_minus = k1w2 * np.imag(one_plus) * cot / den / beam.rayleigh
-    normal = np.isinf(cot) | np.isinf(den)
+        normal = np.isinf(cot) | np.isinf(den) | _cancels(one_plus, 1.0)
     return (np.where(ok, np.where(normal, 0.0, delta_plus), np.nan),
             np.where(ok, np.where(normal, 0.0, theta_minus), np.nan))
 
 
-def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
-    """Centroid displacements (delta_plus, delta_minus) of the first-order
-    reflected field, as its exact Gaussian moment.
+def moment_kernel(theta_i, rp, rs, drp, beam: BeamParams):
+    """Vectorized delta_plus of the exact Gaussian moment (delta_minus is
+    -delta_plus) from ``theta_i``, ``rp``, ``rs`` and ``drp`` = d rp / d theta,
+    scalars or arrays that broadcast together.  Finite where rp vanishes;
+    the limit 0 where the spread term is infinite (toward normal incidence,
+    at a critical angle or as w0 -> 0) or rp + rs is rounding only."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        both = rp + rs
+        cot = np.cos(theta_i) / np.sin(theta_i)
+        spread = ((np.abs(drp) ** 2 + np.abs(cot * both) ** 2)
+                  / (beam.k1 * beam.w0) ** 2)
+        delta = (-cot * np.real(np.conj(rp) * both) / beam.k1
+                 / (np.abs(rp) ** 2 + spread))
+        return np.where(np.isinf(spread) | _cancels(both, np.abs(rp)), 0.0, delta)
 
-    Independent check on the closed form: the field is built from the
-    stack coefficients and the angular derivative of rp, and its intensity
-    centroid over the whole plane is evaluated in closed form.  An angle
-    outside (0, pi/2) raises InvalidAngle before the stack is evaluated.
-    """
+
+def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
+    """(delta_plus, delta_minus) of ``moment_kernel`` at one angle of a
+    stack, evaluated on a one-angle row as a table row is.  An angle outside
+    (0, pi/2) raises InvalidAngle before the stack is evaluated."""
     if not 0.0 < theta_i < np.pi / 2:
         raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
-    rp, rs = reflection_coefficients(theta_i, beam.lam, stack)
+    row = np.array([theta_i])
+    rp, rs = reflection_coefficients(row, beam.lam, stack)
     # looked up at call time, so a wrapper bound on the module sees the call
-    drp, _ = multilayer.stack_reflection_derivative(theta_i, beam.lam, stack)
-    both = rp + rs
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cot = np.cos(theta_i) / np.sin(theta_i)
-        spread = (abs(drp) ** 2 + abs(cot * both) ** 2) / (beam.k1 * beam.w0) ** 2
-        delta = float(-cot * np.real(np.conj(rp) * both) / beam.k1
-                      / (abs(rp) ** 2 + spread))
-    if np.isinf(spread):  # toward normal incidence, at a critical angle or w0 -> 0
-        delta = 0.0
+    drp, _ = multilayer.stack_reflection_derivative(row, beam.lam, stack)
+    delta = float(moment_kernel(row, rp, rs, drp, beam)[0])
     return delta, -delta

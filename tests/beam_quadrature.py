@@ -6,21 +6,39 @@ The field at the beam waist is
     E+- ~ exp(-(x^2+y^2)/w0^2) [rp - 2i x rp' / (k1 w0^2)
                                  -+ 2 y cot(theta) (rp + rs) / (k1 w0^2)],
 
-integrated on the tensor grid of ``spinhall.shifts.GridSpec`` and again
-on the doubled grid; a relative change beyond QUADRATURE_REL_CHANGE
-raises QuadratureNotConverged.  ``shift_from_beam_integral`` evaluates
-the same centroid as a closed-form Gaussian moment; the tests hold the
-two against each other.
+integrated on the tensor grid of ``GridSpec`` and again on the doubled
+grid; a relative change beyond QUADRATURE_REL_CHANGE raises
+QuadratureNotConverged.  ``spinhall.shifts.moment_kernel`` evaluates the
+same centroid as a closed-form Gaussian moment; the tests hold the two
+against each other.
 """
 
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from spinhall.multilayer import reflection_coefficients, stack_reflection_derivative
-from spinhall.shifts import BREWSTER_FLOOR, GridSpec
+from spinhall.shifts import BREWSTER_FLOOR
 
 QUADRATURE_REL_CHANGE = 1e-3
+MIN_WINDOW_HALF_WIDTHS = 6  # full window must span >= 6 beam half-widths
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Tensor-product Gauss-Legendre quadrature layout: the node count
+    per axis and the half window."""
+
+    nodes: int = 201
+    half_extent_w0: float = 4.0  # half window in units of w0
+
+    def __post_init__(self):
+        if self.nodes < 2:
+            raise ValueError("nodes must be >= 2")
+        if 2 * self.half_extent_w0 < MIN_WINDOW_HALF_WIDTHS:
+            raise ValueError(
+                f"window must span >= {MIN_WINDOW_HALF_WIDTHS} beam half-widths")
 
 
 class QuadratureNotConverged(Exception):

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spinhall import (ParseError, RunConfig, ScanContext, ValidationError,
-                      find_brewster, load_config, max_shift_vs_detuning,
-                      write_config)
+from spinhall import (LayerStack, ParseError, RunConfig, ScanContext,
+                      ValidationError, find_brewster, load_config,
+                      max_shift_vs_detuning, write_config)
 import spinhall.cli as cli
 import spinhall.config as config_module
+import spinhall.multilayer as multilayer
 from spinhall.cli import RECIPES, main, recipe_table
 from spinhall.config import (OutputConfig, RunManifest, SweepConfig,
                              config_from_dict)
@@ -367,6 +368,77 @@ class TestCli:
         assert captured.out == ""  # checked before any command prints
         assert list(tmp_path.iterdir()) == []  # no data file, no manifest
 
+    def test_oracle_evaluates_the_stack_once(self, tmp_path, monkeypatch, capsys):
+        # the closed form and the moment share one (rp, rs) and one rp'
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module in (multilayer, sys.modules["spinhall.sweep"]):
+            monkeypatch.setattr(module, "_amplitudes",
+                                counted("amplitudes", module._amplitudes))
+        monkeypatch.setattr(multilayer, "stack_reflection_derivative",
+                            counted("derivative",
+                                    multilayer.stack_reflection_derivative))
+        code, _ = run_cli(["oracle", "--preset", "fig2-ctl", "--theta", "30"],
+                          tmp_path)
+        assert code == 0
+        assert sorted(calls) == ["amplitudes", "derivative"]
+
+    def test_oracle_on_a_resonant_stack_exits_2(self, tmp_path, monkeypatch, capsys):
+        # layer 2 of vanishing gain matched to layer 3: rp, rs not finite
+        monkeypatch.setattr(ScanContext, "stack_at", lambda self: LayerStack(
+            eps2=1 - 5e-324j, eps3=1 + 0j))
+        code, _ = run_cli(["oracle", "--preset", "fig2-ctl"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("line", GOLDEN_ORACLE.read_text().splitlines())
+    def test_oracle_closed_form_is_the_table_value(self, line, tmp_path, capsys):
+        preset, theta, detuning = line.split(",")[:3]
+        point = ["--preset", preset, "--theta", repr(float(theta)),
+                 "--detuning", repr(float(detuning))]
+        code, oracle = run_cli(["oracle", *point], tmp_path, "oracle.csv")
+        assert code == 0
+        code, shift = run_cli(["shift", *point], tmp_path, "shift.csv")
+        assert code == 0
+        row = dict(zip(COLUMNS, shift.read_text().splitlines()[1].split(",")))
+        closed = dict(zip(cli.ORACLE_COLUMNS,
+                          oracle.read_text().splitlines()[1].split(",")))
+        assert closed["delta_closed_lambda"] == row["delta_plus_lambda"]
+
+    @pytest.mark.parametrize("theta", ["8e-17", "1e-12", "1e-323"])
+    def test_near_normal_incidence_shifts_vanish(self, theta, tmp_path, capsys):
+        # 1 + rs/rp is rounding only here, and 1e-323 degrees is 0.0 in
+        # radians: both commands exit 0 with shifts of at most 1e-6 lambda
+        code, shift = run_cli(["shift", "--preset", "fig2-ctl", "--theta", theta],
+                              tmp_path, "shift.csv")
+        assert code == 0
+        row = dict(zip(COLUMNS, shift.read_text().splitlines()[1].split(",")))
+        code, oracle = run_cli(["oracle", "--preset", "fig2-ctl", "--theta", theta],
+                               tmp_path, "oracle.csv")
+        assert code == 0
+        values = oracle.read_text().splitlines()[1].split(",")[2:5]
+        for value in [row["delta_plus_lambda"], *values]:
+            assert abs(float(value)) < 1e-6
+        if theta == "1e-323":
+            assert [float(v) for v in values] == [0.0, 0.0, 0.0]
+
+    def test_small_angle_shift_is_kept(self, tmp_path, capsys):
+        # at 1e-3 degrees 1 + rs/rp is far above its rounding
+        code, shift = run_cli(["shift", "--preset", "fig2-ctl", "--theta", "1e-3"],
+                              tmp_path)
+        assert code == 0
+        assert "delta_plus = 6.011759e-06 lambda" in capsys.readouterr().out
+        row = dict(zip(COLUMNS, shift.read_text().splitlines()[1].split(",")))
+        assert row["delta_plus_lambda"] == "6.01175916e-06"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_data_write_leaves_files_as_they_were(self, fmt, tmp_path,
                                                          monkeypatch, capsys):
@@ -558,6 +630,8 @@ class TestCli:
     # toward normal incidence the shifts overflowed on their way to 0
     @example(line=(["shift", "--preset", "fig2-ctl", "--theta", "1e-200"], []))
     @example(line=(["oracle", "--preset", "fig2-ctl", "--theta", "1e-200"], []))
+    # 0.0 in radians, a positive angle in degrees
+    @example(line=(["oracle", "--preset", "fig2-ctl", "--theta", "1e-323"], []))
     # a grid from 0 degrees
     @example(line=(["brewster", "--preset", "fig2-ctl", "--grid", "0,67,3"], []))
     def test_any_flags_exit_with_both_files_or_one_error_line(self, line,

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhall import (BeamParams, GridSpec, LayerStack, ScanContext,
+from spinhall import (BeamParams, LayerStack, ScanContext,
                       load_config, reflection_coefficients,
-                      shift_from_beam_integral, shift_kernel, susceptibility)
+                      moment_kernel, shift_from_beam_integral, shift_kernel,
+                      susceptibility)
 import spinhall.multilayer as multilayer
 import spinhall.shifts as shifts_module
-from beam_quadrature import QuadratureNotConverged, centroids, quadrature_shift
+from beam_quadrature import (GridSpec, QuadratureNotConverged, centroids,
+                             quadrature_shift)
 
 LAM = 780e-9
 
@@ -241,3 +243,47 @@ class TestMomentIdentity:
         assert np.isnan(shift_kernel(theta, 0j, rs, beam)[0])
         quad_plus, _ = centroids(theta, 0j, rs, drp, beam)
         assert abs(quad_plus) < 1e-12 * beam.w0
+
+
+class TestMomentKernel:
+    """``moment_kernel`` is the oracle's moment over arrays of raw
+    coefficients, as ``shift_kernel`` is the closed form."""
+
+    def test_array_equals_pointwise(self):
+        points = preset_points()
+        for beam in {p[3] for p in points}:
+            at = [(np.array([theta]), stack) for _, theta, stack, b in points
+                  if b == beam]
+            rp, rs = (np.concatenate(c) for c in zip(*(
+                reflection_coefficients(row, beam.lam, stack) for row, stack in at)))
+            drp = np.concatenate([multilayer.stack_reflection_derivative(
+                row, beam.lam, stack)[0] for row, stack in at])
+            thetas = np.concatenate([row for row, _ in at])
+            got = moment_kernel(thetas, rp, rs, drp, beam)
+            want = [shift_from_beam_integral(row[0], stack, beam)[0]
+                    for row, stack in at]
+            assert got.tolist() == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [1e-16, 1e-12, 1e-9])
+    def test_rounding_of_rp_plus_rs_is_no_shift(self, theta, ctl_medium, beam):
+        # toward normal incidence rp + rs vanishes like theta^2; below
+        # about 1e-8 rad what is left of it is rounding, which cot(theta)
+        # would otherwise turn into a shift near the half-waist bound
+        stack = LayerStack(eps2=1 + susceptibility(0.5, ctl_medium))
+        row = np.array([theta])
+        rp, rs = reflection_coefficients(row, LAM, stack)
+        drp, _ = multilayer.stack_reflection_derivative(row, LAM, stack)
+        delta, tilt = shift_kernel(row, rp, rs, beam)
+        assert (delta[0], tilt[0]) == (0.0, 0.0)
+        assert moment_kernel(row, rp, rs, drp, beam)[0] == 0.0
+
+    def test_cancellation_beyond_rounding_is_a_shift(self, beam):
+        # rp + rs within 32 eps of |rp| is rounding; 1e-12 is not
+        rp = np.array([0.5 + 0j, 0.5 + 0j])
+        rs = np.array([-0.5 + 1e-16, -0.5 + 1e-12])
+        delta, _ = shift_kernel(0.6, rp, rs, beam)
+        moment = moment_kernel(0.6, rp, rs, 0j, beam)
+        assert delta[0] == moment[0] == 0.0
+        assert delta[1] < 0 and moment[1] < 0
+        assert moment[1] == pytest.approx(delta[1], rel=1e-9)
