@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 from .errors import (DegenerateBrightState, InvalidAngle, NoMinimumInWindow,
                      NoSignChange, ParseError, ResonantDenominator,
                      SingularDenominator, SpinHallError, ValidationError)
-from .medium import (Configuration, ControlField, ControlFieldSet,
-                     EffectiveCouplings, MediumParams, classify,
-                     coherence_ratio, effective_couplings, permittivity,
-                     refractive_index, susceptibility)
+from .medium import (ControlField, ControlFieldSet, EffectiveCouplings,
+                     MediumParams, coherence_ratio, effective_couplings,
+                     susceptibility)
 from .multilayer import (LayerStack, reflection_coefficients,
                          stack_reflection_derivative)
 from .shifts import BeamParams, moment_kernel, shift_from_beam_integral, shift_kernel

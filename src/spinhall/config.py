@@ -234,9 +234,12 @@ def load_config(path=None, preset: str | None = None) -> RunConfig:
         try:
             _merge(merged, preset_config(preset))
         except KeyError as exc:
-            raise ValidationError(str(exc)) from exc
+            raise ValidationError(exc.args[0]) from exc
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         if text.strip():
             try:
                 data = json.loads(text)

@@ -7,8 +7,10 @@ couples to b with strength ``alpha`` and to the second excited state
 with the total upper Rabi frequency ``omega_total``, and the dark
 superposition couples to b with strength ``beta``.  The weak-probe
 steady state of that chain gives a closed rational expression for the
-probe coherence per unit probe Rabi frequency; susceptibility and
-permittivity follow from it.
+probe coherence per unit probe Rabi frequency.  The susceptibility, the
+density times that ratio, is all the cavity stack takes from the medium
+(eps2 = 1 + chi); the CTL, Lambda and N-type configurations differ only
+through the couplings alpha and beta.
 
 All frequencies (detuning, Rabi amplitudes, decay rates, density
 parameter) are expressed in units of the excited-state decay rate gamma.
@@ -18,7 +20,6 @@ imaginary part of the susceptibility.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import tau
 
@@ -31,16 +32,10 @@ __all__ = [
     "ControlFieldSet",
     "EffectiveCouplings",
     "MediumParams",
-    "Configuration",
     "effective_couplings",
-    "classify",
     "coherence_ratio",
     "susceptibility",
-    "permittivity",
-    "refractive_index",
 ]
-
-DEFAULT_CLASSIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,6 @@ class ControlFieldSet:
     def from_amplitudes(cls, a1, a2, a3, a4, p1=0.0, p2=0.0, p3=0.0, p4=0.0):
         return cls(ControlField(a1, p1), ControlField(a2, p2),
                    ControlField(a3, p3), ControlField(a4, p4))
-
-    @property
-    def relative_phase(self) -> float:
-        """Closed-loop phase (phi1 - phi2) - (phi3 - phi4), recomputed
-        from the stored phases."""
-        return ((self.field1.phase - self.field2.phase)
-                - (self.field3.phase - self.field4.phase))
 
 
 @dataclass(frozen=True)
@@ -134,15 +122,6 @@ class MediumParams:
             raise ValueError("density parameter eta must be >= 0")
 
 
-class Configuration(enum.Enum):
-    """Effective atom-light configuration implied by the couplings."""
-
-    CTL = "ctl"
-    LAMBDA = "lambda"
-    N_TYPE = "n"
-    DEGENERATE = "degenerate"
-
-
 def effective_couplings(fields: ControlFieldSet) -> EffectiveCouplings:
     """Project the four control fields onto the dark/bright basis.
 
@@ -172,22 +151,6 @@ def effective_couplings(fields: ControlFieldSet) -> EffectiveCouplings:
         alpha = (np.conj(o1) * o3 + np.conj(o2) * o4) / omega
         beta = (np.conj(o1) * np.conj(o4) - np.conj(o2) * np.conj(o3)) / omega
     return EffectiveCouplings(complex(alpha), complex(beta), omega)
-
-
-def classify(c: EffectiveCouplings, tol: float = DEFAULT_CLASSIFY_TOL) -> Configuration:
-    """Classify the configuration from |alpha|, |beta| against tol*Omega."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    thr = tol * c.omega_total
-    a_on = abs(c.alpha) > thr
-    b_on = abs(c.beta) > thr
-    if a_on and b_on:
-        return Configuration.CTL
-    if b_on:
-        return Configuration.LAMBDA
-    if a_on:
-        return Configuration.N_TYPE
-    return Configuration.DEGENERATE
 
 
 def _resonance_limit(m: MediumParams) -> complex:
@@ -251,25 +214,21 @@ def _coherence_polynomials(m: MediumParams):
     return num, den
 
 
-def susceptibility(delta_p, m: MediumParams):
+def susceptibility(delta_p, m: MediumParams, eta=None):
     """chi = eta * coherence ratio; Re = dispersion, Im = absorption.
 
-    A scalar detuning takes the array arithmetic too, so it gives the
-    bits of a table row, down to the sign of an underflowed zero.
+    ``eta`` is the medium's own density by default, or one density per
+    detuning.  A scalar detuning takes the array arithmetic too, so it
+    gives the bits of a table row, down to the sign of an underflowed
+    zero.  Raises SingularDenominator where chi overflows.
     """
-    chi = m.eta * np.asarray(coherence_ratio(delta_p, m))
+    density = m.eta if eta is None else np.asarray(eta, dtype=float)
+    if np.any(density < 0):  # as MediumParams checks its own eta
+        raise ValueError("density parameter eta must be >= 0")
+    with np.errstate(over="ignore"):
+        chi = density * np.asarray(coherence_ratio(delta_p, m))
+    bad = ~np.isfinite(chi)
+    if np.any(bad):
+        raise SingularDenominator("susceptibility is not finite at delta_p="
+                                  f"{float(np.asarray(delta_p, dtype=float)[bad].flat[0])!r}")
     return complex(chi) if np.ndim(delta_p) == 0 else chi
-
-
-def permittivity(delta_p, m: MediumParams):
-    """Relative permittivity of the medium, 1 + chi."""
-    return 1.0 + susceptibility(delta_p, m)
-
-
-def refractive_index(delta_p, m: MediumParams):
-    """sqrt(1 + chi) on the branch with non-negative imaginary part."""
-    n = np.sqrt(np.asarray(permittivity(delta_p, m), dtype=complex))
-    n = np.where(np.imag(n) < 0, -n, n)
-    if np.ndim(delta_p) == 0:
-        return complex(n)
-    return n

@@ -33,9 +33,6 @@ PRESETS = {
     },
 }
 
-DEFAULT_PRESET = "fig2-ctl"
-
-
 def preset_config(name: str) -> dict:
     try:
         return PRESETS[name]

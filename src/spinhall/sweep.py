@@ -243,14 +243,10 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     """Evaluate one chunk of blocks and write its blocks and rows from
     row ``start``: block i at ``detunings[i]`` and density ``etas[i]``,
     against either a shared 1-D angle row or one angle row per block,
-    theta fastest.  chi takes one susceptibility call per run of etas
-    equal to the bit, so each block gets the bits of its own eta."""
+    theta fastest.  chi takes one susceptibility call for the chunk, each
+    block multiplied by its own eta."""
     thetas_rad = np.radians(thetas_deg)
-    bits = etas.view(np.uint64)  # -0.0 starts a run of its own after 0.0
-    edges = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(etas)]
-    chi = np.concatenate([
-        susceptibility(detunings[a:b], replace(medium, eta=float(etas[a])))
-        for a, b in zip(edges, edges[1:])])
+    chi = susceptibility(detunings, medium, etas)
     rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
                                replace(stack, eps2=1.0 + chi[:, None]))
     abs_rp, abs_rs = np.abs(rp), np.abs(rs)

@@ -602,6 +602,38 @@ class TestCli:
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["shift"], ["sweep"], ["susceptibility"]])
+    def test_overflowing_susceptibility_exits_2(self, command, tmp_path, capsys):
+        # at resonance chi = eta * 2i/gamma_b = 2e320i: not a flagged row
+        cfg_path = tmp_path / "dense.json"
+        cfg_path.write_text(json.dumps({"medium": {
+            "eta": 1e20, "gamma_b": 1e-300, "amplitudes": [1e-300] * 4}}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(command + ["--config", str(cfg_path)], out_dir)
+        assert code == 2
+        assert capsys.readouterr().err == "error: susceptibility is not finite at delta_p=0.0\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(["shift", "--config", str(cfg_path)], out_dir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {cfg_path}: not UTF-8")
+        assert list(out_dir.iterdir()) == []
+
+    def test_unknown_preset_exits_2_with_its_message(self, tmp_path, capsys):
+        code, out = run_cli(["shift", "--preset", "nope"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'nope'; available: "
+            "['fig2-ctl', 'fig3-lambda', 'fig4-ntype']\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(data=config_dicts(), fmt=st.sampled_from(["csv", "json"]),
            command=st.sampled_from([["susceptibility"], ["shift"], ["sweep"],
@@ -610,6 +642,10 @@ class TestCli:
     # k0^2 eps1 and k0^2 eps3 overflow
     @example(data={"stack": {"eps1": [1e300, 0.0]}}, fmt="csv", command=["shift"])
     @example(data={"stack": {"eps3": [1e300, 0.0]}}, fmt="csv", command=["shift"])
+    # eta times the resonant ratio 2i/gamma_b overflows
+    @example(data={"medium": {"eta": 1e20, "gamma_b": 1e-300, "amplitudes": [1e-300] * 4},
+                   "sweep": {"theta_deg": [30.0, 38.0, 3], "detuning": [-1.0, 1.0, 3]}},
+             fmt="csv", command=["susceptibility"])
     def test_any_config_exits_with_both_files_or_neither(self, data, fmt, command,
                                                          tmp_path_factory):
         """Every command under any config with finite values raises nothing
@@ -790,6 +826,19 @@ class TestCli:
         monkeypatch.setattr(sweep_module, "_fill_block", spy)
         code, _ = run_cli(["reproduce", "fig4c"], tmp_path)
         assert code == 0 and blocks == [50]
+
+    def test_reproduce_fig4c_forms_chi_in_one_call(self, tmp_path, monkeypatch):
+        # one susceptibility call for the chunk's 50 densities, not one per eta
+        sweep_module = sys.modules["spinhall.sweep"]
+        susceptibility, calls = sweep_module.susceptibility, []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return susceptibility(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "susceptibility", spy)
+        code, _ = run_cli(["reproduce", "fig4c"], tmp_path)
+        assert code == 0 and calls == [50]
 
     def test_calls_in_one_process_share_no_state(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -346,7 +346,7 @@ class TestBroadcastKernel:
         # layer 2 of vanishing gain with Re eps2 = eps3: r23 overflows and
         # rp, rs come back NaN while min |den| is NaN or infinite
         monkeypatch.setattr(sweep_module, "susceptibility",
-                            lambda detunings, medium: np.full(np.shape(detunings), chi))
+                            lambda detunings, medium, eta=None: np.full(np.shape(detunings), chi))
         stack = LayerStack(eps2=1.0 + 0j, eps3=eps3 + 0j)
         table = evaluate(ctl_medium, None, [0.0], [math.degrees(0.5)], stack, beam)
         assert np.isnan(table.abs_rp[0]) and np.isnan(table.abs_rs[0])
