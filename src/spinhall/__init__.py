@@ -11,10 +11,10 @@ from .medium import (ControlField, ControlFieldSet, EffectiveCouplings,
                      susceptibility)
 from .multilayer import (LayerStack, reflection_coefficients,
                          stack_reflection_derivative)
-from .shifts import BeamParams, moment_kernel, shift_from_beam_integral, shift_kernel
+from .shifts import BeamParams, shift_from_beam_integral, shift_kernel
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
-                    find_transparency_windows, max_shift_vs_detuning, sweep)
+                    find_transparency_windows, max_shift_vs_detuning)
 from .config import RunConfig, RunManifest, load_config, write_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,12 +24,12 @@ from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
                      load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
-from .shifts import moment_kernel, shift_kernel
+from .shifts import shift_kernel
 from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
                     evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
-# not called here (fig5b/5d call extremal_angles, oracle calls moment_kernel);
-# bound for perfbench/tracer.py and its binding test until ROADMAP item 3
+# not called here; bound for perfbench/tracer.py and its binding test until
+# ROADMAP item 3
 from .shifts import shift_from_beam_integral  # noqa: F401
 from .sweep import max_shift_vs_detuning  # noqa: F401
 
@@ -386,8 +386,8 @@ def cmd_oracle(cfg, args, argv):
     rp, rs = multilayer.reflection_coefficients(theta, beam.lam, layered)
     # looked up at call time, so a wrapper bound on the module sees the call
     drp, _ = multilayer.stack_reflection_derivative(theta, beam.lam, layered)
-    closed = float(shift_kernel(theta, rp, rs, beam)[0][0])
-    quad_plus = float(moment_kernel(theta, rp, rs, drp, beam)[0])
+    closed = float(shift_kernel(theta, rp, rs, 0.0, beam)[0][0])
+    quad_plus = float(shift_kernel(theta, rp, rs, drp, beam)[0][0])
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
     print(f"closed = {closed / beam.lam:.6e} lambda, moment = "
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")

@@ -116,6 +116,9 @@ class MediumParams:
     couplings: EffectiveCouplings
 
     def __post_init__(self):
+        for name in ("gamma_b", "gamma_e", "eta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma_b <= 0 or self.gamma_e <= 0:
             raise ValueError("decay rates gamma_b, gamma_e must be > 0")
         if self.eta < 0:

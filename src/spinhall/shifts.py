@@ -1,37 +1,31 @@
 """Spin-dependent spatial and angular displacements of the reflected beam.
 
 For a horizontally polarized Gaussian probe the two circular components
-separate transversally on reflection.  ``shift_kernel`` is the one
-pointwise shift: from the stack coefficients (rp, rs), scalars or arrays
-alike, it gives the closed-form displacement
-
-    delta+- = -+ k1 w0^2 Re[1 + rs/rp] cot(theta)
-              / (k1^2 w0^2 + |(1 + rs/rp) cot(theta)|^2)
-
-and the matching angular (momentum-space) tilt carries Im[1 + rs/rp]
-and an extra 1/rayleigh_range.  The in-plane angular-spread term
-|d ln rp / dtheta|^2 is intentionally left out of this denominator: at
-a true zero of rp it diverges and would cap the lossless-cavity peak
-well below the half-waist bound w0/2 that the resonant cavity in fact
-attains.  The oracle below keeps the full first-order field, spread
-term included, so the truncation is measured rather than hidden.
-
-The oracle takes the reflected field at the beam waist,
+separate transversally on reflection.  To first order in 1/(k1 w0) the
+reflected field at the beam waist is
 
     E+- ~ exp(-(x^2+y^2)/w0^2) [rp - 2i x rp' / (k1 w0^2)
                                  -+ 2 y cot(theta) (rp + rs) / (k1 w0^2)],
 
-whose intensity is a Gaussian times a quadratic in (x, y).  Its
-centroid over the whole plane is therefore an exact Gaussian moment,
+a Gaussian times a linear form, so its centroid is an exact Gaussian
+moment.  With X = 1 + rs/rp and den = k1^2 w0^2 + |X cot|^2 + |rp'/rp|^2,
+delta+- = -+ k1 w0^2 Re[X] cot / den, and the k-space centroid of the
+same field tilts the minus component inside the glass by 2 Im[X] cot / den.
+``shift_kernel(theta, rp, rs, drp, beam)``, over scalars or arrays, gives
+delta_plus and theta_minus, which is k1/k0 times that glass-side tilt:
+k1 w0^2 Im[X] cot / den over the vacuum Rayleigh range pi w0^2 / lam.
 
-    delta+- = -+ (1/k1) cot(theta) Re[rp* (rp + rs)]
-              / (|rp|^2 + (|rp'|^2 + cot(theta)^2 |rp + rs|^2) / (k1 w0)^2),
+``drp = 0`` drops the in-plane angular-spread term |rp'/rp|^2: the paper's
+truncated closed form, whose peak near a lossless zero of rp is exactly
+the half-waist bound w0/2.  ``drp`` = rp' keeps it: the full first order,
+whose peak there is lower.  Where |rp| < BREWSTER_FLOOR the truncated
+shift is NaN; the full first order is then the moment multiplied through
+by |rp|^2, which stays finite where rp vanishes:
 
-the closed form with the spread term |rp'|^2 put back and multiplied
-through by |rp|^2, so it stays finite where rp vanishes.  ``moment_kernel``
-evaluates it from (rp, rs, rp') as ``shift_kernel`` does the closed form;
-the test suite checks it against a 2-D Gauss-Legendre quadrature of the
-same field.
+    delta+- = -+ (1/k1) cot Re[rp* (rp + rs)]
+              / (|rp|^2 + (|rp'|^2 + cot^2 |rp + rs|^2) / (k1 w0)^2).
+
+The tests check both centroids against quadratures of the same field.
 """
 
 from __future__ import annotations
@@ -44,12 +38,7 @@ from . import multilayer
 from .errors import InvalidAngle
 from .multilayer import LayerStack, reflection_coefficients
 
-__all__ = [
-    "BeamParams",
-    "moment_kernel",
-    "shift_kernel",
-    "shift_from_beam_integral",
-]
+__all__ = ["BeamParams", "shift_kernel", "shift_from_beam_integral"]
 
 BREWSTER_FLOOR = 1e-12
 _CANCELLATION = 32 * np.finfo(float).eps  # relative rounding of rp + rs
@@ -90,61 +79,61 @@ class BeamParams:
         return np.pi * self.w0 ** 2 / self.lam
 
 
-def _cancels(total, scale):
-    """Where rp + rs is rounding only: ``total`` = rp + rs within
-    _CANCELLATION of ``scale`` = |rp|, or 1 + rs/rp within it of 1."""
-    return np.abs(total) <= _CANCELLATION * scale
+def _centroid(cot, x, den, scale, beam: BeamParams):
+    """(delta_plus, theta_minus) = k1 w0^2 cot (-Re x, Im x / rayleigh) / den,
+    or their limit 0 toward normal incidence: where cot or den is infinite,
+    or where x is rounding only (|x| within _CANCELLATION of ``scale``)."""
+    k1w2 = beam.k1 * beam.w0 ** 2
+    delta_plus = -k1w2 * np.real(x) * cot / den
+    theta_minus = k1w2 * np.imag(x) * cot / den / beam.rayleigh
+    normal = np.isinf(cot) | np.isinf(den) | (np.abs(x) <= _CANCELLATION * scale)
+    return np.where(normal, 0.0, delta_plus), np.where(normal, 0.0, theta_minus)
 
 
-def shift_kernel(theta_i, rp, rs, beam: BeamParams):
+def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams):
     """Vectorized (delta_plus, theta_minus) from raw coefficients.
 
-    ``theta_i``, ``rp`` and ``rs`` are scalars or arrays that broadcast
-    together.  Entries with |rp| below BREWSTER_FLOOR, where the
-    first-order expansion is unreliable, come out as NaN; tables flag them.
-    Toward normal incidence, where cot(theta) or |(1 + rs/rp) cot|^2
-    overflows or 1 + rs/rp is rounding only, both shifts take their limit 0.
+    ``theta_i``, ``rp``, ``rs`` and ``drp`` are scalars or arrays that
+    broadcast together.  ``drp = 0`` gives the paper's truncated shift,
+    ``drp`` = d rp / d theta the full first order.  Where |rp| is below
+    BREWSTER_FLOOR the truncated shift is NaN (tables flag it), while the
+    full first order takes the moment multiplied through by |rp|^2, which
+    stays finite.  Toward normal incidence, where cot(theta) or the
+    denominator overflows or 1 + rs/rp is rounding only, both shifts take
+    their limit 0.
     """
     rp = np.asarray(rp, dtype=complex)
-    ok = np.abs(rp) >= BREWSTER_FLOOR
-    safe_rp = np.where(ok, rp, 1.0)
-    k1w2 = beam.k1 * beam.w0 ** 2
+    abs_rp = np.abs(rp)
+    ok = abs_rp >= BREWSTER_FLOOR
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        one_plus = 1 + np.asarray(rs, dtype=complex) / safe_rp
+        one_plus = 1 + np.asarray(rs, dtype=complex) / np.where(ok, rp, 1.0)
         cot = np.cos(theta_i) / np.sin(theta_i)
-        den = beam.k1 * k1w2 + np.abs(one_plus * cot) ** 2
-        delta_plus = -k1w2 * np.real(one_plus) * cot / den
-        theta_minus = k1w2 * np.imag(one_plus) * cot / den / beam.rayleigh
-        normal = np.isinf(cot) | np.isinf(den) | _cancels(one_plus, 1.0)
-    return (np.where(ok, np.where(normal, 0.0, delta_plus), np.nan),
-            np.where(ok, np.where(normal, 0.0, theta_minus), np.nan))
-
-
-def moment_kernel(theta_i, rp, rs, drp, beam: BeamParams):
-    """Vectorized delta_plus of the exact Gaussian moment (delta_minus is
-    -delta_plus) from ``theta_i``, ``rp``, ``rs`` and ``drp`` = d rp / d theta,
-    scalars or arrays that broadcast together.  Finite where rp vanishes;
-    the limit 0 where the spread term is infinite (toward normal incidence,
-    at a critical angle or as w0 -> 0) or rp + rs is rounding only."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        both = rp + rs
-        cot = np.cos(theta_i) / np.sin(theta_i)
-        spread = ((np.abs(drp) ** 2 + np.abs(cot * both) ** 2)
-                  / (beam.k1 * beam.w0) ** 2)
-        delta = (-cot * np.real(np.conj(rp) * both) / beam.k1
-                 / (np.abs(rp) ** 2 + spread))
-        return np.where(np.isinf(spread) | _cancels(both, np.abs(rp)), 0.0, delta)
+        den = (beam.k1 * (beam.k1 * beam.w0 ** 2) + np.abs(one_plus * cot) ** 2
+               + (np.abs(drp) / abs_rp) ** 2)
+        delta_plus, theta_minus = (np.where(ok, s, np.nan) for s in
+                                   _centroid(cot, one_plus, den, 1.0, beam))
+        cleared = np.broadcast_to(~ok & (np.asarray(drp) != 0), delta_plus.shape)
+        if cleared.any():
+            rp_, rs_, drp_, cot_ = (np.broadcast_to(a, cleared.shape)[cleared]
+                                    for a in (rp, rs, drp, cot))
+            both = rp_ + rs_
+            den_ = ((beam.k1 * beam.w0) ** 2 * np.abs(rp_) ** 2
+                    + np.abs(drp_) ** 2 + np.abs(cot_ * both) ** 2)
+            delta_plus[cleared], theta_minus[cleared] = _centroid(
+                cot_, np.conj(rp_) * both, den_, np.abs(rp_) ** 2, beam)
+    return delta_plus, theta_minus
 
 
 def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
-    """(delta_plus, delta_minus) of ``moment_kernel`` at one angle of a
-    stack, evaluated on a one-angle row as a table row is.  An angle outside
-    (0, pi/2) raises InvalidAngle before the stack is evaluated."""
+    """(delta_plus, delta_minus) of the full first-order ``shift_kernel``
+    at one angle of a stack, evaluated on a one-angle row as a table row is.
+    An angle outside (0, pi/2) raises InvalidAngle before the stack is
+    evaluated."""
     if not 0.0 < theta_i < np.pi / 2:
         raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
     row = np.array([theta_i])
     rp, rs = reflection_coefficients(row, beam.lam, stack)
     # looked up at call time, so a wrapper bound on the module sees the call
     drp, _ = multilayer.stack_reflection_derivative(row, beam.lam, stack)
-    delta = float(moment_kernel(row, rp, rs, drp, beam)[0])
+    delta = float(shift_kernel(row, rp, rs, drp, beam)[0][0])
     return delta, -delta

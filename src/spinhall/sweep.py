@@ -107,7 +107,7 @@ class ScanContext:
 
     def _shift(self, theta, which: int):
         return self._row(theta, lambda t, rp, rs: (
-            shift_kernel(t, rp, rs, self.beam)[which],))[0]
+            shift_kernel(t, rp, rs, 0.0, self.beam)[which],))[0]
 
     def delta_plus(self, theta):
         """Spatial shift (meters) of the right-circular component."""
@@ -251,7 +251,7 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                                replace(stack, eps2=1.0 + chi[:, None]))
     abs_rp, abs_rs = np.abs(rp), np.abs(rs)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
+        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, 0.0, beam)
         ratio = abs_rs / abs_rp
     # a non-finite rp or rs (an overflowing interface coefficient, or a
     # NaN denominator) is a resonant denominator too
@@ -489,7 +489,7 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
 
     def objective(t, eps):
         rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps))
-        delta_plus, theta_minus = shift_kernel(t, rp, rs, beam)
+        delta_plus, theta_minus = shift_kernel(t, rp, rs, 0.0, beam)
         return -np.abs(delta_plus) if kind == "spatial" else -theta_minus
 
     def at_points(t, rows):  # the objective at t[j] against eps2[rows[j]]

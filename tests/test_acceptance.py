@@ -73,7 +73,7 @@ def test_criterion_2_peak_shift_bound(ctl_medium):
     rs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     theta = rng.uniform(0.01, math.pi / 2 - 0.01, n)
     beam = BeamParams(w0=W0, lam=LAM)
-    delta, _ = shift_kernel(theta, rp, rs, beam)
+    delta, _ = shift_kernel(theta, rp, rs, 0.0, beam)
     ok_bound = bool(np.all(np.abs(delta) <= W0 / 2 * (1 + 1e-12)))
     ok = ok_peaks and ok_bound
     assert report("2", ok, f"peaks {peak_pos:+.3f}/{peak_neg:+.3f} lambda "
@@ -219,7 +219,7 @@ def test_criterion_9_oracle_equivalence(ctl_medium):
         rp, rs = reflection_coefficients(theta, LAM, stack)
         if abs(rp) < 0.05 * abs(rs):
             continue
-        closed = float(shift_kernel(theta, rp, rs, beam)[0])
+        closed = float(shift_kernel(theta, rp, rs, 0.0, beam)[0])
         quad_plus, quad_minus = quadrature_shift(theta, stack, beam)
         worst = max(worst, abs(quad_plus - closed) / abs(closed))
         worst_mirror = max(worst_mirror,

@@ -20,6 +20,7 @@ from spinhall import (LayerStack, ParseError, RunConfig, ScanContext,
 import spinhall.cli as cli
 import spinhall.config as config_module
 import spinhall.multilayer as multilayer
+import spinhall.sweep as sweep_module
 from spinhall.cli import RECIPES, main, recipe_table
 from spinhall.config import (OutputConfig, RunManifest, SweepConfig,
                              config_from_dict)
@@ -293,6 +294,15 @@ class TestCli:
         assert code == 0
         assert out.read_text().splitlines()[1:] == [row]
 
+    def test_oracle_below_the_brewster_floor(self, tmp_path, capsys):
+        # |rp| = 9.3e-13 at the Brewster angle of the resonant (eps2 = 1)
+        # cavity: the truncated shift is NaN, the full first order finite
+        code, out = run_cli(["oracle", "--preset", "fig2-ctl", "--theta",
+                             "33.690067526"], tmp_path)
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            "3.36900675e+01,0.00000000e+00,nan,-2.72888238e-09,2.72888238e-09,nan"]
+
     def test_brewster_grid_sets_the_coarse_scan(self, tmp_path, capsys):
         medium, stack, beam = load_config(preset="fig2-ctl").build()
         ctx = ScanContext(medium, stack, beam, delta_p=0.0)
@@ -378,7 +388,7 @@ class TestCli:
                 return fn(*args)
             return wrapper
 
-        for module in (multilayer, sys.modules["spinhall.sweep"]):
+        for module in (multilayer, sweep_module):
             monkeypatch.setattr(module, "_amplitudes",
                                 counted("amplitudes", module._amplitudes))
         monkeypatch.setattr(multilayer, "stack_reflection_derivative",
@@ -816,7 +826,6 @@ class TestCli:
     def test_reproduce_fig4c_fills_one_chunk(self, tmp_path, monkeypatch):
         # its 50 etas x 1 detuning x 2 angles are one chunk of the flat
         # (eta, detuning) axis, not one chunk per eta
-        sweep_module = sys.modules["spinhall.sweep"]
         fill, blocks = sweep_module._fill_block, []
 
         def spy(table, start, thetas_deg, detunings, *rest):
@@ -829,7 +838,6 @@ class TestCli:
 
     def test_reproduce_fig4c_forms_chi_in_one_call(self, tmp_path, monkeypatch):
         # one susceptibility call for the chunk's 50 densities, not one per eta
-        sweep_module = sys.modules["spinhall.sweep"]
         susceptibility, calls = sweep_module.susceptibility, []
 
         def spy(*args, **kwargs):

@@ -78,6 +78,15 @@ class TestEffectiveCouplings:
         textbook = 1j * dp / (1j * 0.64 + dp * (0.5 - 1j * dp))
         assert coherence_ratio(dp, m) == pytest.approx(textbook, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma_b", "gamma_e", "eta"])
+    def test_medium_refuses_non_finite_fields(self, field, value):
+        c = EffectiveCouplings(alpha=0.8 + 0j, beta=0j, omega_total=0.0)
+        fields = dict(gamma_b=1.0, gamma_e=1.0, eta=0.1, couplings=c)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MediumParams(**fields)
+
     def test_phase_normalized(self):
         assert ControlField(1.0, -math.pi / 2).phase == pytest.approx(3 * math.pi / 2)
 

@@ -1,6 +1,5 @@
 """Sweep engine: grids, extremum finders, windows, density curves."""
 
-import importlib
 import math
 import threading
 import tracemalloc
@@ -16,14 +15,12 @@ from spinhall import (BeamParams, ControlFieldSet, EffectiveCouplings, LayerStac
                       NoSignChange, ScanContext, SweepGrid,
                       effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
-                      load_config, max_shift_vs_detuning, susceptibility,
-                      sweep)
+                      load_config, max_shift_vs_detuning, susceptibility)
 from spinhall.multilayer import RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from spinhall.shifts import BREWSTER_FLOOR, shift_kernel
-from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT
+import spinhall.sweep as sweep_module
+from spinhall.sweep import COLUMNS, FLAG_BREWSTER, FLAG_RESONANT, sweep
 from conftest import medium_from, steady_state_coherence
-
-sweep_module = importlib.import_module("spinhall.sweep")
 
 LAM = 780e-9
 BREWSTER_DEG = math.degrees(math.atan(1 / 1.5))
@@ -62,7 +59,7 @@ def reference_table(medium, etas, detunings, thetas_deg, stack, beam):
             rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
                                        replace(stack, eps2=1.0 + chi))
             with np.errstate(invalid="ignore", divide="ignore"):
-                delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, beam)
+                delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, 0.0, beam)
                 ratio = np.abs(rs) / np.abs(rp)
             resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
                         | ~np.isfinite(rp) | ~np.isfinite(rs))
