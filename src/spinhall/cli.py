@@ -24,9 +24,9 @@ from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
                      load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
-from .shifts import shift_kernel
-from .sweep import (COLUMNS, ScanContext, SweepGrid, SweepTable,
-                    evaluate, extremal_angles, find_brewster,
+from .shifts import BREWSTER_FLOOR, shift_kernel
+from .sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, ScanContext, SweepGrid,
+                    SweepTable, evaluate, extremal_angles, find_brewster,
                     find_transparency_windows, sweep)
 # not called here; bound for perfbench/tracer.py and its binding test until
 # ROADMAP item 3
@@ -293,9 +293,13 @@ def _emit_table(table: SweepTable, cfg: RunConfig, args, argv) -> int:
     manifest = RunManifest.for_run(argv, cfg, len(table), flagged, counts)
     out = _write_output(cfg, args, manifest, COLUMNS, table.indexed_columns())
     print(f"wrote {len(table)} rows to {out} ({flagged} flagged)")
-    if len(table) and flagged / len(table) > MAX_FLAG_FRACTION:
-        return 3
-    return 0
+    return _flag_status(len(table), flagged)
+
+
+def _flag_status(rows: int, flagged: int) -> int:
+    """Exit status 3 when more than MAX_FLAG_FRACTION of ``rows`` are
+    flagged, else 0."""
+    return 3 if rows and flagged / rows > MAX_FLAG_FRACTION else 0
 
 
 def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
@@ -393,9 +397,13 @@ def cmd_oracle(cfg, args, argv):
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
     row = (args.theta, args.detuning, closed / beam.lam, quad_plus / beam.lam,
            -quad_plus / beam.lam, rel)
-    _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, 0), ORACLE_COLUMNS,
-                  [(np.array([v], dtype=float), None) for v in row])
-    return 0
+    # the closed form is NaN below the floor, as in a table row
+    counts = dict.fromkeys(FLAG_KINDS[1:], 0)
+    counts[FLAG_BREWSTER] = int(abs(rp[0]) < BREWSTER_FLOOR)
+    flagged = sum(counts.values())
+    _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, flagged, counts),
+                  ORACLE_COLUMNS, [(np.array([v], dtype=float), None) for v in row])
+    return _flag_status(1, flagged)
 
 
 def _angular_maximum(cfg: RunConfig, detunings):

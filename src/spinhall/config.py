@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,6 +37,8 @@ __all__ = ["RunConfig", "RunManifest", "load_config", "write_config", "TOLERANCE
 
 # points of one table: about ten fig2e maps, ~0.5 GB of table columns
 MAX_TABLE_POINTS = 5_000_000
+# validated configs, and config echoes as manifest text, kept per process
+MEMO_CONFIGS = 16
 
 TOLERANCES = {
     "brewster_floor_abs_rp": BREWSTER_FLOOR,
@@ -101,8 +104,13 @@ class RunConfig:
         """Validated (MediumParams, LayerStack, BeamParams) triple.
 
         The stack's eps2 is seeded as vacuum; evaluation replaces it per
-        detuning from the medium response.
+        detuning from the medium response.  The triple is built on the
+        first call and shared by every later one: the three are frozen.
         """
+        return self._built
+
+    @functools.cached_property
+    def _built(self):
         try:
             m = self.medium
             if m.alpha is not None or m.beta is not None or m.omega_total is not None:
@@ -133,7 +141,12 @@ class RunConfig:
         return medium, stack, beam
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The config as JSON values, in fresh dicts on every call."""
+        return {name: dict(block) for name, block in self._plain.items()}
+
+    @functools.cached_property
+    def _plain(self) -> dict:
+        return dataclasses.asdict(self)  # its values are immutable
 
 
 _BLOCKS = {"medium": MediumConfig, "stack": StackConfig, "beam": BeamConfig,
@@ -227,27 +240,41 @@ def load_config(path=None, preset: str | None = None) -> RunConfig:
     """Config from a JSON file and/or a named preset, over the defaults.
 
     Precedence: defaults < preset < file.  An empty or absent file
-    contributes nothing.
+    contributes nothing.  The file is read on every call; the validated
+    config of each (preset, file text) is kept for the process, so a
+    repeated call returns the same instance and a rewritten file is a
+    new config.  A refused config is never kept.
     """
+    text = None
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        return _config_of(preset, text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc.__cause__
+
+
+@functools.lru_cache(maxsize=MEMO_CONFIGS)
+def _config_of(preset: str | None, text: str | None) -> RunConfig:
+    """The validated config of ``preset`` under the JSON ``text``; a
+    ParseError names no file."""
     merged: dict = {}
     if preset is not None:
         try:
             _merge(merged, preset_config(preset))
         except KeyError as exc:
             raise ValidationError(exc.args[0]) from exc
-    if path is not None:
+    if text is not None and text.strip():
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-        if text.strip():
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-            if not isinstance(data, dict):
-                raise ParseError(f"{path}: top level must be a JSON object")
-            _merge(merged, data)
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        if not isinstance(data, dict):
+            raise ParseError("top level must be a JSON object")
+        _merge(merged, data)
     return config_from_dict(merged)
 
 
@@ -287,14 +314,37 @@ class RunManifest:
                    timestamp_utc=datetime.now(timezone.utc).isoformat())
 
     def to_json(self) -> str:
-        # the fields hold only JSON values, so no dataclasses.asdict deep copy
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        """``json.dumps(vars(self), indent=2, sort_keys=True)``, with the
+        config block's text encoded once per distinct config."""
+        fields = vars(self)  # only JSON values, so no dataclasses.asdict copy
+        text = json.dumps({**fields, "config": None}, indent=2, sort_keys=True)
+        # a JSON string holds no raw newline, so this is the top-level key
+        return text.replace('\n  "config": null',
+                            '\n  "config": ' + _echo_text(fields["config"]), 1)
 
     def write(self, data_path) -> Path:
         path = Path(str(data_path) + ".manifest.json")
         with atomic_output(path) as fh:
             fh.write(self.to_json() + "\n")
         return path
+
+
+_ECHOES: dict = {}  # repr of a config echo -> its text in a manifest
+
+
+def _echo_text(config) -> str:
+    """The JSON text of a manifest's config block, indented as the value of
+    a top-level key, encoded once per process for each distinct repr of
+    ``config``.  Their repr tells apart any two values that json.dumps
+    writes differently: 1, 1.0 and True, a tuple of each, two strings."""
+    key = repr(config)
+    text = _ECHOES.get(key)
+    if text is None:
+        text = json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  ")
+        if len(_ECHOES) >= MEMO_CONFIGS:
+            del _ECHOES[next(iter(_ECHOES))]  # the oldest
+        _ECHOES[key] = text
+    return text
 
 
 @contextmanager

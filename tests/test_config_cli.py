@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spinhall import (LayerStack, ParseError, RunConfig, ScanContext,
-                      ValidationError, find_brewster, load_config,
-                      max_shift_vs_detuning, write_config)
+                      ValidationError, effective_couplings, find_brewster,
+                      load_config, max_shift_vs_detuning, write_config)
 import spinhall.cli as cli
 import spinhall.config as config_module
 import spinhall.multilayer as multilayer
@@ -283,6 +283,10 @@ class TestCli:
         assert lines[0].startswith("theta_deg,detuning,delta_closed_lambda")
         rel = float(lines[1].split(",")[-1])
         assert rel < 0.05
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["flagged_count"] == 0
+        assert manifest["flag_counts"] == {"brewster_singularity": 0,
+                                           "resonant_denominator": 0}
 
     @pytest.mark.parametrize("line", GOLDEN_ORACLE.read_text().splitlines())
     def test_oracle_rows_match_golden(self, line, tmp_path, capsys):
@@ -296,12 +300,20 @@ class TestCli:
 
     def test_oracle_below_the_brewster_floor(self, tmp_path, capsys):
         # |rp| = 9.3e-13 at the Brewster angle of the resonant (eps2 = 1)
-        # cavity: the truncated shift is NaN, the full first order finite
+        # cavity: the truncated shift is NaN, the full first order finite;
+        # the row is flagged as a table row is, and exits 3 as `shift` does
         code, out = run_cli(["oracle", "--preset", "fig2-ctl", "--theta",
                              "33.690067526"], tmp_path)
-        assert code == 0
+        assert code == 3
         assert out.read_text().splitlines()[1:] == [
             "3.36900675e+01,0.00000000e+00,nan,-2.72888238e-09,2.72888238e-09,nan"]
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["flagged_count"] == 1
+        assert manifest["flag_counts"] == {"brewster_singularity": 1,
+                                           "resonant_denominator": 0}
+        code, _ = run_cli(["shift", "--preset", "fig2-ctl", "--theta",
+                           "33.690067526"], tmp_path, out="shift.csv")
+        assert code == 3
 
     def test_brewster_grid_sets_the_coarse_scan(self, tmp_path, capsys):
         medium, stack, beam = load_config(preset="fig2-ctl").build()
@@ -931,3 +943,102 @@ class TestCli:
         first = row.split(",")[0]
         assert first == "3.00000000e+01"
         assert "E" not in row
+
+
+class TestOneProcess:
+    """A process keeps each validated config, its built domain objects and
+    its manifest echo, keyed by preset and file text.  None of that reuse
+    may show in what a command reads, refuses or writes."""
+
+    SHIFT = ["shift", "--preset", "fig3-lambda", "--theta", "34", "--detuning", "0.3"]
+
+    def test_load_and_build_return_the_kept_objects(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"medium": {"eta": 0.07}}))
+        cfg = load_config(path, preset="fig2-ctl")
+        assert load_config(path, preset="fig2-ctl") is cfg
+        assert load_config(preset="fig2-ctl") is not cfg
+        assert cfg.build() is cfg.build()
+        echo = cfg.to_dict()
+        assert echo == dataclasses.asdict(cfg) and echo is not cfg.to_dict()
+        echo["medium"]["eta"] = 1.0  # a caller's copy, not the kept one
+        assert cfg.to_dict()["medium"]["eta"] == 0.07
+
+    def test_rewritten_config_is_read_again(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        rows, echoes = [], []
+        for eta in (0.05, 0.2):
+            path.write_text(json.dumps({"medium": {"eta": eta}}))
+            code, out = run_cli(["shift", "--preset", "fig2-ctl", "--detuning",
+                                 "0.5", "--config", str(path)], tmp_path)
+            assert code == 0
+            rows.append(dict(zip(COLUMNS, out.read_text().splitlines()[1].split(","))))
+            echoes.append(json.loads(Path(f"{out}.manifest.json").read_text())["config"])
+        assert [float(row["eta"]) for row in rows] == [0.05, 0.2]
+        assert rows[0]["chi2"] != rows[1]["chi2"]
+        assert rows[0]["delta_plus_lambda"] != rows[1]["delta_plus_lambda"]
+        assert [echo["medium"]["eta"] for echo in echoes] == [0.05, 0.2]
+
+    def test_refused_config_is_refused_again(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"medium": {"eta": -1.0}}))
+        broken = [tmp_path / "broken1.json", tmp_path / "broken2.json"]
+        for path in broken:
+            path.write_text('{"medium": {')
+        for path in (bad, bad, *broken, *broken):
+            code, out = run_cli(["shift", "--config", str(path)], tmp_path)
+            assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6 and err[0] == err[1] and "eta" in err[0]
+        # the key is the file text, but a message names the file it read
+        assert [line.split(":")[1].strip() for line in err[2:]] == [
+            str(path) for path in broken * 2]
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"medium": {"eta": 0.05}}))
+        code, out = run_cli(["shift", "--config", str(good)], tmp_path)
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_command_writes_the_same_bytes(self, fmt, tmp_path):
+        runs = []
+        for _ in range(2):
+            code, out = run_cli(self.SHIFT + ["--format", fmt], tmp_path,
+                                out=f"out.{fmt}")
+            assert code == 0
+            data = out.read_bytes()
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            if fmt == "json":  # the file carries its manifest, timestamp included
+                assert json.loads(data)["manifest"] == manifest
+                data = data[:data.rfind(b',\n  "manifest": ')]
+            manifest.pop("timestamp_utc")
+            runs.append((data, manifest))
+        assert runs[0] == runs[1]
+
+    def test_one_couplings_solve_per_config(self, tmp_path, monkeypatch):
+        config_module._config_of.cache_clear()
+        solved = []
+
+        def spy(fields):
+            solved.append(fields)
+            return effective_couplings(fields)
+
+        monkeypatch.setattr(config_module, "effective_couplings", spy)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"medium": {"amplitudes": [1.0, 2.0, 2.0, 1.0]}}))
+        commands = [
+            ["shift", "--preset", "fig2-ctl", "--theta", "31"],
+            ["shift", "--preset", "fig2-ctl", "--theta", "36", "--eta", "0.2"],
+            ["windows", "--preset", "fig2-ctl"],
+            ["oracle", "--preset", "fig2-ctl", "--detuning", "0.5"],
+            ["brewster", "--preset", "fig3-lambda", "--detuning", "0.3"],
+            ["susceptibility", "--preset", "fig3-lambda", "--detuning", "0.3"],
+            ["shift", "--config", str(path)],
+            ["sweep", "--config", str(path), "--grid", "33,34,3"],
+            ["reproduce", "fig4c"],  # the defaults, then fig4-ntype
+            ["reproduce", "fig5b"],  # fig3-lambda
+        ]
+        for argv in commands * 2:
+            assert main(argv + ["--out", "out.csv"]) == 0
+        # fig2-ctl, fig3-lambda, the file, the defaults, fig4-ntype
+        assert len(solved) == 5

@@ -25,6 +25,7 @@ import spinhall.cli as cli
 from spinhall import (LayerStack, RunManifest, ValidationError, evaluate,
                       jsontext, load_config)
 from spinhall.cli import ORACLE_COLUMNS, main
+from spinhall.config import config_from_dict
 from spinhall.sweep import (COLUMNS, FLAG_BREWSTER, FLAG_RESONANT, RowIndex,
                             SweepTable)
 
@@ -254,6 +255,72 @@ class TestCliAgainstReference:
         manifest = RunManifest(**json.loads(sidecar.read_text()))
         reference_write(ref, ORACLE_COLUMNS, [row], manifest, True, "csv")
         assert as_csv.read_bytes() == ref.read_bytes()
+
+
+# argv text the manifest's config block must not be confused with
+TRICKY_TEXT = st.sampled_from(['"config": null', '\n  "config": null',
+                               '  "config": null,', 'back\\slash "quoted"',
+                               "non-ASCII \u00e9\u00df\u2713 \U0001f600", ""])
+# a number and its value of another type, which json.dumps writes apart
+INT_OR_FLOAT = st.integers(1, 3) | st.integers(1, 3).map(float) | st.floats(0.1, 3.0)
+
+
+@st.composite
+def manifests(draw):
+    """A manifest of ``RunManifest.for_run`` over a drawn config, command
+    and flag counts."""
+    cfg = config_from_dict({
+        "medium": {"eta": draw(INT_OR_FLOAT, label="eta"),
+                   "gamma_b": draw(INT_OR_FLOAT, label="gamma_b"),
+                   "amplitudes": draw(st.lists(INT_OR_FLOAT, min_size=4,
+                                               max_size=4), label="amplitudes")},
+        "beam": {"w0_lambdas": draw(st.sampled_from([50, 50.0, 7.5]))},
+        "sweep": {"eta_list": draw(st.none() | st.lists(INT_OR_FLOAT, min_size=1,
+                                                        max_size=2))},
+        "output": {"out": draw(st.text() | TRICKY_TEXT, label="out"),
+                   "format": draw(st.sampled_from(["csv", "json"])),
+                   "manifest_header": draw(st.booleans())}})
+    command = draw(st.lists(st.text() | TRICKY_TEXT, max_size=6), label="command")
+    counts = {FLAG_RESONANT: draw(st.integers(0, 5)),
+              FLAG_BREWSTER: draw(st.integers(0, 5))}
+    return RunManifest.for_run(command, cfg, draw(st.integers(0, 10**6)),
+                               sum(counts.values()), counts)
+
+
+class TestManifestText:
+    @settings(max_examples=150, deadline=None)
+    @given(manifest=manifests(), other=INT_OR_FLOAT, data=st.data())
+    def test_to_json_is_json_dumps(self, manifest, other, data, tmp_path_factory):
+        """``to_json`` gives the bytes of json.dumps over the fields, for a
+        config seen before or not, after a caller edits the manifest's
+        config, and with no config; the JSON output embeds it as
+        ``json.dumps(payload, indent=2)`` lays it out."""
+        def dumps(m):
+            return json.dumps(vars(m), indent=2, sort_keys=True)
+
+        assert manifest.to_json() == dumps(manifest)
+        assert manifest.to_json() == dumps(manifest)  # the kept config text
+        manifest.config["medium"]["eta"] = other  # 1, 1.0 or another value
+        assert manifest.to_json() == dumps(manifest)
+        bare = replace(manifest, config=data.draw(st.none() | st.just({}), label="config"))
+        assert bare.to_json() == dumps(bare)
+        row = flat_data([[1.0] for _ in ORACLE_COLUMNS])
+        for m in (manifest, bare):
+            for fmt, header in (("json", False), ("csv", True)):
+                new, old = (tmp_path_factory.mktemp("m") / name
+                            for name in ("new", "old"))
+                cli._write_rows(new, ORACLE_COLUMNS, row, m, header, fmt)
+                reference_write(old, ORACLE_COLUMNS, rows_of(row), m, header, fmt)
+                assert new.read_bytes() == old.read_bytes()
+
+    def test_manifests_share_no_config(self):
+        cfg = load_config(preset="fig2-ctl")
+        first, second = (RunManifest.for_run(["shift"], cfg, 1, 0) for _ in range(2))
+        assert first.config == second.config == cfg.to_dict()
+        first.config["medium"]["eta"] = 0.5
+        first.config["beam"] = None
+        assert second.config == cfg.to_dict()
+        assert RunManifest.for_run(["shift"], cfg, 1, 0).config == cfg.to_dict()
 
 
 def csv_lines(*columns, flags=None):
