@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .errors import (DegenerateBrightState, InvalidAngle, NoMinimumInWindow,
                      NoSignChange, ParseError, ResonantDenominator,
                      SingularDenominator, SpinHallError, ValidationError)
-from .medium import (ControlField, ControlFieldSet, EffectiveCouplings,
-                     MediumParams, coherence_ratio, effective_couplings,
-                     susceptibility)
+from .medium import (EffectiveCouplings, MediumParams, coherence_ratio,
+                     effective_couplings, susceptibility)
 from .multilayer import (LayerStack, reflection_coefficients,
                          stack_reflection_derivative)
 from .shifts import BeamParams, shift_from_beam_integral, shift_kernel

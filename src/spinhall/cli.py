@@ -25,13 +25,13 @@ from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import BREWSTER_FLOOR, shift_kernel
-from .sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, ScanContext, SweepGrid,
-                    SweepTable, evaluate, extremal_angles, find_brewster,
-                    find_transparency_windows, sweep)
+from .sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, ScanContext, SweepTable,
+                    evaluate, extremal_angles, find_brewster,
+                    find_transparency_windows)
 # not called here; bound for perfbench/tracer.py and its binding test until
 # ROADMAP item 3
 from .shifts import shift_from_beam_integral  # noqa: F401
-from .sweep import max_shift_vs_detuning  # noqa: F401
+from .sweep import max_shift_vs_detuning, sweep  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
 CSV_FLOAT = "%.8e"  # 9 significant digits, lowercase exponent
@@ -336,16 +336,21 @@ def _table(cfg: RunConfig, thetas_deg, detunings, etas) -> SweepTable:
     return evaluate(medium, etas, detunings, thetas_deg, stack, beam)
 
 
+def _axis(rng) -> np.ndarray:
+    """The points of a [min, max, count] range."""
+    lo, hi, n = rng
+    return np.linspace(lo, hi, int(n))
+
+
 def cmd_susceptibility(cfg, args, argv):
-    lo, hi, n = cfg.sweep.detuning
-    table = _table(cfg, [args.theta], np.linspace(lo, hi, int(n)), _etas(args))
+    table = _table(cfg, [args.theta], _axis(cfg.sweep.detuning), _etas(args))
     chi0 = susceptibility(args.detuning, _context(cfg, 0.0, args.eta).medium)
     print(f"chi({args.detuning:g}) = {chi0.real:.6e} {chi0.imag:+.6e}i")
     return _emit_table(table, cfg, args, argv)
 
 
 def cmd_shift(cfg, args, argv):
-    thetas = np.linspace(*_parse_grid(args.grid)) if args.grid else [args.theta]
+    thetas = _axis(_parse_grid(args.grid)) if args.grid else [args.theta]
     table = _table(cfg, thetas, [args.detuning], _etas(args))
     if len(table) == 1:
         print(f"delta_plus = {table.delta_plus_lambda[0]:.6e} lambda, "
@@ -354,13 +359,10 @@ def cmd_shift(cfg, args, argv):
 
 
 def cmd_sweep(cfg, args, argv):
-    medium, stack, beam = cfg.build()
     etas = _etas(args) or cfg.sweep.eta_list
-    theta_rng = (_parse_grid(args.grid, cfg.sweep.detuning[2] * len(etas or [None]))
-                 if args.grid else tuple(cfg.sweep.theta_deg))
-    grid = SweepGrid(theta_range=theta_rng,
-                     detuning_range=tuple(cfg.sweep.detuning), eta_list=etas)
-    table = sweep(grid, medium, stack, beam)
+    thetas = (_parse_grid(args.grid, cfg.sweep.detuning[2] * len(etas or [None]))
+              if args.grid else cfg.sweep.theta_deg)
+    table = _table(cfg, _axis(thetas), _axis(cfg.sweep.detuning), etas)
     return _emit_table(table, cfg, args, argv)
 
 
@@ -390,7 +392,7 @@ def cmd_oracle(cfg, args, argv):
     rp, rs = multilayer.reflection_coefficients(theta, beam.lam, layered)
     # looked up at call time, so a wrapper bound on the module sees the call
     drp, _ = multilayer.stack_reflection_derivative(theta, beam.lam, layered)
-    closed = float(shift_kernel(theta, rp, rs, 0.0, beam)[0][0])
+    closed = float(shift_kernel(theta, rp, rs, None, beam)[0][0])
     quad_plus = float(shift_kernel(theta, rp, rs, drp, beam)[0][0])
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
     print(f"closed = {closed / beam.lam:.6e} lambda, moment = "

@@ -26,8 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParseError, ValidationError
-from .medium import (ControlFieldSet, EffectiveCouplings, MediumParams,
-                     effective_couplings)
+from .medium import EffectiveCouplings, MediumParams, effective_couplings
 from .multilayer import LayerStack, RESONANT_DENOMINATOR_FLOOR
 from .presets import preset_config
 from .shifts import BREWSTER_FLOOR, BeamParams
@@ -54,8 +53,8 @@ class MediumConfig:
     eta: float = 0.1
     amplitudes: tuple = (1.5, 3.0, 2.5, 0.9)
     phases: tuple = (0.0, 0.0, 0.0, 0.0)
-    # optional direct couplings [re, im]; set when the field-set route is
-    # degenerate (vanishing upper legs)
+    # optional direct couplings [re, im]; set when the fields' dark/bright
+    # split is degenerate (vanishing upper legs)
     alpha: tuple | None = None
     beta: tuple | None = None
     omega_total: float | None = None
@@ -96,10 +95,6 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def field_set(self) -> ControlFieldSet:
-        a, p = self.medium.amplitudes, self.medium.phases
-        return ControlFieldSet.from_amplitudes(*a, *p)
-
     def build(self):
         """Validated (MediumParams, LayerStack, BeamParams) triple.
 
@@ -120,7 +115,7 @@ class RunConfig:
                 couplings = EffectiveCouplings(
                     complex(*m.alpha), complex(*m.beta), float(m.omega_total))
             else:
-                couplings = effective_couplings(self.field_set())
+                couplings = effective_couplings(m.amplitudes, m.phases)
             medium = MediumParams(gamma_b=m.gamma_b, gamma_e=m.gamma_e,
                                   eta=m.eta, couplings=couplings)
             stack = LayerStack(eps2=1.0 + 0j,

@@ -28,51 +28,12 @@ import numpy as np
 from .errors import DegenerateBrightState, SingularDenominator
 
 __all__ = [
-    "ControlField",
-    "ControlFieldSet",
     "EffectiveCouplings",
     "MediumParams",
     "effective_couplings",
     "coherence_ratio",
     "susceptibility",
 ]
-
-
-@dataclass(frozen=True)
-class ControlField:
-    """One control field: non-negative amplitude (units of gamma) and a
-    phase stored normalized to [0, 2*pi)."""
-
-    amplitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not np.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        object.__setattr__(self, "phase", self.phase % tau)
-
-    @property
-    def value(self) -> complex:
-        """Complex Rabi frequency |Omega| * exp(i*phi)."""
-        return self.amplitude * np.exp(1j * self.phase)
-
-
-@dataclass(frozen=True)
-class ControlFieldSet:
-    """The four control fields, ordered (lower-leg 1, lower-leg 2,
-    upper-leg 3, upper-leg 4)."""
-
-    field1: ControlField
-    field2: ControlField
-    field3: ControlField
-    field4: ControlField
-
-    @classmethod
-    def from_amplitudes(cls, a1, a2, a3, a4, p1=0.0, p2=0.0, p3=0.0, p4=0.0):
-        return cls(ControlField(a1, p1), ControlField(a2, p2),
-                   ControlField(a3, p3), ControlField(a4, p4))
 
 
 @dataclass(frozen=True)
@@ -125,10 +86,14 @@ class MediumParams:
             raise ValueError("density parameter eta must be >= 0")
 
 
-def effective_couplings(fields: ControlFieldSet) -> EffectiveCouplings:
+def effective_couplings(amplitudes, phases) -> EffectiveCouplings:
     """Project the four control fields onto the dark/bright basis.
 
-    Returns couplings with
+    ``amplitudes`` are the four field strengths (units of gamma), ordered
+    (lower leg 1, lower leg 2, upper leg 3, upper leg 4), and ``phases``
+    their phases in radians; field k is the complex Rabi frequency
+    ``O_k = amplitudes[k] * exp(i * (phases[k] % 2 pi))``.  Returns
+    couplings with
     ``alpha = (conj(O1)*O3 + conj(O2)*O4) / Omega`` and
     ``beta  = (conj(O1)*conj(O4) - conj(O2)*conj(O3)) / Omega`` where
     ``Omega = sqrt(|O3|^2 + |O4|^2)``.  This is the exact bright-state
@@ -137,14 +102,25 @@ def effective_couplings(fields: ControlFieldSet) -> EffectiveCouplings:
     ``(|alpha|^2+|beta|^2) * Omega^2 = (|O1|^2+|O2|^2) * Omega^2``
     identically, for arbitrary phases.
 
-    Raises DegenerateBrightState when Omega = 0 while a lower-leg field
-    is still on; supply the couplings directly in that case.
+    Raises ValueError unless there are four of each, every amplitude
+    finite and >= 0 and every phase finite, and DegenerateBrightState
+    when Omega = 0 while a lower-leg field is still on; supply the
+    couplings directly in that case.
     """
-    o1, o2 = fields.field1.value, fields.field2.value
-    o3, o4 = fields.field3.value, fields.field4.value
-    omega = float(np.hypot(fields.field3.amplitude, fields.field4.amplitude))
+    if len(amplitudes) != 4 or len(phases) != 4:
+        raise ValueError("need four amplitudes and four phases, got "
+                         f"{len(amplitudes)} and {len(phases)}")
+    for a in amplitudes:
+        if not np.isfinite(a) or a < 0:
+            raise ValueError(f"amplitude must be finite and >= 0, got {a}")
+    for p in phases:
+        if not np.isfinite(p):
+            raise ValueError(f"phase must be finite, got {p}")
+    a1, a2, a3, a4 = amplitudes
+    o1, o2, o3, o4 = (a * np.exp(1j * (p % tau)) for a, p in zip(amplitudes, phases))
+    omega = float(np.hypot(a3, a4))
     if omega == 0.0:
-        if fields.field1.amplitude > 0 or fields.field2.amplitude > 0:
+        if a1 > 0 or a2 > 0:
             raise DegenerateBrightState(
                 "upper-leg fields are zero: the dark/bright split is "
                 "direction-dependent; construct EffectiveCouplings directly")

@@ -15,12 +15,12 @@ same field tilts the minus component inside the glass by 2 Im[X] cot / den.
 delta_plus and theta_minus, which is k1/k0 times that glass-side tilt:
 k1 w0^2 Im[X] cot / den over the vacuum Rayleigh range pi w0^2 / lam.
 
-``drp = 0`` drops the in-plane angular-spread term |rp'/rp|^2: the paper's
-truncated closed form, whose peak near a lossless zero of rp is exactly
-the half-waist bound w0/2.  ``drp`` = rp' keeps it: the full first order,
-whose peak there is lower.  Where |rp| < BREWSTER_FLOOR the truncated
-shift is NaN; the full first order is then the moment multiplied through
-by |rp|^2, which stays finite where rp vanishes:
+``drp = None`` drops the in-plane angular-spread term |rp'/rp|^2: the
+paper's truncated closed form, whose peak near a lossless zero of rp is
+exactly the half-waist bound w0/2.  ``drp`` = rp' keeps it: the full first
+order, whose peak there is lower.  Where |rp| < BREWSTER_FLOOR the
+truncated shift is NaN; the full first order is then the moment multiplied
+through by |rp|^2, which stays finite where rp vanishes, rp' = 0 included:
 
     delta+- = -+ (1/k1) cot Re[rp* (rp + rs)]
               / (|rp|^2 + (|rp'|^2 + cot^2 |rp + rs|^2) / (k1 w0)^2).
@@ -94,13 +94,13 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams):
     """Vectorized (delta_plus, theta_minus) from raw coefficients.
 
     ``theta_i``, ``rp``, ``rs`` and ``drp`` are scalars or arrays that
-    broadcast together.  ``drp = 0`` gives the paper's truncated shift,
-    ``drp`` = d rp / d theta the full first order.  Where |rp| is below
-    BREWSTER_FLOOR the truncated shift is NaN (tables flag it), while the
-    full first order takes the moment multiplied through by |rp|^2, which
-    stays finite.  Toward normal incidence, where cot(theta) or the
-    denominator overflows or 1 + rs/rp is rounding only, both shifts take
-    their limit 0.
+    broadcast together.  ``drp = None`` gives the paper's truncated shift,
+    ``drp`` = d rp / d theta (any value, 0 included) the full first order.
+    Where |rp| is below BREWSTER_FLOOR the truncated shift is NaN (tables
+    flag it), while the full first order takes the moment multiplied
+    through by |rp|^2, which stays finite.  Toward normal incidence, where
+    cot(theta) or the denominator overflows or 1 + rs/rp is rounding only,
+    both shifts take their limit 0.
     """
     rp = np.asarray(rp, dtype=complex)
     abs_rp = np.abs(rp)
@@ -108,11 +108,14 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         one_plus = 1 + np.asarray(rs, dtype=complex) / np.where(ok, rp, 1.0)
         cot = np.cos(theta_i) / np.sin(theta_i)
-        den = (beam.k1 * (beam.k1 * beam.w0 ** 2) + np.abs(one_plus * cot) ** 2
-               + (np.abs(drp) / abs_rp) ** 2)
+        den = beam.k1 * (beam.k1 * beam.w0 ** 2) + np.abs(one_plus * cot) ** 2
+        if drp is not None:
+            den = den + (np.abs(drp) / abs_rp) ** 2
         delta_plus, theta_minus = (np.where(ok, s, np.nan) for s in
                                    _centroid(cot, one_plus, den, 1.0, beam))
-        cleared = np.broadcast_to(~ok & (np.asarray(drp) != 0), delta_plus.shape)
+        if drp is None:
+            return delta_plus, theta_minus
+        cleared = np.broadcast_to(~ok, delta_plus.shape)
         if cleared.any():
             rp_, rs_, drp_, cot_ = (np.broadcast_to(a, cleared.shape)[cleared]
                                     for a in (rp, rs, drp, cot))

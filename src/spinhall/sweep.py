@@ -107,7 +107,7 @@ class ScanContext:
 
     def _shift(self, theta, which: int):
         return self._row(theta, lambda t, rp, rs: (
-            shift_kernel(t, rp, rs, 0.0, self.beam)[which],))[0]
+            shift_kernel(t, rp, rs, None, self.beam)[which],))[0]
 
     def delta_plus(self, theta):
         """Spatial shift (meters) of the right-circular component."""
@@ -118,6 +118,9 @@ class ScanContext:
         return self._shift(theta, 1)
 
 
+# SweepGrid and sweep are not called by the package: the name
+# spinhall.cli.sweep is bound for perfbench/tracer.py and its binding test
+# until ROADMAP item 3; every table comes from evaluate
 @dataclass(frozen=True)
 class SweepGrid:
     """Evaluation grid; angles in degrees, detunings in gamma units.
@@ -251,7 +254,7 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                                replace(stack, eps2=1.0 + chi[:, None]))
     abs_rp, abs_rs = np.abs(rp), np.abs(rs)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, 0.0, beam)
+        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, None, beam)
         ratio = abs_rs / abs_rp
     # a non-finite rp or rs (an overflowing interface coefficient, or a
     # NaN denominator) is a resonant denominator too
@@ -489,7 +492,7 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
 
     def objective(t, eps):
         rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps))
-        delta_plus, theta_minus = shift_kernel(t, rp, rs, 0.0, beam)
+        delta_plus, theta_minus = shift_kernel(t, rp, rs, None, beam)
         return -np.abs(delta_plus) if kind == "spatial" else -theta_minus
 
     def at_points(t, rows):  # the objective at t[j] against eps2[rows[j]]

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from spinhall import (BeamParams, ControlFieldSet, LayerStack, MediumParams,
-                      effective_couplings)
+from spinhall import BeamParams, LayerStack, MediumParams, effective_couplings
 
 LAM = 780e-9
 
 
 def medium_from(amplitudes, phase1=0.0, eta=0.1):
-    fs = ControlFieldSet.from_amplitudes(*amplitudes, p1=phase1)
-    return MediumParams(gamma_b=1.0, gamma_e=1.0, eta=eta,
-                        couplings=effective_couplings(fs))
+    couplings = effective_couplings(amplitudes, (phase1, 0.0, 0.0, 0.0))
+    return MediumParams(gamma_b=1.0, gamma_e=1.0, eta=eta, couplings=couplings)
 
 
 def steady_state_coherence(dp, m, probe=1.0):
@@ -41,13 +39,13 @@ def steady_state_coherence(dp, m, probe=1.0):
     return complex(out) if np.ndim(dp) == 0 else out
 
 
-def bare_state_coherence(dp, fields, gamma_b, gamma_e, probe=1.0):
+def bare_state_coherence(dp, amplitudes, phases, gamma_b, gamma_e, probe=1.0):
     """Independent route without the dark/bright reduction: the weak-probe
     steady state of (rho_ba, rho_ca, rho_da, rho_ea) with the four control
-    fields as given.  The probe drives a-b; field 1 couples b-c, field 2
-    b-d, field 3 c-e and field 4 d-e, closing the loop b-c-e-d-b."""
-    o1, o2 = fields.field1.value, fields.field2.value
-    o3, o4 = fields.field3.value, fields.field4.value
+    fields amplitudes[k] * exp(i phases[k]).  The probe drives a-b; field 1
+    couples b-c, field 2 b-d, field 3 c-e and field 4 d-e, closing the loop
+    b-c-e-d-b."""
+    o1, o2, o3, o4 = (a * np.exp(1j * p) for a, p in zip(amplitudes, phases))
     A = np.array([
         [-(gamma_b / 2 - 1j * dp), 1j * np.conj(o1), 1j * np.conj(o2), 0],
         [1j * o1, 1j * dp, 0, 1j * o3],

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinhall import (BeamParams, ControlFieldSet, LayerStack, MediumParams,
+from spinhall import (BeamParams, LayerStack, MediumParams,
                       ScanContext, effective_couplings, evaluate, find_brewster,
                       find_sign_flip, find_transparency_windows,
                       max_shift_vs_detuning, reflection_coefficients,
@@ -73,7 +73,7 @@ def test_criterion_2_peak_shift_bound(ctl_medium):
     rs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     theta = rng.uniform(0.01, math.pi / 2 - 0.01, n)
     beam = BeamParams(w0=W0, lam=LAM)
-    delta, _ = shift_kernel(theta, rp, rs, 0.0, beam)
+    delta, _ = shift_kernel(theta, rp, rs, None, beam)
     ok_bound = bool(np.all(np.abs(delta) <= W0 / 2 * (1 + 1e-12)))
     ok = ok_peaks and ok_bound
     assert report("2", ok, f"peaks {peak_pos:+.3f}/{peak_neg:+.3f} lambda "
@@ -219,7 +219,7 @@ def test_criterion_9_oracle_equivalence(ctl_medium):
         rp, rs = reflection_coefficients(theta, LAM, stack)
         if abs(rp) < 0.05 * abs(rs):
             continue
-        closed = float(shift_kernel(theta, rp, rs, 0.0, beam)[0])
+        closed = float(shift_kernel(theta, rp, rs, None, beam)[0])
         quad_plus, quad_minus = quadrature_shift(theta, stack, beam)
         worst = max(worst, abs(quad_plus - closed) / abs(closed))
         worst_mirror = max(worst_mirror,
@@ -246,7 +246,7 @@ def test_criterion_10_structural_invariants():
     lagrange_worst = float(np.max(np.abs(lhs - rhs) / rhs))
     # spot-check the identity through the public constructor as well
     for i in range(0, n, 997):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a[i], *p[i]))
+        c = effective_couplings(a[i], p[i])
         assert c.zeta * c.omega_total ** 2 == pytest.approx(rhs[i], rel=1e-12)
     thetas = np.radians(np.linspace(0.1, 89.9, 1000))
     bound_ok = True
@@ -257,10 +257,8 @@ def test_criterion_10_structural_invariants():
     dps = np.linspace(-5, 5, 41)
     phase_ok = True
     for i in range(0, n, 499):
-        m0 = MediumParams(1, 1, 0.1, effective_couplings(
-            ControlFieldSet.from_amplitudes(*a[i], *p[i])))
-        m1 = MediumParams(1, 1, 0.1, effective_couplings(
-            ControlFieldSet.from_amplitudes(*a[i], *(p[i] + 1.234))))
+        m0 = MediumParams(1, 1, 0.1, effective_couplings(a[i], p[i]))
+        m1 = MediumParams(1, 1, 0.1, effective_couplings(a[i], p[i] + 1.234))
         phase_ok &= bool(np.allclose(susceptibility(dps, m0),
                                      susceptibility(dps, m1),
                                      rtol=1e-9, atol=1e-15))

@@ -575,6 +575,11 @@ class TestCli:
         '{"medium": {"eta": 1e400}}',
         '{"medium": {"gamma_b": NaN}}',
         '{"medium": {"amplitudes": [1.5, 3.0, Infinity, 0.9]}}',
+        '{"medium": {"amplitudes": [1.5, -0.1, 2.5, 0.9]}}',
+        '{"medium": {"amplitudes": [NaN, 3.0, 2.5, 0.9]}}',
+        '{"medium": {"phases": [0.0, NaN, 0.0, 0.0]}}',
+        '{"medium": {"phases": [0.0, 0.0, -Infinity, 0.0]}}',
+        '{"medium": {"phases": [0.0, 0.0, 1e400, 0.0]}}',
         '{"medium": 0.1}',
         '{"stack": {"thickness_d": NaN}}',
         '{"beam": {"w0_lambdas": Infinity}}',
@@ -1018,9 +1023,9 @@ class TestOneProcess:
         config_module._config_of.cache_clear()
         solved = []
 
-        def spy(fields):
-            solved.append(fields)
-            return effective_couplings(fields)
+        def spy(amplitudes, phases):
+            solved.append((amplitudes, phases))
+            return effective_couplings(amplitudes, phases)
 
         monkeypatch.setattr(config_module, "effective_couplings", spy)
         monkeypatch.chdir(tmp_path)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhall import (ControlField, ControlFieldSet, DegenerateBrightState,
-                      EffectiveCouplings, MediumParams, SingularDenominator,
-                      coherence_ratio, effective_couplings, susceptibility)
+from spinhall import (DegenerateBrightState, EffectiveCouplings, MediumParams,
+                      SingularDenominator, coherence_ratio, effective_couplings,
+                      susceptibility)
 from spinhall.medium import _coherence_polynomials
 from conftest import bare_state_coherence, steady_state_coherence
 
@@ -25,24 +25,24 @@ amplitude = st.floats(0.05, 5.0)
 phase = st.floats(0.0, 2 * math.pi)
 # down to the subnormals, where chi underflows
 tiny = st.floats(-320.0, 0.0).map(lambda e: 10.0 ** e)
+NO_PHASES = (0.0, 0.0, 0.0, 0.0)
 
 
 class TestEffectiveCouplings:
     def test_lambda_setup(self):
-        fs = ControlFieldSet.from_amplitudes(0.5, 0.5, 0.7, 0.7, p1=math.pi)
-        c = effective_couplings(fs)
+        c = effective_couplings((0.5, 0.5, 0.7, 0.7), (math.pi, 0.0, 0.0, 0.0))
         assert abs(c.alpha) < 1e-15
         assert c.beta == pytest.approx(-0.7 / math.sqrt(0.98), abs=1e-12)
         assert abs(c.beta.imag) < 1e-15
         assert c.omega_total == pytest.approx(math.sqrt(0.98), abs=1e-12)
 
     def test_ntype_setup(self):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(0.5, 0.5, 0.7, 0.7))
+        c = effective_couplings((0.5, 0.5, 0.7, 0.7), NO_PHASES)
         assert abs(c.beta) < 1e-15
         assert c.alpha == pytest.approx(0.7 / math.sqrt(0.98), abs=1e-12)
 
     def test_ctl_setup(self):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(1.5, 3.0, 2.5, 0.9))
+        c = effective_couplings((1.5, 3.0, 2.5, 0.9), NO_PHASES)
         # direct evaluation: (1.5*2.5 + 3*0.9)/sqrt(6.25+0.81), (1.5*0.9 - 3*2.5)/same
         root = math.sqrt(6.25 + 0.81)
         assert c.alpha == pytest.approx(6.45 / root, rel=1e-12)
@@ -51,10 +51,10 @@ class TestEffectiveCouplings:
 
     def test_degenerate_bright_state(self):
         with pytest.raises(DegenerateBrightState):
-            effective_couplings(ControlFieldSet.from_amplitudes(1.0, 0.0, 0.0, 0.0))
+            effective_couplings((1.0, 0.0, 0.0, 0.0), NO_PHASES)
 
     def test_all_fields_off(self):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(0, 0, 0, 0))
+        c = effective_couplings((0, 0, 0, 0), NO_PHASES)
         assert c.alpha == 0 and c.beta == 0 and c.omega_total == 0
 
     def test_direct_construction_natural_lambda(self):
@@ -88,16 +88,39 @@ class TestEffectiveCouplings:
             MediumParams(**fields)
 
     def test_phase_normalized(self):
-        assert ControlField(1.0, -math.pi / 2).phase == pytest.approx(3 * math.pi / 2)
+        # field 1 enters alpha as conj(O1) O3 / Omega: -pi/2 is 3 pi/2
+        a = (1.0, 0.0, 1.0, 0.0)
+        alpha = effective_couplings(a, (-math.pi / 2, 0.0, 0.0, 0.0)).alpha
+        assert alpha == pytest.approx(1j, abs=1e-15)
+        assert alpha == pytest.approx(
+            effective_couplings(a, (3 * math.pi / 2, 0.0, 0.0, 0.0)).alpha, abs=1e-15)
 
     def test_amplitude_validation(self):
-        with pytest.raises(ValueError):
-            ControlField(-0.1)
+        for amplitudes, phases in [
+                ((1.5, -0.1, 2.5, 0.9), NO_PHASES),
+                ((1.5, 3.0, math.nan, 0.9), NO_PHASES),
+                ((math.inf, 3.0, 2.5, 0.9), NO_PHASES),
+                ((1.5, 3.0, 2.5, 0.9), (0.0, math.nan, 0.0, 0.0)),
+                ((1.5, 3.0, 2.5, 0.9), (0.0, 0.0, 0.0, -math.inf)),
+                ((1.5, 3.0, 2.5), NO_PHASES),
+                ((1.5, 3.0, 2.5, 0.9), (0.0, 0.0, 0.0, 0.0, 0.0))]:
+            with pytest.raises(ValueError, match="amplitude|phase"):
+                effective_couplings(amplitudes, phases)
+
+    @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
+           k=st.tuples(*[st.integers(-2 ** 50, 2 ** 50)] * 4))
+    def test_full_turn_gives_the_same_bits(self, a, k):
+        # phases of |p| <= 1 on the float grid of [4, 8), where p + 2 pi is exact
+        p = [n * 2.0 ** -50 for n in k]
+        c0 = effective_couplings(a, p)
+        c1 = effective_couplings(a, [q + 2 * math.pi for q in p])
+        bits = lambda c: np.array([c.alpha, c.beta, c.omega_total]).tobytes()
+        assert bits(c0) == bits(c1)
 
     @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
            p=st.tuples(phase, phase, phase, phase))
     def test_lagrange_identity_random_phases(self, a, p):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, *p))
+        c = effective_couplings(a, p)
         lhs = c.zeta * c.omega_total ** 2
         rhs = (a[0] ** 2 + a[1] ** 2) * (a[2] ** 2 + a[3] ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -105,9 +128,9 @@ class TestEffectiveCouplings:
     @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
            p=st.tuples(phase, phase, phase, phase), offset=phase)
     def test_common_phase_offset_invariance(self, a, p, offset):
-        c0 = effective_couplings(ControlFieldSet.from_amplitudes(*a, *p))
+        c0 = effective_couplings(a, p)
         shifted = [(q + offset) % (2 * math.pi) for q in p]
-        c1 = effective_couplings(ControlFieldSet.from_amplitudes(*a, *shifted))
+        c1 = effective_couplings(a, shifted)
         assert abs(c0.alpha) == pytest.approx(abs(c1.alpha), rel=1e-9, abs=1e-12)
         assert abs(c0.beta) == pytest.approx(abs(c1.beta), rel=1e-9, abs=1e-12)
 
@@ -115,9 +138,8 @@ class TestEffectiveCouplings:
            p=st.tuples(phase, phase, phase, phase))
     def test_moduli_depend_only_on_loop_phase(self, a, p):
         loop = (p[0] - p[1]) - (p[2] - p[3])
-        c0 = effective_couplings(ControlFieldSet.from_amplitudes(*a, *p))
-        c1 = effective_couplings(
-            ControlFieldSet.from_amplitudes(*a, p1=loop % (2 * math.pi)))
+        c0 = effective_couplings(a, p)
+        c1 = effective_couplings(a, (loop % (2 * math.pi), 0.0, 0.0, 0.0))
         assert abs(c0.alpha) == pytest.approx(abs(c1.alpha), rel=1e-9, abs=1e-12)
         assert abs(c0.beta) == pytest.approx(abs(c1.beta), rel=1e-9, abs=1e-12)
 
@@ -181,7 +203,7 @@ class TestCoherenceRatio:
     def test_against_steady_state_solve(self, a, loop, dp, gb, ge):
         if abs(dp) < 1e-3:
             dp = 1e-3
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, p1=loop))
+        c = effective_couplings(a, (loop, 0.0, 0.0, 0.0))
         m = MediumParams(gb, ge, 0.1, c)
         closed = coherence_ratio(dp, m)
         solved = steady_state_coherence(dp, m)
@@ -196,18 +218,16 @@ class TestCoherenceRatio:
         # at resonance it is singular when beta = 0 (a decoupled dark state)
         if abs(dp) < 1e-3:
             dp = 1e-3
-        fields = ControlFieldSet.from_amplitudes(*a, *p)
-        m = MediumParams(gb, ge, 0.1, effective_couplings(fields))
+        m = MediumParams(gb, ge, 0.1, effective_couplings(a, p))
         assert coherence_ratio(dp, m) == pytest.approx(
-            bare_state_coherence(dp, fields, gb, ge), rel=1e-12)
+            bare_state_coherence(dp, a, p, gb, ge), rel=1e-12)
 
     @settings(max_examples=100)
     @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude),
            p=st.tuples(phase, phase, phase, phase),
            gb=st.floats(0.2, 3.0), ge=st.floats(0.2, 3.0))
     def test_polynomials_reproduce_ratio(self, a, p, gb, ge):
-        m = MediumParams(gb, ge, 0.1, effective_couplings(
-            ControlFieldSet.from_amplitudes(*a, *p)))
+        m = MediumParams(gb, ge, 0.1, effective_couplings(a, p))
         num, den = _coherence_polynomials(m)
         dps = np.random.default_rng(3).uniform(-8.0, 8.0, 64)
         np.testing.assert_allclose(np.polyval(num, dps) / np.polyval(den, dps),
@@ -229,7 +249,7 @@ class TestSusceptibility:
     @settings(max_examples=40)
     @given(a=st.tuples(amplitude, amplitude, amplitude, amplitude), loop=phase)
     def test_resonance_transparency_whenever_dark_coupling_on(self, a, loop):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, p1=loop))
+        c = effective_couplings(a, (loop, 0.0, 0.0, 0.0))
         if abs(c.beta) < 1e-6:
             return
         m = MediumParams(1.0, 1.0, 0.1, c)
@@ -257,7 +277,7 @@ class TestSusceptibility:
     def test_scalar_bits_equal_array_bits(self, a, loop, eta, detunings):
         # the sign of a zero included: a table row and a pointwise query
         # at the same detuning write the same chi1, chi2 text
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, p1=loop))
+        c = effective_couplings(a, (loop, 0.0, 0.0, 0.0))
         m = MediumParams(1.0, 1.0, eta, c)
         row = susceptibility(np.array(detunings), m)
         points = np.array([susceptibility(dp, m) for dp in detunings])
@@ -294,10 +314,8 @@ class TestSusceptibility:
             a = rng.uniform(0.1, 3.0, 4)
             p = rng.uniform(0, 2 * np.pi, 4)
             off = rng.uniform(0, 2 * np.pi)
-            m0 = MediumParams(1, 1, 0.1, effective_couplings(
-                ControlFieldSet.from_amplitudes(*a, *p)))
-            m1 = MediumParams(1, 1, 0.1, effective_couplings(
-                ControlFieldSet.from_amplitudes(*a, *(p + off))))
+            m0 = MediumParams(1, 1, 0.1, effective_couplings(a, p))
+            m1 = MediumParams(1, 1, 0.1, effective_couplings(a, p + off))
             np.testing.assert_allclose(susceptibility(dps, m0),
                                        susceptibility(dps, m1), rtol=1e-9, atol=1e-15)
 

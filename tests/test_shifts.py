@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhall import (BeamParams, LayerStack, ScanContext,
@@ -24,7 +24,7 @@ LAM = 780e-9
 def closed_shift(theta, stack, beam, lam=LAM):
     """delta_plus (meters) of the closed form at one angle of a stack."""
     return float(shift_kernel(theta, *reflection_coefficients(theta, lam, stack),
-                              0.0, beam)[0])
+                              None, beam)[0])
 
 
 class TestBeamParams:
@@ -45,11 +45,11 @@ class TestBeamParams:
 
 class TestSpatialShift:
     def test_destructive_ratio_gives_zero(self, beam):
-        delta, _ = shift_kernel(math.radians(40.0), 0.5 + 0j, -0.5 + 0j, 0.0, beam)
+        delta, _ = shift_kernel(math.radians(40.0), 0.5 + 0j, -0.5 + 0j, None, beam)
         assert delta == 0.0
 
     def test_grazing_incidence_vanishes(self, beam):
-        delta, _ = shift_kernel(math.pi / 2 - 1e-9, 0.4 + 0j, 0.7 + 0j, 0.0, beam)
+        delta, _ = shift_kernel(math.pi / 2 - 1e-9, 0.4 + 0j, 0.7 + 0j, None, beam)
         assert abs(delta) < 1e-9 * beam.w0
 
     def test_antisymmetry_exact(self, beam):
@@ -57,7 +57,7 @@ class TestSpatialShift:
         # centroids, without angular spread, straddle the closed form
         quad_plus, quad_minus = centroids(0.6, 0.1 + 0.05j, 0.6 - 0.2j, 0j,
                                           beam, GridSpec())
-        delta, _ = shift_kernel(0.6, 0.1 + 0.05j, 0.6 - 0.2j, 0.0, beam)
+        delta, _ = shift_kernel(0.6, 0.1 + 0.05j, 0.6 - 0.2j, None, beam)
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-12)
         assert quad_plus == pytest.approx(float(delta), rel=1e-6)
 
@@ -67,13 +67,13 @@ class TestSpatialShift:
         # |(1 + rs/rp) cot|^2, and below 1e-308 cot itself, overflow on
         # the way to the limit 0; no warning, no NaN
         rp, rs = reflection_coefficients(theta, LAM, vacuum_stack)
-        assert shift_kernel(theta, rp, rs, 0.0, beam) == (0.0, 0.0)
-        assert shift_kernel(np.array([theta, 0.6]), rp, rs, 0.0, beam)[0][0] == 0.0
+        assert shift_kernel(theta, rp, rs, None, beam) == (0.0, 0.0)
+        assert shift_kernel(np.array([theta, 0.6]), rp, rs, None, beam)[0][0] == 0.0
         if theta:
             assert shift_from_beam_integral(theta, vacuum_stack, beam) == (0.0, -0.0)
 
     def test_brewster_floor_gives_nan(self, beam):
-        delta, tilt = shift_kernel(0.6, 1e-13 + 0j, 0.6 + 0j, 0.0, beam)
+        delta, tilt = shift_kernel(0.6, 1e-13 + 0j, 0.6 + 0j, None, beam)
         assert np.isnan(delta) and np.isnan(tilt)
 
     def test_positive_below_brewster_for_resonant_cavity(self, beam, vacuum_stack):
@@ -82,7 +82,7 @@ class TestSpatialShift:
     def test_sign_flip_across_brewster(self, beam, vacuum_stack):
         thetas = np.radians([33.60, 33.80])
         rp, rs = reflection_coefficients(thetas, LAM, vacuum_stack)
-        delta, _ = shift_kernel(thetas, rp, rs, 0.0, beam)
+        delta, _ = shift_kernel(thetas, rp, rs, None, beam)
         assert delta[0] > 0
         assert delta[1] < 0
 
@@ -92,16 +92,16 @@ class TestSpatialShift:
            theta=st.floats(0.01, math.pi / 2 - 0.01))
     def test_half_waist_bound(self, rp, rs, theta):
         beam = BeamParams(w0=50 * LAM, lam=LAM)
-        delta, _ = shift_kernel(theta, rp, rs, 0.0, beam)
+        delta, _ = shift_kernel(theta, rp, rs, None, beam)
         assert abs(delta) <= beam.w0 / 2 * (1 + 1e-12)
 
     def test_kernel_vectorized_matches_scalar(self, beam, vacuum_stack):
         thetas = np.radians(np.linspace(31, 35, 7))
         from spinhall.multilayer import _amplitudes
         rp, rs, _ = _amplitudes(thetas, LAM, vacuum_stack)
-        d_vec, t_vec = shift_kernel(thetas, rp, rs, 0.0, beam)
+        d_vec, t_vec = shift_kernel(thetas, rp, rs, None, beam)
         for i, th in enumerate(thetas):
-            d, t = shift_kernel(float(th), complex(rp[i]), complex(rs[i]), 0.0, beam)
+            d, t = shift_kernel(float(th), complex(rp[i]), complex(rs[i]), None, beam)
             assert float(d) == d_vec[i] and float(t) == t_vec[i]
 
 
@@ -111,12 +111,12 @@ class TestAngularShift:
         stack = LayerStack(eps2=1.0 + 0j, eps3=1.0 + 0j, thickness_d=0.0)
         rp, rs = reflection_coefficients(math.radians(20.0), LAM, stack)
         assert abs(rs / rp - (rs / rp).real) < 1e-12
-        assert abs(shift_kernel(math.radians(20.0), rp, rs, 0.0, beam)[1]) < 1e-15
+        assert abs(shift_kernel(math.radians(20.0), rp, rs, None, beam)[1]) < 1e-15
 
     def test_opposite_circular_components(self, beam):
         # conjugate coefficients tilt the other way, by exactly as much
-        delta, tilt = shift_kernel(0.7, 0.2 + 0.1j, 0.5 - 0.3j, 0.0, beam)
-        delta_c, tilt_c = shift_kernel(0.7, 0.2 - 0.1j, 0.5 + 0.3j, 0.0, beam)
+        delta, tilt = shift_kernel(0.7, 0.2 + 0.1j, 0.5 - 0.3j, None, beam)
+        delta_c, tilt_c = shift_kernel(0.7, 0.2 - 0.1j, 0.5 + 0.3j, None, beam)
         assert tilt != 0
         assert tilt_c == -tilt and delta_c == delta
 
@@ -128,7 +128,7 @@ class TestQuadratureOracle:
         theta = math.radians(30.0)
         quad_plus, quad_minus = centroids(theta, 0.5 + 0j, 0.5 + 0j, 0j, beam,
                                           GridSpec())
-        closed = float(shift_kernel(theta, 0.5 + 0j, 0.5 + 0j, 0.0, beam)[0])
+        closed = float(shift_kernel(theta, 0.5 + 0j, 0.5 + 0j, None, beam)[0])
         assert quad_plus == pytest.approx(closed, rel=1e-2)
         assert quad_plus == pytest.approx(closed, rel=1e-6)  # spectral accuracy
         assert quad_minus == pytest.approx(-quad_plus, rel=1e-9)
@@ -157,7 +157,7 @@ class TestQuadratureOracle:
         theta = float(ths[i])
         rp, rs = reflection_coefficients(theta, LAM, vacuum_stack)
         assert abs(rp) / abs(rs) == pytest.approx(0.05, abs=1e-3)
-        closed = float(shift_kernel(theta, rp, rs, 0.0, beam)[0])
+        closed = float(shift_kernel(theta, rp, rs, None, beam)[0])
         quad_plus, _ = shift_from_beam_integral(theta, vacuum_stack, beam)
         assert quad_plus == pytest.approx(closed, rel=5e-2)
 
@@ -241,14 +241,14 @@ class TestMomentIdentity:
                             lambda *args: (0j, rs))
         plus, minus = shift_from_beam_integral(theta, vacuum_stack, beam)
         assert plus == 0.0 and minus == -plus
-        assert np.isnan(shift_kernel(theta, 0j, rs, 0.0, beam)[0])
+        assert np.isnan(shift_kernel(theta, 0j, rs, None, beam)[0])
         quad_plus, _ = centroids(theta, 0j, rs, drp, beam)
         assert abs(quad_plus) < 1e-12 * beam.w0
 
 
 class TestMomentKernel:
     """``shift_kernel`` with ``drp`` = rp' is the oracle's moment over
-    arrays of raw coefficients, as with ``drp = 0`` it is the closed form."""
+    arrays of raw coefficients, as with ``drp = None`` it is the closed form."""
 
     def test_array_equals_pointwise(self):
         points = preset_points()
@@ -275,7 +275,7 @@ class TestMomentKernel:
         row = np.array([theta])
         rp, rs = reflection_coefficients(row, LAM, stack)
         drp, _ = multilayer.stack_reflection_derivative(row, LAM, stack)
-        delta, tilt = shift_kernel(row, rp, rs, 0.0, beam)
+        delta, tilt = shift_kernel(row, rp, rs, None, beam)
         assert (delta[0], tilt[0]) == (0.0, 0.0)
         assert shift_kernel(row, rp, rs, drp, beam)[0][0] == 0.0
 
@@ -283,7 +283,7 @@ class TestMomentKernel:
         # rp + rs within 32 eps of |rp| is rounding; 1e-12 is not
         rp = np.array([0.5 + 0j, 0.5 + 0j])
         rs = np.array([-0.5 + 1e-16, -0.5 + 1e-12])
-        delta, _ = shift_kernel(0.6, rp, rs, 0.0, beam)
+        delta, _ = shift_kernel(0.6, rp, rs, None, beam)
         moment = shift_kernel(0.6, rp, rs, 0j, beam)[0]
         assert delta[0] == moment[0] == 0.0
         assert delta[1] < 0 and moment[1] < 0
@@ -291,14 +291,16 @@ class TestMomentKernel:
 
 
 class TestOneKernel:
-    """``drp = 0`` is the truncated closed form, ``drp`` = rp' the full
-    first order; both are the one ``shift_kernel``."""
+    """``drp = None`` is the truncated closed form, ``drp`` = rp' the full
+    first order, rp' = 0 included; both are the one ``shift_kernel``."""
 
     @settings(max_examples=100, deadline=None)
     @given(eps2=st.tuples(st.floats(-3.0, 5.0), st.floats(0.01, 2.0)),
            eps3=st.floats(1.0, 4.0), thickness=st.floats(0.0, 2e-6),
            w0_lambdas=st.floats(5.0, 5000.0),
            degs=st.lists(st.floats(1.0, 89.0), min_size=1, max_size=8))
+    # a zero-thickness layer between equal glasses: rp = rs = rp' = 0
+    @example(eps2=(1.0, 0.25), eps3=2.25, thickness=0.0, w0_lambdas=5.0, degs=[1.5])
     def test_both_orders_over_random_stacks(self, eps2, eps3, thickness,
                                             w0_lambdas, degs):
         stack = LayerStack(eps2=complex(*eps2), eps3=complex(eps3),
@@ -311,17 +313,24 @@ class TestOneKernel:
         theta = np.tile(row, 3)
         rp = np.concatenate([rp, 1e-13 * rp, 0 * rp])
         rs, drp = np.tile(rs, 3), np.tile(drp, 3)
-        for got, want in zip(shift_kernel(theta, rp, rs, 0.0, beam),
+        for got, want in zip(shift_kernel(theta, rp, rs, None, beam),
                              truncated_kernel(theta, rp, rs, beam)):
             assert got.tobytes() == want.tobytes()
         delta, tilt = shift_kernel(theta, rp, rs, drp, beam)
-        ref_delta, ref_tilt = cleared_moment(theta, rp, rs, drp, beam)
+        with np.errstate(invalid="ignore"):  # 0/0 where rp = rs = rp' = 0
+            ref_delta, ref_tilt = cleared_moment(theta, rp, rs, drp, beam)
         # delta_plus and theta_minus are -Re and Im of one complex moment
         z = -delta + 1j * tilt * beam.rayleigh
         ref = -ref_delta + 1j * ref_tilt * beam.rayleigh
         above = np.abs(rp) >= shifts_module.BREWSTER_FLOOR
         assert np.all(np.abs(z - ref)[above] <= 1e-12 * np.abs(ref)[above])
         assert np.all(np.isfinite(delta[~above]) & np.isfinite(tilt[~above]))
+        # with rp' = 0 the full order adds an exact 0 to the truncated
+        # denominator above the floor
+        for got, want in zip(shift_kernel(theta, rp, rs, 0 * drp, beam),
+                             truncated_kernel(theta, rp, rs, beam)):
+            assert got[above].tobytes() == want[above].tobytes()
+            assert np.all(np.isfinite(got[~above]))
 
     @pytest.mark.parametrize("preset, detuning, deg", [
         ("fig2-ctl", 0.0, 33.0), ("fig2-ctl", 0.5, 33.0),

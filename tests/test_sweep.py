@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from spinhall import (BeamParams, ControlFieldSet, EffectiveCouplings, LayerStack,
+from spinhall import (BeamParams, EffectiveCouplings, LayerStack,
                       MediumParams, NoMinimumInWindow,
                       NoSignChange, ScanContext, SweepGrid,
                       effective_couplings, evaluate, find_brewster,
@@ -59,7 +59,7 @@ def reference_table(medium, etas, detunings, thetas_deg, stack, beam):
             rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
                                        replace(stack, eps2=1.0 + chi))
             with np.errstate(invalid="ignore", divide="ignore"):
-                delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, 0.0, beam)
+                delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, None, beam)
                 ratio = np.abs(rs) / np.abs(rp)
             resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
                         | ~np.isfinite(rp) | ~np.isfinite(rs))
@@ -173,8 +173,8 @@ def assert_tables_equal(got, want):
     assert got.column("flags").tolist() == want["flags"]
 
 
-# the "amplitude_list" grid sweeps one medium per control field set
-FIELD_SETS = [ControlFieldSet.from_amplitudes(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
+# the "amplitude_list" grid sweeps one medium per set of field amplitudes
+FIELD_AMPLITUDES = [(a, a, 0.7, 0.7) for a in (0.25, 0.5)]
 GRIDS = {
     "eta_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9), eta_list=(0.05, 0.1, 0.2)),
     "amplitude_list": SweepGrid((30.0, 38.0, 41), (-2.0, 2.0, 9)),
@@ -199,7 +199,8 @@ class TestBroadcastKernel:
             monkeypatch.setattr(sweep_module, "CHUNK_POINTS", 2 * n_theta + 1)
         elif chunk == "one_row":
             monkeypatch.setattr(sweep_module, "CHUNK_POINTS", n_theta)
-        media = ([replace(medium, couplings=effective_couplings(fs)) for fs in FIELD_SETS]
+        media = ([replace(medium, couplings=effective_couplings(a, (0.0,) * 4))
+                  for a in FIELD_AMPLITUDES]
                  if grid_name == "amplitude_list" else [medium])
         for m in media:
             want = reference_table(m, grid.eta_list, grid.detunings(),
@@ -378,7 +379,7 @@ class TestStructuredTable:
         medium = MEDIA[preset]
         if amplitude is not None:
             medium = replace(medium, couplings=effective_couplings(
-                ControlFieldSet.from_amplitudes(amplitude, amplitude, 0.7, 0.7)))
+                (amplitude, amplitude, 0.7, 0.7), (0.0,) * 4))
         angle = st.one_of(st.just(BREWSTER_DEG) if brewster else st.nothing(),
                           st.floats(0.5, 89.5))
         shape = (len(detunings), k) if per_detuning else (k,)
@@ -595,7 +596,7 @@ class TestTransparencyWindows:
     # one flat window at 0, which rounding must not split in two
     @example(a=(0.05,) * 4, p=(0.0,) * 4, gb=1.0, ge=0.2, kind="fields")
     def test_windows_against_dense_grid(self, a, p, gb, ge, kind):
-        c = effective_couplings(ControlFieldSet.from_amplitudes(*a, *p))
+        c = effective_couplings(a, p)
         if kind != "fields":  # N-type, or its natural-Lambda limit
             c = EffectiveCouplings(c.alpha, 0j, c.omega_total if kind == "beta=0" else 0.0)
         medium = MediumParams(gb, ge, 0.1, c)

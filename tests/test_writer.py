@@ -486,6 +486,17 @@ def test_reproduce_golden_digest(target, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[out.name]
 
 
+# sha256 of the CSV of the --grid branch of sweep: 601 detunings x 5 angles
+SWEEP_GRID_SHA256 = "e8c7b15c720276cdd82c78615899baf44ab57390c743fe4480da6aa0b7257361"
+
+
+def test_sweep_grid_golden_digest(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "fig3-lambda", "--grid", "33,34,5", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GRID_SHA256
+
+
 # sha256 of the bytes before the manifest of two JSON files (the manifest
 # carries a timestamp): `reproduce fig2d --format json` and a three-eta
 # `sweep --config` over ETA_GRID
