@@ -20,6 +20,8 @@ imaginary part of the susceptibility.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from math import tau
 
@@ -86,6 +88,15 @@ class MediumParams:
             raise ValueError("density parameter eta must be >= 0")
 
 
+def _finite_real(x) -> bool:
+    """x is a real number of finite float value: not text, None, complex,
+    or an integer too large for a float."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def effective_couplings(amplitudes, phases) -> EffectiveCouplings:
     """Project the four control fields onto the dark/bright basis.
 
@@ -111,10 +122,10 @@ def effective_couplings(amplitudes, phases) -> EffectiveCouplings:
         raise ValueError("need four amplitudes and four phases, got "
                          f"{len(amplitudes)} and {len(phases)}")
     for a in amplitudes:
-        if not np.isfinite(a) or a < 0:
+        if not _finite_real(a) or a < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {a}")
     for p in phases:
-        if not np.isfinite(p):
+        if not _finite_real(p):
             raise ValueError(f"phase must be finite, got {p}")
     a1, a2, a3, a4 = amplitudes
     o1, o2, o3, o4 = (a * np.exp(1j * (p % tau)) for a, p in zip(amplitudes, phases))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantDenominator
+from .workspace import Workspace, product, square
 
 __all__ = [
     "LayerStack",
@@ -58,17 +59,32 @@ class LayerStack:
         return (self.eps1, self.eps2, self.eps3)[layer - 1]
 
 
-def _kz(eps, k0, kx):
-    """Normal wave-vector component on the decaying branch Im >= 0."""
-    z = np.sqrt(k0 ** 2 * eps - kx ** 2 + 0j)
-    return np.where(np.imag(z) < 0, -z, z)
+def _kz(eps, k0, kx, work=None):
+    """Normal wave-vector component on the decaying branch Im >= 0, taken
+    from ``work``."""
+    work = Workspace() if work is None else work
+    z = work.like(eps, kx, dtype=complex)
+    with work.scratch():
+        kx2 = square(kx, work.like(kx))
+        if z is not None and isinstance(eps, np.ndarray):
+            # into the block, numpy would buffer both operands (256 KB for a
+            # table chunk), so kx^2 is cast to complex on z's shape first
+            kx2 = np.positive(kx2, out=work.take(z.shape, complex))
+        # (c + 0j) - kx^2 has the bits of c - kx^2 + 0j: either turns only
+        # a -0.0 part into +0.0, and the constant is one value per row
+        z = np.subtract(k0 ** 2 * eps + 0j, kx2, out=z)
+    z = np.sqrt(z, out=z)
+    return np.negative(z, out=z, where=z.imag < 0)
 
 
-def _wave_vectors(theta_i, lam, stack):
-    """k0, kx and the normal components (k1z, k2z, k3z) at theta_i."""
+def _wave_vectors(theta_i, lam, stack, work=None):
+    """k0, kx and the normal components (k1z, k2z, k3z) at theta_i; kx and
+    the kz are taken from ``work``."""
+    work = Workspace() if work is None else work
     k0 = 2 * np.pi / lam
-    kx = np.real(np.sqrt(stack.eps1)) * k0 * np.sin(theta_i)
-    return k0, kx, tuple(_kz(stack.eps(i), k0, kx) for i in (1, 2, 3))
+    kx = np.sin(theta_i, out=work.like(theta_i))
+    kx = np.multiply(np.real(np.sqrt(stack.eps1)) * k0, kx, out=kx)
+    return k0, kx, tuple(_kz(stack.eps(i), k0, kx, work) for i in (1, 2, 3))
 
 
 def _admittances(kz, stack):
@@ -76,15 +92,18 @@ def _admittances(kz, stack):
     return tuple(k / stack.eps(i) for i, k in enumerate(kz, 1)), kz
 
 
-def _interface(qi, qj):
-    """Single-interface coefficient of the i -> j interface."""
-    return (qi - qj) / (qi + qj)
-
-
-def _composite(a, b, phase):
-    """Stack coefficient from the interface coefficients, and its denominator."""
-    den = 1 + a * b * phase
-    return (a + b * phase) / den, den
+def _composite(q1, q2, q3, phase, r, work):
+    """The stack coefficient r = (r12 + r23 P) / (1 + r12 r23 P), with the
+    interface coefficients r_ij = (q_i - q_j) / (q_i + q_j), written into
+    ``r``, and its denominator, taken from ``work``."""
+    x = np.subtract(q1, q2, out=work.take(phase.shape, complex))
+    den = np.add(q1, q2, out=work.take(phase.shape, complex))
+    r = np.divide(x, den, out=r)  # r12 until the numerator is formed
+    y = np.divide(np.subtract(q2, q3, out=x), np.add(q2, q3, out=den),
+                  out=work.take(phase.shape, complex))
+    den = np.add(1, product(product(r, y, x), phase, den), out=den)
+    y = np.add(r, product(y, phase, x), out=y)
+    return np.divide(y, den, out=r), den
 
 
 def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
@@ -104,16 +123,33 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
     return rp, rs
 
 
-def _amplitudes(theta_i, lam, stack):
+def _amplitudes(theta_i, lam, stack, work=None):
     """Vectorized core: (rp, rs, min |denominator|) without error checks
-    or warnings; a value that overflows comes out non-finite."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, _, kz = _wave_vectors(theta_i, lam, stack)
-        phase = np.exp(2j * kz[1] * stack.thickness_d)
-        (rp, den_p), (rs, den_s) = (
-            _composite(_interface(q1, q2), _interface(q2, q3), phase)
-            for q1, q2, q3 in _admittances(kz, stack))
-    return rp, rs, np.minimum(np.abs(den_p), np.abs(den_s))
+    or warnings; a value that overflows comes out non-finite.
+
+    The results and every intermediate are taken from ``work``, the
+    workspace of the caller's chunk loop, so the results hold until that
+    caller hands the arrays out again; with ``work = None`` numpy allocates
+    them.  Scalar inputs give numpy scalars."""
+    work = Workspace() if work is None else work
+    shape = np.broadcast(theta_i, stack.eps2).shape
+    rp, rs, dmin = work.take(shape, complex), work.take(shape, complex), work.take(shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"), work.scratch():
+        _, _, kz = _wave_vectors(theta_i, lam, stack, work)
+        phase = work.take(shape, complex)
+        with work.scratch():
+            phase = product(product(2j, kz[1], work.take(shape, complex)),
+                            stack.thickness_d, phase)
+        phase = np.exp(phase, out=phase)
+        den_s = work.take(shape)
+        with work.scratch():  # TE: the admittances are the kz
+            rs, den = _composite(*kz, phase, rs, work)
+            den_s = np.abs(den, out=den_s)
+        tm = [np.divide(k, stack.eps(i), out=work.take(k.shape, complex))
+              for i, k in enumerate(kz, 1)]
+        rp, den = _composite(*tm, phase, rp, work)
+        dmin = np.minimum(np.abs(den, out=work.take(shape)), den_s, out=dmin)
+    return rp[()], rs[()], dmin[()]  # [()]: a 0-d array gives its scalar
 
 
 def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):

@@ -37,6 +37,7 @@ import numpy as np
 from . import multilayer
 from .errors import InvalidAngle
 from .multilayer import LayerStack, reflection_coefficients
+from .workspace import Workspace, square
 
 __all__ = ["BeamParams", "shift_kernel", "shift_from_beam_integral"]
 
@@ -79,18 +80,31 @@ class BeamParams:
         return np.pi * self.w0 ** 2 / self.lam
 
 
-def _centroid(cot, x, den, scale, beam: BeamParams):
+def _centroid(cot, x, den, scale, beam: BeamParams, delta_plus, theta_minus, work):
     """(delta_plus, theta_minus) = k1 w0^2 cot (-Re x, Im x / rayleigh) / den,
-    or their limit 0 toward normal incidence: where cot or den is infinite,
-    or where x is rounding only (|x| within _CANCELLATION of ``scale``)."""
+    written into the arrays given, or their limit 0 toward normal incidence:
+    where cot or den is infinite, or where x is rounding only (|x| within
+    _CANCELLATION of ``scale``)."""
     k1w2 = beam.k1 * beam.w0 ** 2
-    delta_plus = -k1w2 * np.real(x) * cot / den
-    theta_minus = k1w2 * np.imag(x) * cot / den / beam.rayleigh
-    normal = np.isinf(cot) | np.isinf(den) | (np.abs(x) <= _CANCELLATION * scale)
-    return np.where(normal, 0.0, delta_plus), np.where(normal, 0.0, theta_minus)
+    with work.scratch():
+        a, b = work.take(x.shape), work.like(x, cot)
+        a = np.multiply(-k1w2, x.real, out=a)
+        b = np.multiply(a, cot, out=b)
+        delta_plus = np.divide(b, den, out=delta_plus)
+        a = np.multiply(k1w2, x.imag, out=a)
+        b = np.multiply(a, cot, out=b)
+        theta_minus = np.divide(b, den, out=theta_minus)
+        theta_minus = np.divide(theta_minus, beam.rayleigh, out=theta_minus)
+        normal = np.isinf(den, out=work.take(den.shape, bool))
+        normal |= np.isinf(cot)
+        normal |= np.less_equal(np.abs(x, out=a), _CANCELLATION * scale,
+                                out=work.take(x.shape, bool))
+        np.copyto(delta_plus, 0.0, where=normal)
+        np.copyto(theta_minus, 0.0, where=normal)
+    return delta_plus, theta_minus
 
 
-def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams):
+def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None):
     """Vectorized (delta_plus, theta_minus) from raw coefficients.
 
     ``theta_i``, ``rp``, ``rs`` and ``drp`` are scalars or arrays that
@@ -101,29 +115,56 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams):
     through by |rp|^2, which stays finite.  Toward normal incidence, where
     cot(theta) or the denominator overflows or 1 + rs/rp is rounding only,
     both shifts take their limit 0.
+
+    The two results and every intermediate are taken from ``work``, the
+    workspace of the caller's chunk loop, so the results hold until that
+    caller hands the arrays out again; with ``work = None`` numpy allocates
+    them.
     """
-    rp = np.asarray(rp, dtype=complex)
-    abs_rp = np.abs(rp)
-    ok = abs_rp >= BREWSTER_FLOOR
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        one_plus = 1 + np.asarray(rs, dtype=complex) / np.where(ok, rp, 1.0)
-        cot = np.cos(theta_i) / np.sin(theta_i)
-        den = beam.k1 * (beam.k1 * beam.w0 ** 2) + np.abs(one_plus * cot) ** 2
-        if drp is not None:
-            den = den + (np.abs(drp) / abs_rp) ** 2
-        delta_plus, theta_minus = (np.where(ok, s, np.nan) for s in
-                                   _centroid(cot, one_plus, den, 1.0, beam))
-        if drp is None:
-            return delta_plus, theta_minus
-        cleared = np.broadcast_to(~ok, delta_plus.shape)
-        if cleared.any():
-            rp_, rs_, drp_, cot_ = (np.broadcast_to(a, cleared.shape)[cleared]
-                                    for a in (rp, rs, drp, cot))
-            both = rp_ + rs_
-            den_ = ((beam.k1 * beam.w0) ** 2 * np.abs(rp_) ** 2
-                    + np.abs(drp_) ** 2 + np.abs(cot_ * both) ** 2)
-            delta_plus[cleared], theta_minus[cleared] = _centroid(
-                cot_, np.conj(rp_) * both, den_, np.abs(rp_) ** 2, beam)
+    work = Workspace() if work is None else work
+    rp, rs = np.asarray(rp, dtype=complex), np.asarray(rs, dtype=complex)
+    shape = np.broadcast(theta_i, rs, rp, *(() if drp is None else (drp,))).shape
+    delta_plus, theta_minus = work.take(shape), work.take(shape)
+    with work.scratch():
+        abs_rp = np.abs(rp, out=work.take(rp.shape))
+        ok = np.greater_equal(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
+        below = np.logical_not(ok, out=ok)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # 1 + rs / rp, with rp taken as 1 below the floor
+            one_plus = np.divide(rs, rp, out=work.like(rs, rp, dtype=complex))
+            np.divide(rs, 1.0, out=one_plus, where=below)
+            one_plus = np.add(1, one_plus, out=one_plus)
+            cot = work.like(theta_i)
+            with work.scratch():
+                cot = np.divide(np.cos(theta_i, out=work.like(theta_i)),
+                                np.sin(theta_i, out=work.like(theta_i)), out=cot)
+            den = work.like(one_plus, cot)
+            with work.scratch():
+                den = np.abs(np.multiply(one_plus, cot, out=work.like(one_plus, cot,
+                                                                      dtype=complex)),
+                             out=den)
+            den = np.add(beam.k1 * (beam.k1 * beam.w0 ** 2), square(den, den), out=den)
+            if drp is not None:
+                spread = work.like(drp, rp)
+                with work.scratch():
+                    spread = np.divide(np.abs(drp, out=work.like(drp)), abs_rp, out=spread)
+                den = np.add(den, square(spread, spread), out=work.take(shape))
+            delta_plus, theta_minus = _centroid(cot, one_plus, den, 1.0, beam,
+                                                delta_plus, theta_minus, work)
+            np.copyto(delta_plus, np.nan, where=below)
+            np.copyto(theta_minus, np.nan, where=below)
+            if drp is None:
+                return delta_plus, theta_minus
+            cleared = np.broadcast_to(below, delta_plus.shape)
+            if cleared.any():
+                rp_, rs_, drp_, cot_ = (np.broadcast_to(a, cleared.shape)[cleared]
+                                        for a in (rp, rs, drp, cot))
+                both = rp_ + rs_
+                den_ = ((beam.k1 * beam.w0) ** 2 * np.abs(rp_) ** 2
+                        + np.abs(drp_) ** 2 + np.abs(cot_ * both) ** 2)
+                delta_plus[cleared], theta_minus[cleared] = _centroid(
+                    cot_, np.conj(rp_) * both, den_, np.abs(rp_) ** 2, beam,
+                    np.empty(len(both)), np.empty(len(both)), work)
     return delta_plus, theta_minus
 
 

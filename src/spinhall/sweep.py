@@ -7,10 +7,17 @@ angle-only terms are shared by every block, and writes each block's
 fields once and its points by row index (see ``SweepTable``).  Every
 stack evaluation here (tables, the pointwise ``ScanContext`` and the
 extremum scans) runs in the chunks of ``_chunks``: whole angle rows, at
-most CHUNK_POINTS points each, in order on the calling thread, so its
-temporaries are bounded whatever the axes.  Singular points (Brewster
-floor, resonant stack denominator) are flagged in their row instead of
-aborting the table.
+most CHUNK_POINTS points each, in order on the calling thread.
+
+``evaluate`` over more than one chunk, and ``extremal_angles`` for its
+coarse chunks and golden steps, allocate one ``Workspace`` sized for the
+largest chunk when they start and drop it when they return.  Each chunk
+takes its arrays from it and hands them back when done, so the chunks
+reuse the same pages instead of faulting them in again; no view of it
+outlives the call, since a table's rows are written into the table's own
+columns.  A single-chunk table and the pointwise calls let numpy allocate.
+Singular points (Brewster floor, resonant stack denominator) are flagged
+in their row instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange, SpinHallError
 from .medium import MediumParams, _coherence_polynomials, susceptibility
 from .multilayer import LayerStack, _amplitudes, RESONANT_DENOMINATOR_FLOOR
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
+from .workspace import Workspace
 
 __all__ = [
     "ScanContext",
@@ -54,11 +62,16 @@ POINT_FIELDS = ("abs_rp", "abs_rs", "ratio_sp", "delta_plus_lambda", "theta_minu
 COLUMNS = ("theta_deg", *BLOCK_FIELDS, *POINT_FIELDS, "flags")
 
 
+def _chunk_blocks(row: int) -> int:
+    """Blocks of ``row`` points in one chunk: CHUNK_POINTS // row, one at least."""
+    return max(1, CHUNK_POINTS // max(row, 1))
+
+
 def _chunks(blocks: int, row: int):
     """Slices that cover range(blocks) in order, each of at most
-    CHUNK_POINTS // row blocks of ``row`` points and of one block at
-    least, or one empty slice when there are no blocks."""
-    step = max(1, CHUNK_POINTS // max(row, 1))
+    _chunk_blocks(row) blocks, or one empty slice when there are no
+    blocks."""
+    step = _chunk_blocks(row)
     for lo in range(0, max(blocks, 1), step):
         yield slice(lo, min(lo + step, blocks))
 
@@ -242,34 +255,47 @@ class SweepTable:
 
 def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
                 etas, medium: MediumParams, stack: LayerStack,
-                beam: BeamParams):
+                beam: BeamParams, work: Workspace):
     """Evaluate one chunk of blocks and write its blocks and rows from
     row ``start``: block i at ``detunings[i]`` and density ``etas[i]``,
     against either a shared 1-D angle row or one angle row per block,
     theta fastest.  chi takes one susceptibility call for the chunk, each
-    block multiplied by its own eta."""
-    thetas_rad = np.radians(thetas_deg)
-    chi = susceptibility(detunings, medium, etas)
-    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
-                               replace(stack, eps2=1.0 + chi[:, None]))
-    abs_rp, abs_rs = np.abs(rp), np.abs(rs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, None, beam)
-        ratio = abs_rs / abs_rp
-    # a non-finite rp or rs (an overflowing interface coefficient, or a
-    # NaN denominator) is a resonant denominator too
-    resonant = ((dmin < RESONANT_DENOMINATOR_FLOOR)
-                | ~np.isfinite(rp) | ~np.isfinite(rs))
-    bad = resonant | (abs_rp < BREWSTER_FLOOR)
-    blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
+    block multiplied by its own eta.  The chunk's arrays are taken from
+    ``work`` and handed back on return; its rows are written straight
+    into the table's columns."""
+    with work.scratch():
+        thetas_rad = np.radians(thetas_deg, out=work.take(np.shape(thetas_deg)))
+        chi = susceptibility(detunings, medium, etas)
+        rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
+                                   replace(stack, eps2=1.0 + chi[:, None]), work)
+        rows = slice(start, start + rp.size)
+        abs_rp, abs_rs, ratio, delta, tilt = (
+            column[rows].reshape(rp.shape) for column in table.points)
+        np.abs(rp, out=abs_rp)
+        np.abs(rs, out=abs_rs)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, None, beam, work)
+            np.divide(abs_rs, abs_rp, out=ratio)
+        np.divide(delta_plus, beam.lam, out=delta)
+        np.copyto(tilt, theta_minus)
+        # a non-finite rp or rs (an overflowing interface coefficient, or a
+        # NaN denominator) is a resonant denominator too
+        resonant = np.less(dmin, RESONANT_DENOMINATOR_FLOOR, out=work.take(rp.shape, bool))
+        finite = work.take(rp.shape, bool)
+        for r in (rp, rs):
+            finite = np.isfinite(r, out=finite)
+            resonant |= np.logical_not(finite, out=finite)
+        bad = np.less(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
+        bad |= resonant
+        for column in (ratio, delta, tilt):
+            np.copyto(column, np.nan, where=bad)
+        codes = table.codes[rows].reshape(rp.shape)  # FLAG_KINDS: 1 resonant, 2 Brewster
+        np.copyto(codes, bad)
+        np.add(codes, codes, out=codes)
+        np.copyto(codes, 1, where=resonant)
+        blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
     for i, value in enumerate((detunings, etas, chi.real, chi.imag)):
         table.blocks[i, blocks] = value
-    rows = slice(start, start + rp.size)
-    for i, value in enumerate((abs_rp, abs_rs, np.where(bad, np.nan, ratio),
-                               np.where(bad, np.nan, delta_plus / beam.lam),
-                               np.where(bad, np.nan, theta_minus))):
-        table.points[i, rows] = value.reshape(-1)
-    table.codes[rows] = np.where(resonant, 1, 2 * bad).reshape(-1)  # FLAG_KINDS
 
 
 def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
@@ -298,11 +324,16 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
     table = SweepTable.empty(len(etas) * n * row, thetas_deg)
     if not len(table):
         return table
+    # chunks after the first reuse the block; a single chunk has nothing to
+    # reuse, and numpy allocates its small arrays faster than a block
+    step = _chunk_blocks(row)
+    work = Workspace(step * row if len(etas) * n > step else 0)
     for chunk in _chunks(len(etas) * n, row):
         blocks = np.arange(chunk.start, chunk.stop)
         _fill_block(table, chunk.start * row,
                     thetas_deg[blocks % n] if per_detuning else thetas_deg,
-                    detunings[blocks % n], etas[blocks // n], medium, stack, beam)
+                    detunings[blocks % n], etas[blocks // n], medium, stack, beam,
+                    work)
     return table
 
 
@@ -489,25 +520,33 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     detunings = np.asarray(detunings, dtype=float)
     stack, beam = ctx_base.stack, ctx_base.beam
     eps2 = 1.0 + susceptibility(detunings, ctx_base.medium)
+    # one workspace for the scan: the largest coarse chunk or golden step
+    work = Workspace(max(min(_chunk_blocks(coarse), len(detunings)) * coarse,
+                         min(_chunk_blocks(1), 2 * len(detunings))))
 
-    def objective(t, eps):
-        rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps))
-        delta_plus, theta_minus = shift_kernel(t, rp, rs, None, beam)
-        return -np.abs(delta_plus) if kind == "spatial" else -theta_minus
+    def objective(t, eps):  # taken from work: read it before the next take
+        rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps), work)
+        delta_plus, theta_minus = shift_kernel(t, rp, rs, None, beam, work)
+        if kind == "spatial":
+            return np.negative(np.abs(delta_plus, out=delta_plus), out=delta_plus)
+        return np.negative(theta_minus, out=theta_minus)
 
     def at_points(t, rows):  # the objective at t[j] against eps2[rows[j]]
         out = np.empty(len(t))
         for chunk in _chunks(len(t), 1):
-            out[chunk] = objective(t[chunk], eps2[rows[chunk]])
+            with work.scratch():
+                out[chunk] = objective(t[chunk], eps2[rows[chunk]])
         return out
 
     i = np.empty(len(detunings), np.intp)
     grid_best = np.empty(len(detunings))
     for chunk in _chunks(len(detunings), coarse):
-        vals = objective(grid_rad, eps2[chunk, None])
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        i[chunk] = np.argmin(vals, axis=1)
-        grid_best[chunk] = -vals[np.arange(len(vals)), i[chunk]]
+        with work.scratch():
+            vals = objective(grid_rad, eps2[chunk, None])
+            finite = np.isfinite(vals, out=work.take(vals.shape, bool))
+            np.copyto(vals, np.inf, where=np.logical_not(finite, out=finite))
+            i[chunk] = np.argmin(vals, axis=1)
+            grid_best[chunk] = -vals[np.arange(len(vals)), i[chunk]]
     t_best = _golden_minimize(at_points, grid_rad[np.maximum(i - 1, 0)],
                               grid_rad[np.minimum(i + 1, coarse - 1)],
                               np.radians(GOLDEN_TOL_DEG))

@@ -1,0 +1,120 @@
+"""Scratch memory for chunked stack evaluation.
+
+A table, or an extremum scan, evaluates the stack and the shift kernel
+chunk after chunk.  Arrays allocated and freed in every chunk make a fresh
+process fault the same pages in again for each chunk, because the
+allocator hands freed memory back to the system.  So the caller that owns
+a chunk loop allocates one ``Workspace`` for the loop, and the kernels take
+their results and intermediates from it.  ``Workspace()``, with no block,
+serves a call outside such a loop: numpy allocates each array, as it does
+for an expression.
+
+The kernels keep the arithmetic of the numpy expressions they replaced, bit
+for bit.  So a binary ufunc never writes over one of its array operands
+(in place, numpy may return the other operand's NaN, and rounds a
+one-element complex product without the fused multiply-add of its array
+loop); only a constant operand may share a ufunc with its output.  A 0-d
+result stays a 0-d array, and ``product`` and ``square`` round it as numpy
+rounds scalars: a product without the fused multiply-add, a square
+through ``pow``.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+from math import prod
+
+import numpy as np
+
+__all__ = ["Workspace", "product", "square"]
+
+_ALIGN = 16  # bytes: every array taken starts on a complex128 boundary
+_ITEMSIZE = {float: 8, complex: 16, bool: 1}
+
+
+class Workspace:
+    """One block of memory handed out as contiguous arrays, in stack order.
+
+    ``Workspace(points)`` holds BYTES_PER_POINT bytes for each of up to
+    ``points`` points of the chain evaluated in one chunk (table fill,
+    ``_amplitudes`` and the shift kernel hold at most 232 at once).  The
+    caller that owns the chunk loop allocates it, once per loop, and drops
+    it when the loop ends; it is never kept across calls.  ``take`` hands
+    out the next free array; arrays taken inside ``with work.scratch():``
+    are handed out again after it.  So an array taken from a workspace
+    holds its values until the call that owns it hands it out again, and
+    no view of the block is returned past the call that owns the workspace.
+    """
+
+    BYTES_PER_POINT = 240
+    __slots__ = ("_block", "_size", "_top")
+
+    def __init__(self, points: int = 0):
+        self._block = self._top = self._size = 0
+        if points:
+            self._block = np.empty(points * self.BYTES_PER_POINT + _ALIGN, np.uint8)
+            self._size = len(self._block)
+            self._top = -self._block.ctypes.data % _ALIGN
+
+    def take(self, shape: tuple, dtype=float):
+        """An uninitialised C-contiguous array of the block to pass as a
+        ufunc's ``out``; ``dtype`` is float, complex or bool.  Past the
+        block it is None, so that numpy allocates the result as an
+        expression would (and faster, for a small array), except for a 0-d
+        shape.  So a caller uses what the ufunc returns."""
+        if not self._size:
+            return None if shape else np.empty((), dtype)
+        start = self._top
+        stop = start + prod(shape) * _ITEMSIZE[dtype]
+        if stop > self._size:
+            return None if shape else np.empty((), dtype)
+        self._top = stop + -stop % _ALIGN
+        return np.ndarray(shape, dtype, self._block, start)
+
+    def like(self, *operands, dtype=float):
+        """``take`` for the broadcast shape of the operands, found only when
+        the block is used."""
+        if self._size:
+            return self.take(np.broadcast(*operands).shape, dtype)
+        for a in operands:
+            if getattr(a, "ndim", 0):
+                return None
+        return np.empty((), dtype)
+
+    def scratch(self):
+        """A context: on exit, every array taken inside is handed out again."""
+        return _Rewind(self) if self._size else _NOTHING_TO_REWIND
+
+
+class _Rewind:
+    """The context of ``Workspace.scratch``: it resets the free top on exit."""
+
+    __slots__ = ("work", "top")
+
+    def __init__(self, work: Workspace):
+        self.work, self.top = work, work._top
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, *exc):
+        self.work._top = self.top
+
+
+_NOTHING_TO_REWIND = nullcontext()
+
+
+def product(a, b, out):
+    """a * b written into ``out``; a 0-d ``out`` gets the scalar product."""
+    if out is None or out.ndim:
+        return np.multiply(a, b, out=out)
+    out[()] = np.asarray(a)[()] * np.asarray(b)[()]
+    return out
+
+
+def square(x, out):
+    """x ** 2 written into ``out``; a 0-d ``out`` gets the scalar power."""
+    if out is None or out.ndim:
+        return np.square(x, out=out)
+    out[()] = np.asarray(x)[()] ** 2
+    return out

@@ -103,7 +103,10 @@ class TestEffectiveCouplings:
                 ((1.5, 3.0, 2.5, 0.9), (0.0, math.nan, 0.0, 0.0)),
                 ((1.5, 3.0, 2.5, 0.9), (0.0, 0.0, 0.0, -math.inf)),
                 ((1.5, 3.0, 2.5), NO_PHASES),
-                ((1.5, 3.0, 2.5, 0.9), (0.0, 0.0, 0.0, 0.0, 0.0))]:
+                ((1.5, 3.0, 2.5, 0.9), (0.0, 0.0, 0.0, 0.0, 0.0)),
+                ((10 ** 400, 1, 1, 1), (0, 0, 0, 0)),
+                (("1", 1.0, 1.0, 1.0), NO_PHASES),
+                ((1.5, 3.0, 2.5, 0.9), (0.0, None, 0.0, 0.0))]:
             with pytest.raises(ValueError, match="amplitude|phase"):
                 effective_couplings(amplitudes, phases)
 

@@ -282,8 +282,8 @@ class TestBroadcastKernel:
         amplitudes = sweep_module._amplitudes
         sizes = []
 
-        def spy(theta_i, lam, stack):
-            out = amplitudes(theta_i, lam, stack)
+        def spy(theta_i, lam, stack, *work):
+            out = amplitudes(theta_i, lam, stack, *work)
             sizes.append(out[0].size)
             return out
 
