@@ -10,10 +10,11 @@ from .medium import (EffectiveCouplings, MediumParams, coherence_ratio,
                      effective_couplings, susceptibility)
 from .multilayer import (LayerStack, reflection_coefficients,
                          stack_reflection_derivative)
-from .shifts import BeamParams, shift_from_beam_integral, shift_kernel
+from .shifts import BeamParams, shift_kernel
 from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
-                    find_transparency_windows, max_shift_vs_detuning)
+                    find_transparency_windows, max_shift_vs_detuning,
+                    shift_from_beam_integral)
 from .config import RunConfig, RunManifest, load_config, write_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

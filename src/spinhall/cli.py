@@ -19,19 +19,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import multilayer
 from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
                      load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import BREWSTER_FLOOR, shift_kernel
 from .sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, ScanContext, SweepTable,
-                    evaluate, extremal_angles, find_brewster,
+                    _point, evaluate, extremal_angles, find_brewster,
                     find_transparency_windows)
 # not called here; bound for perfbench/tracer.py and its binding test until
 # ROADMAP item 3
-from .shifts import shift_from_beam_integral  # noqa: F401
-from .sweep import max_shift_vs_detuning, sweep  # noqa: F401
+from .sweep import max_shift_vs_detuning, shift_from_beam_integral, sweep  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
 CSV_FLOAT = "%.8e"  # 9 significant digits, lowercase exponent
@@ -387,13 +385,10 @@ def cmd_windows(cfg, args, argv):
 
 def cmd_oracle(cfg, args, argv):
     ctx = _context(cfg, args.detuning, args.eta)
-    beam, layered = ctx.beam, ctx.stack_at()
-    theta = np.radians([args.theta])  # one row, so (rp, rs) round as a table's
-    rp, rs = multilayer.reflection_coefficients(theta, beam.lam, layered)
-    # looked up at call time, so a wrapper bound on the module sees the call
-    drp, _ = multilayer.stack_reflection_derivative(theta, beam.lam, layered)
-    closed = float(shift_kernel(theta, rp, rs, None, beam)[0][0])
-    quad_plus = float(shift_kernel(theta, rp, rs, drp, beam)[0][0])
+    beam = ctx.beam
+    theta, rp, rs, abs_rp, drp = _point(np.radians(args.theta), ctx.stack_at(), beam)
+    closed = float(shift_kernel(theta, rp, rs, None, beam, None, abs_rp)[0][0])
+    quad_plus = float(shift_kernel(theta, rp, rs, drp, beam, None, abs_rp)[0][0])
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
     print(f"closed = {closed / beam.lam:.6e} lambda, moment = "
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
@@ -401,7 +396,7 @@ def cmd_oracle(cfg, args, argv):
            -quad_plus / beam.lam, rel)
     # the closed form is NaN below the floor, as in a table row
     counts = dict.fromkeys(FLAG_KINDS[1:], 0)
-    counts[FLAG_BREWSTER] = int(abs(rp[0]) < BREWSTER_FLOOR)
+    counts[FLAG_BREWSTER] = int(abs_rp[0] < BREWSTER_FLOOR)
     flagged = sum(counts.values())
     _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, flagged, counts),
                   ORACLE_COLUMNS, [(np.array([v], dtype=float), None) for v in row])

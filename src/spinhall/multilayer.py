@@ -14,8 +14,8 @@ closed form, no step size.
 The public API is two functions of a scalar or an array of angles:
 ``reflection_coefficients`` gives (rp, rs) and raises ResonantDenominator
 where the stack is singular; ``stack_reflection_derivative`` gives their
-angular derivatives.  Tables call the unchecked core ``_amplitudes`` and
-flag singular points instead.
+angular derivatives.  The evaluator of ``spinhall.sweep`` calls the
+unchecked core ``_amplitudes``, and tables flag singular points instead.
 """
 
 from __future__ import annotations
@@ -116,11 +116,16 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
     denominator), the rule tables flag by.
     """
     rp, rs, dmin = _amplitudes(theta_i, lam, stack)
+    _raise_if_resonant(rp, rs, dmin)
+    return rp, rs
+
+
+def _raise_if_resonant(rp, rs, dmin):
+    """ResonantDenominator where a table would flag a point resonant."""
     if (np.any(dmin < RESONANT_DENOMINATOR_FLOOR)
             or not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rs)))):
         raise ResonantDenominator("stack denominator below floor "
                                   f"{RESONANT_DENOMINATOR_FLOOR} or not finite")
-    return rp, rs
 
 
 def _amplitudes(theta_i, lam, stack, work=None):

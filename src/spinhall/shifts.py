@@ -34,12 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import multilayer
-from .errors import InvalidAngle
-from .multilayer import LayerStack, reflection_coefficients
 from .workspace import Workspace, square
 
-__all__ = ["BeamParams", "shift_kernel", "shift_from_beam_integral"]
+__all__ = ["BeamParams", "shift_kernel"]
 
 BREWSTER_FLOOR = 1e-12
 _CANCELLATION = 32 * np.finfo(float).eps  # relative rounding of rp + rs
@@ -104,7 +101,7 @@ def _centroid(cot, x, den, scale, beam: BeamParams, delta_plus, theta_minus, wor
     return delta_plus, theta_minus
 
 
-def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None):
+def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None, abs_rp=None):
     """Vectorized (delta_plus, theta_minus) from raw coefficients.
 
     ``theta_i``, ``rp``, ``rs`` and ``drp`` are scalars or arrays that
@@ -119,14 +116,15 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None):
     The two results and every intermediate are taken from ``work``, the
     workspace of the caller's chunk loop, so the results hold until that
     caller hands the arrays out again; with ``work = None`` numpy allocates
-    them.
+    them.  ``abs_rp`` is |rp| where the caller has it already, shaped like
+    rp; else the kernel takes it.
     """
     work = Workspace() if work is None else work
     rp, rs = np.asarray(rp, dtype=complex), np.asarray(rs, dtype=complex)
     shape = np.broadcast(theta_i, rs, rp, *(() if drp is None else (drp,))).shape
     delta_plus, theta_minus = work.take(shape), work.take(shape)
     with work.scratch():
-        abs_rp = np.abs(rp, out=work.take(rp.shape))
+        abs_rp = np.abs(rp, out=work.take(rp.shape)) if abs_rp is None else abs_rp
         ok = np.greater_equal(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
         below = np.logical_not(ok, out=ok)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -166,18 +164,3 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None):
                     cot_, np.conj(rp_) * both, den_, np.abs(rp_) ** 2, beam,
                     np.empty(len(both)), np.empty(len(both)), work)
     return delta_plus, theta_minus
-
-
-def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
-    """(delta_plus, delta_minus) of the full first-order ``shift_kernel``
-    at one angle of a stack, evaluated on a one-angle row as a table row is.
-    An angle outside (0, pi/2) raises InvalidAngle before the stack is
-    evaluated."""
-    if not 0.0 < theta_i < np.pi / 2:
-        raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
-    row = np.array([theta_i])
-    rp, rs = reflection_coefficients(row, beam.lam, stack)
-    # looked up at call time, so a wrapper bound on the module sees the call
-    drp, _ = multilayer.stack_reflection_derivative(row, beam.lam, stack)
-    delta = float(shift_kernel(row, rp, rs, drp, beam)[0][0])
-    return delta, -delta

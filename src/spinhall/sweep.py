@@ -4,20 +4,18 @@ Every table is one broadcast of its (eta, detuning) blocks against the
 angle axis: ``evaluate`` computes the susceptibility of a chunk of
 blocks, passes ``eps2 = 1 + chi[:, None]`` through the stack so the
 angle-only terms are shared by every block, and writes each block's
-fields once and its points by row index (see ``SweepTable``).  Every
-stack evaluation here (tables, the pointwise ``ScanContext`` and the
-extremum scans) runs in the chunks of ``_chunks``: whole angle rows, at
-most CHUNK_POINTS points each, in order on the calling thread.
+fields once and its points by row index (see ``SweepTable``).
 
-``evaluate`` over more than one chunk, and ``extremal_angles`` for its
-coarse chunks and golden steps, allocate one ``Workspace`` sized for the
-largest chunk when they start and drop it when they return.  Each chunk
-takes its arrays from it and hands them back when done, so the chunks
-reuse the same pages instead of faulting them in again; no view of it
-outlives the call, since a table's rows are written into the table's own
-columns.  A single-chunk table and the pointwise calls let numpy allocate.
-Singular points (Brewster floor, resonant stack denominator) are flagged
-in their row instead of aborting the table.
+Every stack evaluation but ``reflection_coefficients`` goes through
+``_stack_rows``: the table fill, the extremum scans and ``ScanContext``
+at the truncated order, in chunks of whole angle rows of at most
+CHUNK_POINTS points on the calling thread, and the oracle's one-angle
+row ``_point`` at full order.  A table of more than one chunk and an
+extremum scan take each chunk's arrays from one ``Workspace`` block,
+allocated when they start and dropped when they return, so the chunks
+reuse the same pages; the others let numpy allocate.  Singular points
+(Brewster floor, resonant stack denominator) are flagged in their row
+instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -28,9 +26,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import multilayer
 from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange, SpinHallError
 from .medium import MediumParams, _coherence_polynomials, susceptibility
-from .multilayer import LayerStack, _amplitudes, RESONANT_DENOMINATOR_FLOOR
+from .multilayer import LayerStack, RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
 from .workspace import Workspace
 
@@ -45,6 +44,7 @@ __all__ = [
     "find_transparency_windows",
     "extremal_angles",
     "max_shift_vs_detuning",
+    "shift_from_beam_integral",
 ]
 
 GOLDEN_TOL_DEG = 1e-4
@@ -69,21 +69,48 @@ def _chunk_blocks(row: int) -> int:
 
 def _chunks(blocks: int, row: int):
     """Slices that cover range(blocks) in order, each of at most
-    _chunk_blocks(row) blocks, or one empty slice when there are no
-    blocks."""
+    _chunk_blocks(row) blocks; one empty slice for no blocks."""
     step = _chunk_blocks(row)
     for lo in range(0, max(blocks, 1), step):
         yield slice(lo, min(lo + step, blocks))
 
 
+def _stack_rows(thetas_rad, stack: LayerStack, beam: BeamParams, work: Workspace,
+                full: bool = False):
+    """(rp, rs, min |denominator|, |rp|, rp') of ``stack`` at ``thetas_rad``,
+    all but rp' from ``work``; rp', the kernel's drp, is None unless ``full``."""
+    rp, rs, dmin = _amplitudes(thetas_rad, beam.lam, stack, work)
+    drp = None
+    if full:  # through the module, so the wrapper of perfbench/tracer.py sees it
+        drp, _ = multilayer.stack_reflection_derivative(thetas_rad, beam.lam, stack)
+    return rp, rs, dmin, np.abs(rp, out=work.like(rp)), drp
+
+
+def _point(theta_i, stack: LayerStack, beam: BeamParams):
+    """(row, rp, rs, |rp|, rp') on the one-angle row [theta_i] of a stack, as
+    a table row rounds them; ResonantDenominator where a table would flag it."""
+    row = np.array([theta_i])
+    rp, rs, dmin, abs_rp, drp = _stack_rows(row, stack, beam, Workspace(), full=True)
+    multilayer._raise_if_resonant(rp, rs, dmin)
+    return row, rp, rs, abs_rp, drp
+
+
+def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
+    """(delta_plus, delta_minus) of the full first-order ``shift_kernel`` at
+    one angle of a stack; an angle outside (0, pi/2) raises InvalidAngle
+    before the stack is evaluated."""
+    if not 0.0 < theta_i < np.pi / 2:
+        raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
+    row, rp, rs, abs_rp, drp = _point(theta_i, stack, beam)
+    delta = float(shift_kernel(row, rp, rs, drp, beam, None, abs_rp)[0][0])
+    return delta, -delta
+
+
 @dataclass(frozen=True)
 class ScanContext:
-    """Physics bundle for pointwise evaluation at a fixed detuning.
-
-    Any number of angles is evaluated as one-row tables of at most
-    CHUNK_POINTS angles each, so every value rounds exactly as the table
-    row at the same point does.
-    """
+    """Physics bundle for pointwise evaluation at a fixed detuning: any
+    number of angles is evaluated as one-row tables of at most CHUNK_POINTS
+    angles, so every value rounds as the table row at the same point does."""
 
     medium: MediumParams
     stack: LayerStack
@@ -92,9 +119,8 @@ class ScanContext:
 
     @cached_property
     def _row_stack(self) -> LayerStack:
-        """The stack of a one-row table at this detuning: eps2 = 1 + chi of
-        a one-element detuning array, shaped (1, 1) as ``_fill_block``
-        broadcasts it against the angles."""
+        """The stack of a one-row table at this detuning: eps2 = 1 + chi,
+        shaped (1, 1) as ``_fill_block`` broadcasts it against the angles."""
         chi = susceptibility(np.array([self.delta_p]), self.medium)[:, None]
         return replace(self.stack, eps2=1.0 + chi)
 
@@ -102,33 +128,35 @@ class ScanContext:
         """Stack with the intracavity permittivity set for this detuning."""
         return replace(self.stack, eps2=self._row_stack.eps2[0, 0])
 
-    def _row(self, theta, f) -> list:
-        """The arrays f(angles, rp, rs) gives on each chunk of theta in
-        radians, each joined over the chunks and shaped like theta."""
-        row = np.asarray(theta, dtype=float).reshape(-1)
-        parts = [f(row[chunk], *_amplitudes(row[chunk], self.beam.lam,
-                                            self._row_stack)[:2])
-                 for chunk in _chunks(len(row), 1)]
-        return [np.concatenate(p, axis=-1).reshape(np.shape(theta)) for p in zip(*parts)]
+    def _values(self, theta, shifts: bool) -> list:
+        """[rp, rs, |rp|], or with ``shifts`` the truncated [delta_plus,
+        theta_minus], at angle(s) theta in radians, each shaped like theta."""
+        row = np.asarray(theta, dtype=float).reshape(1, -1)
+        out = [np.empty(row.shape, dtype)
+               for dtype in ((float, float) if shifts else (complex, complex, float))]
+        for lo in range(0, row.size, CHUNK_POINTS):
+            t = row[0, lo:lo + CHUNK_POINTS]
+            rp, rs, _, abs_rp, drp = _stack_rows(t, self._row_stack, self.beam, Workspace())
+            values = (shift_kernel(t, rp, rs, drp, self.beam, None, abs_rp) if shifts
+                      else (rp, rs, abs_rp))
+            for o, v in zip(out, values):
+                o[:, lo:lo + t.size] = v
+        return [o.reshape(np.shape(theta)) for o in out]
 
     def coefficients(self, theta):
         """(rp, rs) at angle(s) theta in radians, shaped like theta."""
-        return tuple(self._row(theta, lambda t, rp, rs: (rp, rs)))
+        return tuple(self._values(theta, False)[:2])
 
     def abs_rp(self, theta):
-        return self._row(theta, lambda t, rp, rs: (np.abs(rp),))[0]
-
-    def _shift(self, theta, which: int):
-        return self._row(theta, lambda t, rp, rs: (
-            shift_kernel(t, rp, rs, None, self.beam)[which],))[0]
+        return self._values(theta, False)[2]
 
     def delta_plus(self, theta):
         """Spatial shift (meters) of the right-circular component."""
-        return self._shift(theta, 0)
+        return self._values(theta, True)[0]
 
     def theta_minus(self, theta):
         """Angular tilt of the left-circular component."""
-        return self._shift(theta, 1)
+        return self._values(theta, True)[1]
 
 
 # SweepGrid and sweep are not called by the package: the name
@@ -259,22 +287,20 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     """Evaluate one chunk of blocks and write its blocks and rows from
     row ``start``: block i at ``detunings[i]`` and density ``etas[i]``,
     against either a shared 1-D angle row or one angle row per block,
-    theta fastest.  chi takes one susceptibility call for the chunk, each
-    block multiplied by its own eta.  The chunk's arrays are taken from
-    ``work`` and handed back on return; its rows are written straight
-    into the table's columns."""
+    theta fastest.  chi takes one susceptibility call for the chunk; the
+    chunk's arrays are taken from ``work`` and handed back on return."""
     with work.scratch():
         thetas_rad = np.radians(thetas_deg, out=work.take(np.shape(thetas_deg)))
         chi = susceptibility(detunings, medium, etas)
-        rp, rs, dmin = _amplitudes(thetas_rad, beam.lam,
-                                   replace(stack, eps2=1.0 + chi[:, None]), work)
+        rp, rs, dmin, abs_rp, drp = _stack_rows(
+            thetas_rad, replace(stack, eps2=1.0 + chi[:, None]), beam, work)
         rows = slice(start, start + rp.size)
-        abs_rp, abs_rs, ratio, delta, tilt = (
+        abs_rp_column, abs_rs, ratio, delta, tilt = (
             column[rows].reshape(rp.shape) for column in table.points)
-        np.abs(rp, out=abs_rp)
+        np.copyto(abs_rp_column, abs_rp)
         np.abs(rs, out=abs_rs)
         with np.errstate(invalid="ignore", divide="ignore"):
-            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, None, beam, work)
+            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, drp, beam, work, abs_rp)
             np.divide(abs_rs, abs_rp, out=ratio)
         np.divide(delta_plus, beam.lam, out=delta)
         np.copyto(tilt, theta_minus)
@@ -339,11 +365,7 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
 
 def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
           beam: BeamParams) -> SweepTable:
-    """Evaluate susceptibility, reflection and shifts over the full grid.
-
-    Row order is (eta, detuning, theta), theta fastest.  Per-point
-    singularities are flagged, never raised.
-    """
+    """The table of ``evaluate`` over the axes of ``grid``."""
     return evaluate(medium, grid.eta_list or None, grid.detunings(),
                     grid.thetas_deg(), stack, beam)
 
@@ -502,16 +524,12 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     """Per-detuning extremum over incidence angle: (angles_deg, values).
 
     ``kind`` is "spatial" (largest |delta_plus|, valued in units of the
-    wavelength) or "angular" (largest theta_minus).  The coarse scan
-    broadcasts the detunings against the angle grid, with
-    ``eps2 = 1 + chi[:, None]`` as in the table kernel, a chunk of whole
-    grid rows at a time, and keeps only each detuning's best grid point
-    and value.  These are refined by one lockstep golden section over all
-    detunings, whose points are evaluated in chunks too, and the refined
-    angle is kept only where it beats the grid.  So the working set does
-    not grow with the number of detunings.  Each detuning takes the steps
-    a search of its own would take; an empty detuning list gives empty
-    arrays.
+    wavelength) or "angular" (largest theta_minus).  A coarse scan, a
+    chunk of detunings against the angle grid at a time, keeps each one's
+    best grid point; one lockstep golden section over all, in chunks too,
+    refines them, kept where it beats the grid.  So the working set does
+    not grow with the detunings, and each takes the steps of a search of
+    its own; no detunings give empty arrays.
     """
     if kind not in ("spatial", "angular"):
         raise ValueError("kind must be 'spatial' or 'angular'")
@@ -525,8 +543,8 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
                          min(_chunk_blocks(1), 2 * len(detunings))))
 
     def objective(t, eps):  # taken from work: read it before the next take
-        rp, rs, _ = _amplitudes(t, beam.lam, replace(stack, eps2=eps), work)
-        delta_plus, theta_minus = shift_kernel(t, rp, rs, None, beam, work)
+        rp, rs, _, abs_rp, drp = _stack_rows(t, replace(stack, eps2=eps), beam, work)
+        delta_plus, theta_minus = shift_kernel(t, rp, rs, drp, beam, work, abs_rp)
         if kind == "spatial":
             return np.negative(np.abs(delta_plus, out=delta_plus), out=delta_plus)
         return np.negative(theta_minus, out=theta_minus)

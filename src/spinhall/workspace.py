@@ -4,10 +4,10 @@ A table, or an extremum scan, evaluates the stack and the shift kernel
 chunk after chunk.  Arrays allocated and freed in every chunk make a fresh
 process fault the same pages in again for each chunk, because the
 allocator hands freed memory back to the system.  So the caller that owns
-a chunk loop allocates one ``Workspace`` for the loop, and the kernels take
-their results and intermediates from it.  ``Workspace()``, with no block,
-serves a call outside such a loop: numpy allocates each array, as it does
-for an expression.
+a chunk loop allocates one ``Workspace`` for the loop, drops it when the
+loop ends, and the kernels take their results and intermediates from it.
+``Workspace()``, with no block, serves a call outside such a loop: numpy
+allocates each array, as it does for an expression.
 
 The kernels keep the arithmetic of the numpy expressions they replaced, bit
 for bit.  So a binary ufunc never writes over one of its array operands
@@ -37,13 +37,10 @@ class Workspace:
 
     ``Workspace(points)`` holds BYTES_PER_POINT bytes for each of up to
     ``points`` points of the chain evaluated in one chunk (table fill,
-    ``_amplitudes`` and the shift kernel hold at most 232 at once).  The
-    caller that owns the chunk loop allocates it, once per loop, and drops
-    it when the loop ends; it is never kept across calls.  ``take`` hands
-    out the next free array; arrays taken inside ``with work.scratch():``
-    are handed out again after it.  So an array taken from a workspace
-    holds its values until the call that owns it hands it out again, and
-    no view of the block is returned past the call that owns the workspace.
+    ``_amplitudes`` and the shift kernel hold at most 232 at once).
+    ``take`` hands out the next free array; arrays taken inside ``with
+    work.scratch():`` are handed out again after it.  No view of the block
+    is returned past the call that owns the workspace.
     """
 
     BYTES_PER_POINT = 240

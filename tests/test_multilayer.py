@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spinhall.multilayer as multilayer
-import spinhall.shifts as shifts
+import spinhall.sweep as sweep_module
 from spinhall import (InvalidAngle, LayerStack, ResonantDenominator,
                       reflection_coefficients, shift_from_beam_integral,
                       stack_reflection_derivative, susceptibility)
@@ -197,7 +197,7 @@ class TestStackReflection:
         def forbidden(*args):
             raise AssertionError("stack evaluated at an invalid angle")
 
-        monkeypatch.setattr(shifts, "reflection_coefficients", forbidden)
+        monkeypatch.setattr(sweep_module, "_amplitudes", forbidden)
         monkeypatch.setattr(multilayer, "stack_reflection_derivative", forbidden)
         with pytest.raises(InvalidAngle):
             shift_from_beam_integral(theta, vacuum_stack, beam)

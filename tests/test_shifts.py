@@ -14,6 +14,7 @@ from spinhall import (BeamParams, LayerStack, ScanContext,
                       stack_reflection_derivative, susceptibility)
 import spinhall.multilayer as multilayer
 import spinhall.shifts as shifts_module
+import spinhall.sweep as sweep_module
 from beam_quadrature import (GridSpec, QuadratureNotConverged, centroids,
                              cleared_moment, kspace_tilts, quadrature_shift,
                              truncated_kernel)
@@ -237,8 +238,8 @@ class TestMomentIdentity:
         _, rs = reflection_coefficients(theta, LAM, vacuum_stack)
         drp, _ = multilayer.stack_reflection_derivative(theta, LAM, vacuum_stack)
         assert abs(drp) > 0
-        monkeypatch.setattr(shifts_module, "reflection_coefficients",
-                            lambda *args: (0j, rs))
+        monkeypatch.setattr(sweep_module, "_amplitudes",
+                            lambda *args: (np.array([0j]), np.array([rs]), np.ones(1)))
         plus, minus = shift_from_beam_integral(theta, vacuum_stack, beam)
         assert plus == 0.0 and minus == -plus
         assert np.isnan(shift_kernel(theta, 0j, rs, None, beam)[0])

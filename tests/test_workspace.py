@@ -87,13 +87,19 @@ class TestSameBits:
         for g, w in zip(stack_reflection_derivative(theta, lam, stack), drp):
             assert_same_bits(g, w)
         beam = BeamParams(w0=w0_lambdas * lam, lam=lam)
+        if layout != "scalar":  # the evaluator's callers pass arrays
+            got = sweep_module._stack_rows(theta, stack, beam, a_workspace(work) or Workspace(),
+                                           full=True)
+            for g, w in zip(got, (*want, np.abs(want[0]), drp[0])):
+                assert_same_bits(g, w)
         rp, rs, _ = want
         rp = rp * rp_scale  # below the Brewster floor, or 0
         for order in (None, drp[0]):
             expected = ref.shift_kernel(theta, rp, rs, order, beam)
-            got = shift_kernel(theta, rp, rs, order, beam, a_workspace(work))
-            for g, w in zip(got, expected):
-                assert_same_bits(g, w)
+            for abs_rp in (None, np.abs(rp)):  # taken by the kernel, or by its caller
+                got = shift_kernel(theta, rp, rs, order, beam, a_workspace(work), abs_rp)
+                for g, w in zip(got, expected):
+                    assert_same_bits(g, w)
 
     @pytest.mark.parametrize("target", ["fig2e", "fig5d"])
     def test_table_matches_the_reference_fill(self, target):
