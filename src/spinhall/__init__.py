@@ -15,6 +15,6 @@ from .sweep import (ScanContext, SweepGrid, SweepTable, evaluate,
                     extremal_angles, find_brewster, find_sign_flip,
                     find_transparency_windows, max_shift_vs_detuning,
                     shift_from_beam_integral)
-from .config import RunConfig, RunManifest, load_config, write_config
+from .config import RunConfig, RunManifest, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

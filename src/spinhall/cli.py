@@ -386,9 +386,10 @@ def cmd_windows(cfg, args, argv):
 def cmd_oracle(cfg, args, argv):
     ctx = _context(cfg, args.detuning, args.eta)
     beam = ctx.beam
-    theta, rp, rs, abs_rp, drp = _point(np.radians(args.theta), ctx.stack_at(), beam)
-    closed = float(shift_kernel(theta, rp, rs, None, beam, None, abs_rp)[0][0])
-    quad_plus = float(shift_kernel(theta, rp, rs, drp, beam, None, abs_rp)[0][0])
+    theta = np.radians(args.theta)
+    rp, rs, abs_rp, drp = _point(theta, ctx.stack_at(), beam)
+    closed = float(shift_kernel(theta, rp, rs, None, beam, None, abs_rp)[0])
+    quad_plus = float(shift_kernel(theta, rp, rs, drp, beam, None, abs_rp)[0])
     rel = abs(quad_plus - closed) / max(abs(closed), 1e-300)
     print(f"closed = {closed / beam.lam:.6e} lambda, moment = "
           f"{quad_plus / beam.lam:.6e} lambda, rel diff = {rel:.3e}")
@@ -396,7 +397,7 @@ def cmd_oracle(cfg, args, argv):
            -quad_plus / beam.lam, rel)
     # the closed form is NaN below the floor, as in a table row
     counts = dict.fromkeys(FLAG_KINDS[1:], 0)
-    counts[FLAG_BREWSTER] = int(abs_rp[0] < BREWSTER_FLOOR)
+    counts[FLAG_BREWSTER] = int(abs_rp < BREWSTER_FLOOR)
     flagged = sum(counts.values())
     _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, flagged, counts),
                   ORACLE_COLUMNS, [(np.array([v], dtype=float), None) for v in row])

@@ -32,7 +32,7 @@ from .presets import preset_config
 from .shifts import BREWSTER_FLOOR, BeamParams
 from .sweep import GOLDEN_TOL_DEG
 
-__all__ = ["RunConfig", "RunManifest", "load_config", "write_config", "TOLERANCES"]
+__all__ = ["RunConfig", "RunManifest", "load_config", "TOLERANCES"]
 
 # points of one table: about ten fig2e maps, ~0.5 GB of table columns
 MAX_TABLE_POINTS = 5_000_000
@@ -279,11 +279,6 @@ def _merge(base: dict, extra: dict):
             _merge(base[key], value)
         else:
             base[key] = copy.deepcopy(value)  # never alias a preset's blocks
-
-
-def write_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ with P = exp(2i k2z d).  Angular derivatives are this algebra's chain
 rule (dkx/dtheta = sqrt(eps1) k0 cos(theta), dkz/dtheta = -kx kx'/kz):
 closed form, no step size.
 
-The public API is two functions of a scalar or an array of angles:
-``reflection_coefficients`` gives (rp, rs) and raises ResonantDenominator
-where the stack is singular; ``stack_reflection_derivative`` gives their
-angular derivatives.  The evaluator of ``spinhall.sweep`` calls the
-unchecked core ``_amplitudes``, and tables flag singular points instead.
+The public API is two functions of a scalar, evaluated as its one-element
+row, or an array of angles: ``reflection_coefficients`` gives (rp, rs) and
+raises ResonantDenominator where the stack is singular;
+``stack_reflection_derivative`` gives their angular derivatives.  The
+evaluator of ``spinhall.sweep`` calls the unchecked core ``_amplitudes``,
+and tables flag singular points instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantDenominator
-from .workspace import Workspace, product, square
+from .workspace import Workspace
 
 __all__ = [
     "LayerStack",
@@ -65,7 +66,7 @@ def _kz(eps, k0, kx, work=None):
     work = Workspace() if work is None else work
     z = work.like(eps, kx, dtype=complex)
     with work.scratch():
-        kx2 = square(kx, work.like(kx))
+        kx2 = np.square(kx, out=work.like(kx))
         if z is not None and isinstance(eps, np.ndarray):
             # into the block, numpy would buffer both operands (256 KB for a
             # table chunk), so kx^2 is cast to complex on z's shape first
@@ -101,8 +102,8 @@ def _composite(q1, q2, q3, phase, r, work):
     r = np.divide(x, den, out=r)  # r12 until the numerator is formed
     y = np.divide(np.subtract(q2, q3, out=x), np.add(q2, q3, out=den),
                   out=work.take(phase.shape, complex))
-    den = np.add(1, product(product(r, y, x), phase, den), out=den)
-    y = np.add(r, product(y, phase, x), out=y)
+    den = np.add(1, np.multiply(np.multiply(r, y, out=x), phase, out=den), out=den)
+    y = np.add(r, np.multiply(y, phase, out=x), out=y)
     return np.divide(y, den, out=r), den
 
 
@@ -135,16 +136,18 @@ def _amplitudes(theta_i, lam, stack, work=None):
     The results and every intermediate are taken from ``work``, the
     workspace of the caller's chunk loop, so the results hold until that
     caller hands the arrays out again; with ``work = None`` numpy allocates
-    them.  Scalar inputs give numpy scalars."""
+    them.  Scalar theta_i and eps2 give numpy scalars, their row's bits."""
     work = Workspace() if work is None else work
+    scalar = np.ndim(theta_i) == np.ndim(stack.eps2) == 0
+    theta_i = np.atleast_1d(theta_i)  # a scalar angle is evaluated as a row
     shape = np.broadcast(theta_i, stack.eps2).shape
     rp, rs, dmin = work.take(shape, complex), work.take(shape, complex), work.take(shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"), work.scratch():
         _, _, kz = _wave_vectors(theta_i, lam, stack, work)
         phase = work.take(shape, complex)
         with work.scratch():
-            phase = product(product(2j, kz[1], work.take(shape, complex)),
-                            stack.thickness_d, phase)
+            phase = np.multiply(np.multiply(2j, kz[1], out=work.take(shape, complex)),
+                                stack.thickness_d, out=phase)
         phase = np.exp(phase, out=phase)
         den_s = work.take(shape)
         with work.scratch():  # TE: the admittances are the kz
@@ -154,7 +157,7 @@ def _amplitudes(theta_i, lam, stack, work=None):
               for i, k in enumerate(kz, 1)]
         rp, den = _composite(*tm, phase, rp, work)
         dmin = np.minimum(np.abs(den, out=work.take(shape)), den_s, out=dmin)
-    return rp[()], rs[()], dmin[()]  # [()]: a 0-d array gives its scalar
+    return (rp[0], rs[0], dmin[0]) if scalar else (rp, rs, dmin)
 
 
 def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):
@@ -167,8 +170,10 @@ def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):
 
     u = q1' q2 - q1 q2', w = q2' q3 - q2 q3', P' = 2i d k2z' P; infinite
     where some kz vanishes (a critical angle), and non-finite, without a
-    warning, where a term overflows.
+    warning, where a term overflows.  Scalars give their row's bits.
     """
+    scalar = np.ndim(theta_i) == np.ndim(stack.eps2) == 0
+    theta_i = np.atleast_1d(theta_i)  # a scalar angle is evaluated as a row
     out = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k0, kx, kz = _wave_vectors(theta_i, lam, stack)
@@ -183,4 +188,4 @@ def stack_reflection_derivative(theta_i, lam: float, stack: LayerStack):
             out.append((2 * u * (s * s - (m * phase) ** 2)
                         + 4 * q1 * q2 * (2 * w * phase + m * s * dphase))
                        / (s * t + n * m * phase) ** 2)
-    return out[0], out[1]
+    return (out[0][0], out[1][0]) if scalar else (out[0], out[1])

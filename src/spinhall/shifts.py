@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workspace import Workspace, square
+from .workspace import Workspace
 
 __all__ = ["BeamParams", "shift_kernel"]
 
@@ -117,12 +117,16 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None, abs_rp=None)
     workspace of the caller's chunk loop, so the results hold until that
     caller hands the arrays out again; with ``work = None`` numpy allocates
     them.  ``abs_rp`` is |rp| where the caller has it already, shaped like
-    rp; else the kernel takes it.
+    rp; else the kernel takes it.  Each scalar input is evaluated as its
+    one-element row; scalars alone give 0-d arrays.
     """
     work = Workspace() if work is None else work
-    rp, rs = np.asarray(rp, dtype=complex), np.asarray(rs, dtype=complex)
     shape = np.broadcast(theta_i, rs, rp, *(() if drp is None else (drp,))).shape
-    delta_plus, theta_minus = work.take(shape), work.take(shape)
+    theta_i, rp, rs = np.atleast_1d(theta_i, np.asarray(rp, dtype=complex),
+                                    np.asarray(rs, dtype=complex))
+    drp, abs_rp = (None if x is None else np.atleast_1d(x) for x in (drp, abs_rp))
+    rows = shape or (1,)
+    delta_plus, theta_minus = work.take(rows), work.take(rows)
     with work.scratch():
         abs_rp = np.abs(rp, out=work.take(rp.shape)) if abs_rp is None else abs_rp
         ok = np.greater_equal(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
@@ -141,20 +145,19 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None, abs_rp=None)
                 den = np.abs(np.multiply(one_plus, cot, out=work.like(one_plus, cot,
                                                                       dtype=complex)),
                              out=den)
-            den = np.add(beam.k1 * (beam.k1 * beam.w0 ** 2), square(den, den), out=den)
+            den = np.add(beam.k1 * (beam.k1 * beam.w0 ** 2), np.square(den, out=den),
+                         out=den)
             if drp is not None:
                 spread = work.like(drp, rp)
                 with work.scratch():
                     spread = np.divide(np.abs(drp, out=work.like(drp)), abs_rp, out=spread)
-                den = np.add(den, square(spread, spread), out=work.take(shape))
+                den = np.add(den, np.square(spread, out=spread), out=work.take(rows))
             delta_plus, theta_minus = _centroid(cot, one_plus, den, 1.0, beam,
                                                 delta_plus, theta_minus, work)
             np.copyto(delta_plus, np.nan, where=below)
             np.copyto(theta_minus, np.nan, where=below)
-            if drp is None:
-                return delta_plus, theta_minus
-            cleared = np.broadcast_to(below, delta_plus.shape)
-            if cleared.any():
+            if drp is not None and below.any():
+                cleared = np.broadcast_to(below, delta_plus.shape)
                 rp_, rs_, drp_, cot_ = (np.broadcast_to(a, cleared.shape)[cleared]
                                         for a in (rp, rs, drp, cot))
                 both = rp_ + rs_
@@ -163,4 +166,4 @@ def shift_kernel(theta_i, rp, rs, drp, beam: BeamParams, work=None, abs_rp=None)
                 delta_plus[cleared], theta_minus[cleared] = _centroid(
                     cot_, np.conj(rp_) * both, den_, np.abs(rp_) ** 2, beam,
                     np.empty(len(both)), np.empty(len(both)), work)
-    return delta_plus, theta_minus
+    return delta_plus.reshape(shape), theta_minus.reshape(shape)

@@ -9,8 +9,8 @@ fields once and its points by row index (see ``SweepTable``).
 Every stack evaluation but ``reflection_coefficients`` goes through
 ``_stack_rows``: the table fill, the extremum scans and ``ScanContext``
 at the truncated order, in chunks of whole angle rows of at most
-CHUNK_POINTS points on the calling thread, and the oracle's one-angle
-row ``_point`` at full order.  A table of more than one chunk and an
+CHUNK_POINTS points on the calling thread, and the oracle's one angle
+``_point`` at full order.  A table of more than one chunk and an
 extremum scan take each chunk's arrays from one ``Workspace`` block,
 allocated when they start and dropped when they return, so the chunks
 reuse the same pages; the others let numpy allocate.  Singular points
@@ -83,16 +83,15 @@ def _stack_rows(thetas_rad, stack: LayerStack, beam: BeamParams, work: Workspace
     drp = None
     if full:  # through the module, so the wrapper of perfbench/tracer.py sees it
         drp, _ = multilayer.stack_reflection_derivative(thetas_rad, beam.lam, stack)
-    return rp, rs, dmin, np.abs(rp, out=work.like(rp)), drp
+    return rp, rs, dmin, np.abs(rp, out=work.like(rp))[()], drp
 
 
 def _point(theta_i, stack: LayerStack, beam: BeamParams):
-    """(row, rp, rs, |rp|, rp') on the one-angle row [theta_i] of a stack, as
-    a table row rounds them; ResonantDenominator where a table would flag it."""
-    row = np.array([theta_i])
-    rp, rs, dmin, abs_rp, drp = _stack_rows(row, stack, beam, Workspace(), full=True)
+    """(rp, rs, |rp|, rp') at one angle of a stack, the bits of a table row
+    at that point; ResonantDenominator where a table would flag it."""
+    rp, rs, dmin, abs_rp, drp = _stack_rows(theta_i, stack, beam, Workspace(), full=True)
     multilayer._raise_if_resonant(rp, rs, dmin)
-    return row, rp, rs, abs_rp, drp
+    return rp, rs, abs_rp, drp
 
 
 def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams):
@@ -101,16 +100,17 @@ def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams
     before the stack is evaluated."""
     if not 0.0 < theta_i < np.pi / 2:
         raise InvalidAngle(f"theta_i must lie in (0, pi/2), got {theta_i}")
-    row, rp, rs, abs_rp, drp = _point(theta_i, stack, beam)
-    delta = float(shift_kernel(row, rp, rs, drp, beam, None, abs_rp)[0][0])
+    rp, rs, abs_rp, drp = _point(theta_i, stack, beam)
+    delta = float(shift_kernel(theta_i, rp, rs, drp, beam, None, abs_rp)[0])
     return delta, -delta
 
 
 @dataclass(frozen=True)
 class ScanContext:
     """Physics bundle for pointwise evaluation at a fixed detuning: any
-    number of angles is evaluated as one-row tables of at most CHUNK_POINTS
-    angles, so every value rounds as the table row at the same point does."""
+    number of angles is evaluated in rows of at most CHUNK_POINTS angles
+    at ``stack_at()``, so every value has the bits of the table row at the
+    same point."""
 
     medium: MediumParams
     stack: LayerStack
@@ -118,29 +118,26 @@ class ScanContext:
     delta_p: float = 0.0
 
     @cached_property
-    def _row_stack(self) -> LayerStack:
-        """The stack of a one-row table at this detuning: eps2 = 1 + chi,
-        shaped (1, 1) as ``_fill_block`` broadcasts it against the angles."""
-        chi = susceptibility(np.array([self.delta_p]), self.medium)[:, None]
-        return replace(self.stack, eps2=1.0 + chi)
+    def _stack(self) -> LayerStack:
+        return replace(self.stack, eps2=1.0 + susceptibility(self.delta_p, self.medium))
 
     def stack_at(self) -> LayerStack:
         """Stack with the intracavity permittivity set for this detuning."""
-        return replace(self.stack, eps2=self._row_stack.eps2[0, 0])
+        return self._stack
 
     def _values(self, theta, shifts: bool) -> list:
         """[rp, rs, |rp|], or with ``shifts`` the truncated [delta_plus,
         theta_minus], at angle(s) theta in radians, each shaped like theta."""
-        row = np.asarray(theta, dtype=float).reshape(1, -1)
-        out = [np.empty(row.shape, dtype)
+        flat = np.asarray(theta, dtype=float).reshape(-1)
+        out = [np.empty(flat.shape, dtype)
                for dtype in ((float, float) if shifts else (complex, complex, float))]
-        for lo in range(0, row.size, CHUNK_POINTS):
-            t = row[0, lo:lo + CHUNK_POINTS]
-            rp, rs, _, abs_rp, drp = _stack_rows(t, self._row_stack, self.beam, Workspace())
+        for lo in range(0, flat.size, CHUNK_POINTS):
+            t = flat[lo:lo + CHUNK_POINTS]
+            rp, rs, _, abs_rp, drp = _stack_rows(t, self.stack_at(), self.beam, Workspace())
             values = (shift_kernel(t, rp, rs, drp, self.beam, None, abs_rp) if shifts
                       else (rp, rs, abs_rp))
             for o, v in zip(out, values):
-                o[:, lo:lo + t.size] = v
+                o[lo:lo + t.size] = v
         return [o.reshape(np.shape(theta)) for o in out]
 
     def coefficients(self, theta):

@@ -13,10 +13,7 @@ The kernels keep the arithmetic of the numpy expressions they replaced, bit
 for bit.  So a binary ufunc never writes over one of its array operands
 (in place, numpy may return the other operand's NaN, and rounds a
 one-element complex product without the fused multiply-add of its array
-loop); only a constant operand may share a ufunc with its output.  A 0-d
-result stays a 0-d array, and ``product`` and ``square`` round it as numpy
-rounds scalars: a product without the fused multiply-add, a square
-through ``pow``.
+loop); only a constant operand may share a ufunc with its output.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from math import prod
 
 import numpy as np
 
-__all__ = ["Workspace", "product", "square"]
+__all__ = ["Workspace"]
 
 _ALIGN = 16  # bytes: every array taken starts on a complex128 boundary
 _ITEMSIZE = {float: 8, complex: 16, bool: 1}
@@ -57,26 +54,21 @@ class Workspace:
         """An uninitialised C-contiguous array of the block to pass as a
         ufunc's ``out``; ``dtype`` is float, complex or bool.  Past the
         block it is None, so that numpy allocates the result as an
-        expression would (and faster, for a small array), except for a 0-d
-        shape.  So a caller uses what the ufunc returns."""
+        expression would (and faster, for a small array).  So a caller uses
+        what the ufunc returns."""
         if not self._size:
-            return None if shape else np.empty((), dtype)
+            return None
         start = self._top
         stop = start + prod(shape) * _ITEMSIZE[dtype]
         if stop > self._size:
-            return None if shape else np.empty((), dtype)
+            return None
         self._top = stop + -stop % _ALIGN
         return np.ndarray(shape, dtype, self._block, start)
 
     def like(self, *operands, dtype=float):
         """``take`` for the broadcast shape of the operands, found only when
         the block is used."""
-        if self._size:
-            return self.take(np.broadcast(*operands).shape, dtype)
-        for a in operands:
-            if getattr(a, "ndim", 0):
-                return None
-        return np.empty((), dtype)
+        return self.take(np.broadcast(*operands).shape, dtype) if self._size else None
 
     def scratch(self):
         """A context: on exit, every array taken inside is handed out again."""
@@ -100,18 +92,3 @@ class _Rewind:
 
 _NOTHING_TO_REWIND = nullcontext()
 
-
-def product(a, b, out):
-    """a * b written into ``out``; a 0-d ``out`` gets the scalar product."""
-    if out is None or out.ndim:
-        return np.multiply(a, b, out=out)
-    out[()] = np.asarray(a)[()] * np.asarray(b)[()]
-    return out
-
-
-def square(x, out):
-    """x ** 2 written into ``out``; a 0-d ``out`` gets the scalar power."""
-    if out is None or out.ndim:
-        return np.square(x, out=out)
-    out[()] = np.asarray(x)[()] ** 2
-    return out

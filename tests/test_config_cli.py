@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spinhall import (LayerStack, ParseError, RunConfig, ScanContext,
                       ValidationError, effective_couplings, find_brewster,
-                      load_config, max_shift_vs_detuning, write_config)
+                      load_config, max_shift_vs_detuning)
 import spinhall.cli as cli
 import spinhall.config as config_module
 import spinhall.multilayer as multilayer
@@ -162,8 +162,9 @@ class TestLoadConfig:
     @settings(max_examples=150, deadline=None)
     @given(data=config_dicts(), extra=st.data())
     def test_round_trip(self, data, extra, tmp_path_factory):
-        """``load_config`` reads back what ``write_config`` wrote, for any
-        config that validates, every field drawn or left to its default."""
+        """``load_config`` reads back the config echo of a run manifest as
+        the same config, for any config that validates, every field drawn
+        or left to its default."""
         draw = extra.draw
         axis = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2,
                         unique=True).map(sorted)
@@ -189,7 +190,8 @@ class TestLoadConfig:
         except ValidationError:
             assume(False)
         path = tmp_path_factory.mktemp("cfg") / "cfg.json"
-        write_config(cfg, path)
+        echo = json.loads(RunManifest.for_run(["shift"], cfg, 0, 0).to_json())["config"]
+        path.write_text(json.dumps(echo), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_direct_couplings_route(self):

@@ -238,8 +238,7 @@ class TestMomentIdentity:
         _, rs = reflection_coefficients(theta, LAM, vacuum_stack)
         drp, _ = multilayer.stack_reflection_derivative(theta, LAM, vacuum_stack)
         assert abs(drp) > 0
-        monkeypatch.setattr(sweep_module, "_amplitudes",
-                            lambda *args: (np.array([0j]), np.array([rs]), np.ones(1)))
+        monkeypatch.setattr(sweep_module, "_amplitudes", lambda *args: (0j, rs, 1.0))
         plus, minus = shift_from_beam_integral(theta, vacuum_stack, beam)
         assert plus == 0.0 and minus == -plus
         assert np.isnan(shift_kernel(theta, 0j, rs, None, beam)[0])

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinhall import BeamParams, LayerStack, load_config, stack_reflection_derivative
+from spinhall import (BeamParams, LayerStack, ResonantDenominator, ScanContext,
+                      load_config, reflection_coefficients, stack_reflection_derivative,
+                      susceptibility)
 from spinhall.cli import RECIPES, recipe_table
 from spinhall.multilayer import _amplitudes
 from spinhall.shifts import shift_kernel
@@ -68,6 +70,18 @@ def a_workspace(kind):
     return work
 
 
+def reference(f, layout, *inputs):
+    """f(*inputs) of the reference kernels, each scalar input going in as
+    its one-element row, as the kernels evaluate it.  In the "scalar"
+    layout the results are taken back to the type and shape f gives the
+    scalars themselves."""
+    rows = f(*(x if x is None or np.ndim(x) else np.reshape(x, 1) for x in inputs))
+    if layout != "scalar":
+        return rows
+    return tuple(r.reshape(()) if isinstance(s, np.ndarray) else r[0]
+                 for r, s in zip(rows, f(*inputs)))
+
+
 class TestSameBits:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), layout=st.sampled_from(LAYOUTS),
@@ -78,24 +92,24 @@ class TestSameBits:
                                                 w0_lambdas, rp_scale, work):
         theta, eps2 = draw_inputs(data, layout)
         stack = LayerStack(eps2=eps2, eps1=eps1, eps3=eps3, thickness_d=d)
-        want = ref.amplitudes(theta, lam, stack)
+        want = reference(lambda t: ref.amplitudes(t, lam, stack), layout, theta)
         for got in (_amplitudes(theta, lam, stack, a_workspace(work)),
                     _amplitudes(theta, lam, stack)):
             for g, w in zip(got, want):
                 assert_same_bits(g, w)
-        drp = ref.reflection_derivative(theta, lam, stack)
+        drp = reference(lambda t: ref.reflection_derivative(t, lam, stack), layout, theta)
         for g, w in zip(stack_reflection_derivative(theta, lam, stack), drp):
             assert_same_bits(g, w)
         beam = BeamParams(w0=w0_lambdas * lam, lam=lam)
-        if layout != "scalar":  # the evaluator's callers pass arrays
-            got = sweep_module._stack_rows(theta, stack, beam, a_workspace(work) or Workspace(),
-                                           full=True)
-            for g, w in zip(got, (*want, np.abs(want[0]), drp[0])):
-                assert_same_bits(g, w)
+        got = sweep_module._stack_rows(theta, stack, beam, a_workspace(work) or Workspace(),
+                                       full=True)
+        for g, w in zip(got, (*want, np.abs(want[0]), drp[0])):
+            assert_same_bits(g, w)
         rp, rs, _ = want
         rp = rp * rp_scale  # below the Brewster floor, or 0
         for order in (None, drp[0]):
-            expected = ref.shift_kernel(theta, rp, rs, order, beam)
+            expected = reference(lambda *point: ref.shift_kernel(*point, beam), layout,
+                                 theta, rp, rs, order)
             for abs_rp in (None, np.abs(rp)):  # taken by the kernel, or by its caller
                 got = shift_kernel(theta, rp, rs, order, beam, a_workspace(work), abs_rp)
                 for g, w in zip(got, expected):
@@ -112,6 +126,49 @@ class TestSameBits:
         want = ref.evaluate(medium, None, RECIPES[target][2], thetas, stack, beam)
         for name in ("theta_rows", "blocks", "points", "codes"):
             assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def assert_row_bits(scalar, row):
+    """A scalar's value has the bits of its one-element row's value."""
+    assert np.ndim(scalar) == 0 and np.shape(row) == (1,)
+    assert_same_bits(np.reshape(scalar, 1), np.asarray(row))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=angle, eps2=permittivity, eps1=glass, eps3=glass, d=thickness,
+       preset=st.sampled_from(["fig2-ctl", "fig3-lambda", "fig4-ntype"]),
+       detuning=st.floats(-10.0, 10.0), rp_scale=st.sampled_from([1.0, 1e-13, 0.0]))
+def test_scalar_is_its_one_element_row(theta, eps2, eps1, eps3, d, preset, detuning,
+                                       rp_scale):
+    """Every public pointwise value at a scalar has the bits of the table
+    row at the same point: a scalar is evaluated as its one-element row."""
+    row = np.array([theta])
+    medium, _, beam = load_config(preset=preset).build()
+    stack = LayerStack(eps2=eps2, eps1=eps1, eps3=eps3, thickness_d=d)
+    try:
+        want = reflection_coefficients(row, beam.lam, stack)
+    except ResonantDenominator:
+        with pytest.raises(ResonantDenominator):
+            reflection_coefficients(theta, beam.lam, stack)
+    else:
+        for got, w in zip(reflection_coefficients(theta, beam.lam, stack), want):
+            assert_row_bits(got, w)
+    drp = stack_reflection_derivative(row, beam.lam, stack)
+    for got, w in zip(stack_reflection_derivative(theta, beam.lam, stack), drp):
+        assert_row_bits(got, w)
+    rp, rs, _ = _amplitudes(row, beam.lam, stack)
+    rp = rp * rp_scale  # below the Brewster floor, or 0
+    for drp_row in (None, drp[0]):  # the truncated shift, then the full order
+        got = shift_kernel(theta, rp[0], rs[0], None if drp_row is None else drp_row[0], beam)
+        for g, w in zip(got, shift_kernel(row, rp, rs, drp_row, beam)):
+            assert_row_bits(g, w)
+    assert_row_bits(susceptibility(detuning, medium),
+                    susceptibility(np.array([detuning]), medium))
+    ctx = ScanContext(medium, stack, beam, detuning)
+    for method in (ctx.abs_rp, ctx.delta_plus, ctx.theta_minus):
+        assert_row_bits(method(theta), method(row))
+    for got, w in zip(ctx.coefficients(theta), ctx.coefficients(row)):
+        assert_row_bits(got, w)
 
 
 def chunk_peaks(monkeypatch, name, run, starts_chunk=lambda args: True):
@@ -174,12 +231,11 @@ class TestWorkspace:
         assert work.take((3,), complex).ctypes.data == b.ctypes.data
         assert all(x.flags.c_contiguous and x.ctypes.data % 16 == 0
                    for x in (a, b, work.take((1,))))
-        # past the block numpy allocates the result, except a 0-d one
+        # past the block numpy allocates the result
         assert work.take((10_000,)) is None
         assert work.take((), complex).shape == ()
 
     def test_no_block(self):
         work = Workspace()
         assert work.take((3,)) is None and work.take((0, 5), bool) is None
-        zero_d = work.take((), complex)
-        assert zero_d.shape == () and zero_d.dtype == complex
+        assert work.take((), complex) is None and work.like(1.0, np.ones(2)) is None
