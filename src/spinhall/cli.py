@@ -27,9 +27,11 @@ from .shifts import BREWSTER_FLOOR, shift_kernel
 from .sweep import (COLUMNS, FLAG_BREWSTER, FLAG_KINDS, ScanContext, SweepTable,
                     _point, evaluate, extremal_angles, find_brewster,
                     find_transparency_windows)
-# not called here; bound for perfbench/tracer.py and its binding test until
-# ROADMAP item 3
-from .sweep import max_shift_vs_detuning, shift_from_beam_integral, sweep  # noqa: F401
+# called by no command: perfbench/tracer.py wraps these three names, so they
+# stay bound, to the functions that do their jobs, until ROADMAP item 14
+# traces by code object
+from .sweep import evaluate as sweep, extremal_angles as max_shift_vs_detuning  # noqa: F401
+from .sweep import shift_from_beam_integral  # noqa: F401
 
 MAX_FLAG_FRACTION = 0.1
 CSV_FLOAT = "%.8e"  # 9 significant digits, lowercase exponent

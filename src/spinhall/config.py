@@ -213,6 +213,8 @@ def _validate(cfg: RunConfig):
                       ("detuning", cfg.sweep.detuning)):
         if len(rng) != 3 or rng[2] < 2 or not rng[0] < rng[1]:
             raise ValidationError(f"sweep.{name} must be [min, max, count>=2] with min < max")
+        if rng[1] - rng[0] > sys.float_info.max:
+            raise ValidationError(f"sweep.{name} max - min must be a finite number")
     if cfg.sweep.eta_list is not None and not cfg.sweep.eta_list:
         raise ValidationError("sweep.eta_list must hold at least one eta, or be null")
     if any(eta < 0 for eta in cfg.sweep.eta_list or ()):

@@ -29,10 +29,6 @@ class NoMinimumInWindow(SpinHallError):
     """The search window does not bracket an interior minimum of |rp|."""
 
 
-class NoSignChange(SpinHallError):
-    """The tabulated shift does not change sign inside the slice."""
-
-
 class ParseError(SpinHallError):
     """A configuration file could not be parsed."""
 

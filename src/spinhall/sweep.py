@@ -1,4 +1,4 @@
-"""Evaluation tables, Brewster / sign-flip location and window finding.
+"""Evaluation tables, Brewster and extremum angles, and window finding.
 
 Every table is one broadcast of its (eta, detuning) blocks against the
 angle axis: ``evaluate`` computes the susceptibility of a chunk of
@@ -20,6 +20,7 @@ instead of aborting the table.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import multilayer
-from .errors import InvalidAngle, NoMinimumInWindow, NoSignChange, SpinHallError
+from .errors import InvalidAngle, NoMinimumInWindow, SpinHallError
 from .medium import MediumParams, _coherence_polynomials, susceptibility
 from .multilayer import LayerStack, RESONANT_DENOMINATOR_FLOOR, _amplitudes
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
@@ -35,15 +36,11 @@ from .workspace import Workspace
 
 __all__ = [
     "ScanContext",
-    "SweepGrid",
     "SweepTable",
     "evaluate",
-    "sweep",
     "find_brewster",
-    "find_sign_flip",
     "find_transparency_windows",
     "extremal_angles",
-    "max_shift_vs_detuning",
     "shift_from_beam_integral",
 ]
 
@@ -154,38 +151,6 @@ class ScanContext:
     def theta_minus(self, theta):
         """Angular tilt of the left-circular component."""
         return self._values(theta, True)[1]
-
-
-# SweepGrid and sweep are not called by the package: the name
-# spinhall.cli.sweep is bound for perfbench/tracer.py and its binding test
-# until ROADMAP item 3; every table comes from evaluate
-@dataclass(frozen=True)
-class SweepGrid:
-    """Evaluation grid; angles in degrees, detunings in gamma units.
-
-    ``eta_list`` expands the density column: rows run (eta, detuning,
-    theta) from slow to fast.
-    """
-
-    theta_range: tuple  # (min_deg, max_deg, count)
-    detuning_range: tuple  # (min_gamma, max_gamma, count)
-    eta_list: Optional[Sequence[float]] = None
-
-    def __post_init__(self):
-        for name, (lo, hi, count) in (("theta_range", self.theta_range),
-                                      ("detuning_range", self.detuning_range)):
-            if count < 2:
-                raise ValueError(f"{name} count must be >= 2")
-            if not lo < hi:
-                raise ValueError(f"{name} needs min < max")
-
-    def thetas_deg(self):
-        lo, hi, n = self.theta_range
-        return np.linspace(lo, hi, int(n))
-
-    def detunings(self):
-        lo, hi, n = self.detuning_range
-        return np.linspace(lo, hi, int(n))
 
 
 @dataclass(frozen=True)
@@ -360,13 +325,6 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
     return table
 
 
-def sweep(grid: SweepGrid, medium: MediumParams, stack: LayerStack,
-          beam: BeamParams) -> SweepTable:
-    """The table of ``evaluate`` over the axes of ``grid``."""
-    return evaluate(medium, grid.eta_list or None, grid.detunings(),
-                    grid.thetas_deg(), stack, beam)
-
-
 def _golden_minimize(f: Callable, a, b, tol: float):
     """Golden-section minima of f on the brackets [a[k], b[k]], in lockstep.
 
@@ -416,35 +374,6 @@ def find_brewster(theta_window_deg: tuple, ctx: ScanContext,
         raise NoMinimumInWindow(f"|rp| has no interior minimum in {theta_window_deg}")
     f = lambda t_deg, rows: ctx.abs_rp(np.radians(t_deg))
     return _golden_minimize(f, grid[i - 1], grid[i + 1], GOLDEN_TOL_DEG)[0]
-
-
-def find_sign_flip(theta_deg, delta, ctx: ScanContext) -> float:
-    """Angle (degrees) where the tabulated spatial shift changes sign.
-
-    ``theta_deg``/``delta`` are a table slice providing the bracket: the
-    first neighbouring pair of its finite, nonzero shifts whose signs
-    differ.  The crossing is refined to GOLDEN_TOL_DEG by bisection on the
-    sign of the shift.
-    """
-    theta_deg = np.asarray(theta_deg, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    usable = np.flatnonzero(np.isfinite(delta) & (delta != 0))
-    sign = np.sign(delta[usable])
-    flips = np.flatnonzero(sign[1:] != sign[:-1])
-    if not flips.size:
-        raise NoSignChange("no sign change in the supplied slice")
-    a, b = theta_deg[usable[flips[0]]], theta_deg[usable[flips[0] + 1]]
-    fa = float(ctx.delta_plus(np.radians(a)))
-    while b - a > GOLDEN_TOL_DEG:
-        mid = 0.5 * (a + b)
-        fm = float(ctx.delta_plus(np.radians(mid)))
-        if np.isnan(fm) or fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def _sign_changes(p: list, hi: float) -> list:
@@ -509,9 +438,11 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple) -> li
                             "overflows")
     q[np.abs(q) <= _COEFF_ROUNDING * sum(_critical_terms(np.abs(num), np.abs(den)))] = 0.0
     q = np.trim_zeros(q, "b").tolist()
-    lo, hi = detuning_range
-    x = [u ** 0.5 for u, rising in _sign_changes(q, float(max(lo * lo, hi * hi)))
-         if rising]
+    lo, hi = map(float, detuning_range)
+    # u runs to the larger end squared, or to the largest float where that
+    # overflows: an infinite end would stop the last bisection at inf
+    u_max = min(max(lo * lo, hi * hi), sys.float_info.max)
+    x = [u ** 0.5 for u, rising in _sign_changes(q, u_max) if rising]
     windows = [-v for v in reversed(x)] + [0.0] * (q[-1] > 0) + x
     return [w for w in windows if lo < w < hi]
 
@@ -571,11 +502,3 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     angles = np.where(better, t_best, grid_rad[i])
     return np.degrees(angles), best / beam.lam if kind == "spatial" else best
 
-
-def max_shift_vs_detuning(kind: str, detunings, ctx_base: ScanContext,
-                          theta_window_deg: tuple = (30.0, 38.0),
-                          coarse: int = 801):
-    """(detunings, values) of the per-detuning extremum; see extremal_angles."""
-    detunings = np.asarray(detunings, dtype=float)
-    return detunings, extremal_angles(kind, detunings, ctx_base,
-                                      theta_window_deg, coarse)[1]

@@ -11,6 +11,17 @@ def medium_from(amplitudes, phase1=0.0, eta=0.1):
     return MediumParams(gamma_b=1.0, gamma_e=1.0, eta=eta, couplings=couplings)
 
 
+def tabulated_sign_flip(theta_deg, delta):
+    """Angle (degrees) where a tabulated shift changes sign: the linear
+    interpolation across the first neighbouring pair of its finite, nonzero
+    values whose signs differ."""
+    theta_deg, delta = np.asarray(theta_deg, dtype=float), np.asarray(delta, dtype=float)
+    usable = np.flatnonzero(np.isfinite(delta) & (delta != 0))
+    k = np.flatnonzero(np.diff(np.sign(delta[usable])) != 0)[0]
+    i, j = usable[k], usable[k + 1]
+    return theta_deg[i] + (theta_deg[j] - theta_deg[i]) * delta[i] / (delta[i] - delta[j])
+
+
 def steady_state_coherence(dp, m, probe=1.0):
     """Independent route: solve the linearized steady state of the
     (probe, bright, dark, upper) coherence chain, one system per detuning.

@@ -18,12 +18,11 @@ import numpy as np
 import pytest
 
 from spinhall import (BeamParams, LayerStack, MediumParams,
-                      ScanContext, effective_couplings, evaluate, find_brewster,
-                      find_sign_flip, find_transparency_windows,
-                      max_shift_vs_detuning, reflection_coefficients,
-                      shift_kernel, susceptibility)
+                      ScanContext, effective_couplings, evaluate, extremal_angles,
+                      find_brewster, find_transparency_windows,
+                      reflection_coefficients, shift_kernel, susceptibility)
 from beam_quadrature import quadrature_shift
-from conftest import medium_from
+from conftest import medium_from, tabulated_sign_flip
 
 LAM = 780e-9
 W0 = 50 * LAM
@@ -85,7 +84,7 @@ def test_criterion_3_brewster_and_sign_flip(ctl_medium):
     ctx = context(ctl_medium)
     theta_b = find_brewster((30.0, 38.0), ctx)
     thetas = np.linspace(33.0, 34.4, 281)
-    flip = find_sign_flip(thetas, ctx.delta_plus(np.radians(thetas)), ctx)
+    flip = tabulated_sign_flip(thetas, ctx.delta_plus(np.radians(thetas)))
     single = LayerStack(eps2=1.0 + 0j, eps3=1.0 + 0j, thickness_d=0.0)
     theta_single = find_brewster(
         (30.0, 38.0), replace(ctx, stack=single))
@@ -135,12 +134,12 @@ def test_criterion_6_control_field_orderings():
     lower = []
     for a in (0.25, 0.5, 0.75):
         m = medium_from((a, a, 0.7, 0.7), eta=0.01)
-        _, v = max_shift_vs_detuning("spatial", [0.0], context(m))
+        v = extremal_angles("spatial", [0.0], context(m))[1]
         lower.append(v[0])
     upper = []
     for a in (0.4, 0.7, 1.0):
         m = medium_from((0.5, 0.5, a, a), eta=0.01)
-        _, v = max_shift_vs_detuning("spatial", [0.0], context(m))
+        v = extremal_angles("spatial", [0.0], context(m))[1]
         upper.append(v[0])
     ok = lower[0] < lower[1] < lower[2] and upper[0] > upper[1] > upper[2]
     assert report("6", ok, f"peak delta vs lower legs {np.round(lower, 2)} "
@@ -154,7 +153,7 @@ def test_criterion_6_control_field_orderings():
     "(the same pipeline does match the quoted <=10 lambda at eta=0.1)"))
 def test_criterion_7a_low_density_window_shift():
     m = medium_from((1.5, 3.0, 2.5, 0.9), eta=0.01)
-    _, vals = max_shift_vs_detuning("spatial", [-2.6, 2.6], context(m))
+    vals = extremal_angles("spatial", [-2.6, 2.6], context(m))[1]
     ok = bool(np.all((18.0 <= vals) & (vals <= 22.0)))
     assert report("7a", ok, f"max|delta| at detuning -2.6/+2.6 = "
                             f"{vals[0]:.2f}/{vals[1]:.2f} lambda "
@@ -162,9 +161,9 @@ def test_criterion_7a_low_density_window_shift():
 
 
 def test_criterion_7_detuning_asymmetry(ctl_medium, ntype_medium):
-    _, high_eta = max_shift_vs_detuning("spatial", [-2.6, 2.6], context(ctl_medium))
+    high_eta = extremal_angles("spatial", [-2.6, 2.6], context(ctl_medium))[1]
     ntype = replace(ntype_medium, eta=0.01)
-    _, n_vals = max_shift_vs_detuning("spatial", [-1.0, 0.0, 1.0], context(ntype))
+    n_vals = extremal_angles("spatial", [-1.0, 0.0, 1.0], context(ntype))[1]
     ok_n = n_vals[0] > n_vals[1] and n_vals[2] > n_vals[1]
     # corroboration at eta=0.1: the window shift stays at or below ~10 lambda
     ok_high = bool(np.all(high_eta <= 11.0))
@@ -181,8 +180,8 @@ def test_criterion_8_angular_positive_window_and_ratio(lambda_medium, ntype_medi
     window = np.radians(np.linspace(theta_b - 0.5, theta_b + 0.5, 2001))
     tilt = ctx_lam.theta_minus(window)
     ok_pos = bool(np.all(tilt > 0))
-    _, lam_max = max_shift_vs_detuning("angular", [0.1], ctx_lam)
-    _, n_max = max_shift_vs_detuning("angular", [0.1], context(ntype_medium))
+    lam_max = extremal_angles("angular", [0.1], ctx_lam)[1]
+    n_max = extremal_angles("angular", [0.1], context(ntype_medium))[1]
     ratio = lam_max[0] / n_max[0]
     ok = ok_pos and ratio >= 10.0
     assert report("8", ok, f"lambda tilt positive across brewster+-0.5deg "
@@ -197,7 +196,7 @@ def test_criterion_8_angular_positive_window_and_ratio(lambda_medium, ntype_medi
     "growth statement holds on [0, ~0.12] gamma only"))
 def test_criterion_8b_angular_growth_with_detuning(lambda_medium):
     ctx = context(lambda_medium)
-    _, vals = max_shift_vs_detuning("angular", [0.05, 0.1, 0.2], ctx)
+    vals = extremal_angles("angular", [0.05, 0.1, 0.2], ctx)[1]
     ok = vals[0] < vals[1] < vals[2]
     assert report("8b", ok, f"max tilt at 0.05/0.1/0.2 gamma = "
                             f"{vals[0]:.3e}/{vals[1]:.3e}/{vals[2]:.3e} "

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spinhall import (LayerStack, ParseError, RunConfig, ScanContext,
-                      ValidationError, effective_couplings, find_brewster,
-                      load_config, max_shift_vs_detuning)
+                      ValidationError, effective_couplings, extremal_angles,
+                      find_brewster, load_config)
 import spinhall.cli as cli
 import spinhall.config as config_module
 import spinhall.multilayer as multilayer
@@ -605,6 +605,21 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["theta_deg", "detuning"])
+    def test_range_of_infinite_span_exits_2(self, key, tmp_path, capsys):
+        # both ends are finite, but max - min overflows: np.linspace would
+        # make NaN axis values of it
+        assert config_from_dict({"sweep": {key: [-8e307, 8e307, 3]}})
+        cfg_path = tmp_path / "span.json"
+        cfg_path.write_text(json.dumps({"sweep": {key: [-1e308, 1e308, 3]}}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _ = run_cli(["sweep", "--config", str(cfg_path)], out_dir)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and f"sweep.{key}" in err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("command", [["shift"], ["windows"], ["oracle"],
                                          ["susceptibility"], ["reproduce", "fig4c"]])
     @pytest.mark.parametrize("config", [
@@ -917,8 +932,7 @@ class TestCli:
             assert not np.any(np.isnan(table.column(col))), col
         assert table.flagged_count == 0
         medium, stack, beam = cfg.build()
-        _, curve = max_shift_vs_detuning("angular", detunings,
-                                         ScanContext(medium, stack, beam))
+        curve = extremal_angles("angular", detunings, ScanContext(medium, stack, beam))[1]
         np.testing.assert_allclose(table.theta_minus, curve, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(table.detuning, detunings)
         assert np.all((table.theta_deg >= 30.0) & (table.theta_deg <= 38.0))

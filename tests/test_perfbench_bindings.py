@@ -40,7 +40,9 @@ def test_wrapped_method_exists(module_name, owner, attr):
     assert callable(getattr(cls, attr))
 
 
-# bound only for the tracer, and reached by no command (ROADMAP item 14)
+# bound only for the tracer, and reached by no command (ROADMAP item 14):
+# spinhall.cli binds sweep to evaluate and max_shift_vs_detuning to
+# extremal_angles
 UNREACHED = {("spinhall.cli", "sweep"), ("spinhall.cli", "shift_from_beam_integral"),
              ("spinhall.cli", "max_shift_vs_detuning")}
 COMMANDS = (["reproduce", "fig2b"], ["reproduce", "fig5b"],
@@ -68,3 +70,7 @@ def test_every_wrapped_binding_is_reached(tmp_path, monkeypatch, capsys):
     for i, argv in enumerate(COMMANDS):
         assert cli.main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0
     assert [b for b in bindings if b not in UNREACHED and not calls[b]] == []
+    # and the tracer-only names stay dead: a command that called the sweep
+    # alias would record a sweep.grid span whose work reads its fifth
+    # argument as a thread count
+    assert {b: calls[b] for b in UNREACHED} == dict.fromkeys(UNREACHED, 0)
