@@ -123,10 +123,20 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
 
 def _raise_if_resonant(rp, rs, dmin):
     """ResonantDenominator where a table would flag a point resonant."""
-    if (np.any(dmin < RESONANT_DENOMINATOR_FLOOR)
-            or not (np.all(np.isfinite(rp)) and np.all(np.isfinite(rs)))):
+    if np.any(_resonant(*np.atleast_1d(rp, rs, dmin), Workspace())):
         raise ResonantDenominator("stack denominator below floor "
                                   f"{RESONANT_DENOMINATOR_FLOOR} or not finite")
+
+
+def _resonant(rp, rs, dmin, work):
+    """Mask, taken from ``work``, of the points a table flags resonant: a
+    denominator below RESONANT_DENOMINATOR_FLOOR, or rp or rs not finite."""
+    resonant = np.less(dmin, RESONANT_DENOMINATOR_FLOOR, out=work.like(dmin, dtype=bool))
+    finite = work.like(dmin, dtype=bool)
+    for r in (rp, rs):
+        finite = np.isfinite(r, out=finite)
+        resonant |= np.logical_not(finite, out=finite)
+    return resonant
 
 
 def _amplitudes(theta_i, lam, stack, work=None):

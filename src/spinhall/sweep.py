@@ -7,15 +7,14 @@ angle-only terms are shared by every block, and writes each block's
 fields once and its points by row index (see ``SweepTable``).
 
 Every stack evaluation but ``reflection_coefficients`` goes through
-``_stack_rows``: the table fill, the extremum scans and ``ScanContext``
-at the truncated order, in chunks of whole angle rows of at most
-CHUNK_POINTS points on the calling thread, and the oracle's one angle
-``_point`` at full order.  A table of more than one chunk and an
-extremum scan take each chunk's arrays from one ``Workspace`` block,
-allocated when they start and dropped when they return, so the chunks
-reuse the same pages; the others let numpy allocate.  Singular points
-(Brewster floor, resonant stack denominator) are flagged in their row
-instead of aborting the table.
+``_stack_rows``: the oracle's one angle ``_point`` at full order, and at
+the truncated order the table fill, the extremum scans and
+``ScanContext``, all in the one chunk loop ``_chunks`` on the calling
+thread.  Its chunks hold whole angle rows of at most CHUNK_POINTS points;
+a loop of more than one chunk takes their arrays from one ``Workspace``
+block, so they reuse the same pages, while a one-chunk call and the
+oracle let numpy allocate.  Singular points (Brewster floor, resonant
+stack denominator) are flagged in their row instead of aborting the table.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from . import multilayer
 from .errors import InvalidAngle, NoMinimumInWindow, SpinHallError
 from .medium import MediumParams, _coherence_polynomials, susceptibility
-from .multilayer import LayerStack, RESONANT_DENOMINATOR_FLOOR, _amplitudes
+from .multilayer import LayerStack, _amplitudes
 from .shifts import BeamParams, BREWSTER_FLOOR, shift_kernel
 from .workspace import Workspace
 
@@ -59,17 +58,17 @@ POINT_FIELDS = ("abs_rp", "abs_rs", "ratio_sp", "delta_plus_lambda", "theta_minu
 COLUMNS = ("theta_deg", *BLOCK_FIELDS, *POINT_FIELDS, "flags")
 
 
-def _chunk_blocks(row: int) -> int:
-    """Blocks of ``row`` points in one chunk: CHUNK_POINTS // row, one at least."""
-    return max(1, CHUNK_POINTS // max(row, 1))
-
-
 def _chunks(blocks: int, row: int):
-    """Slices that cover range(blocks) in order, each of at most
-    _chunk_blocks(row) blocks; one empty slice for no blocks."""
-    step = _chunk_blocks(row)
+    """(slice, work) for each chunk of range(blocks), in order: whole rows
+    of ``row`` points, at most CHUNK_POINTS a chunk; one empty slice for
+    no blocks.  A loop of more than one chunk takes every chunk's arrays
+    from one Workspace block, handed back after each chunk, so the chunks
+    reuse its pages; a single chunk gets none: numpy allocates faster."""
+    step = max(1, CHUNK_POINTS // max(row, 1))
+    work = Workspace(step * row if blocks > step else 0)
     for lo in range(0, max(blocks, 1), step):
-        yield slice(lo, min(lo + step, blocks))
+        with work.scratch():
+            yield slice(lo, min(lo + step, blocks)), work
 
 
 def _stack_rows(thetas_rad, stack: LayerStack, beam: BeamParams, work: Workspace,
@@ -105,8 +104,8 @@ def shift_from_beam_integral(theta_i: float, stack: LayerStack, beam: BeamParams
 @dataclass(frozen=True)
 class ScanContext:
     """Physics bundle for pointwise evaluation at a fixed detuning: any
-    number of angles is evaluated in rows of at most CHUNK_POINTS angles
-    at ``stack_at()``, so every value has the bits of the table row at the
+    number of angles is evaluated in the chunks of ``_chunks`` at
+    ``stack_at()``, so every value has the bits of the table row at the
     same point."""
 
     medium: MediumParams
@@ -128,13 +127,13 @@ class ScanContext:
         flat = np.asarray(theta, dtype=float).reshape(-1)
         out = [np.empty(flat.shape, dtype)
                for dtype in ((float, float) if shifts else (complex, complex, float))]
-        for lo in range(0, flat.size, CHUNK_POINTS):
-            t = flat[lo:lo + CHUNK_POINTS]
-            rp, rs, _, abs_rp, drp = _stack_rows(t, self.stack_at(), self.beam, Workspace())
-            values = (shift_kernel(t, rp, rs, drp, self.beam, None, abs_rp) if shifts
+        for chunk, work in _chunks(flat.size, 1):
+            t = flat[chunk]
+            rp, rs, _, abs_rp, drp = _stack_rows(t, self.stack_at(), self.beam, work)
+            values = (shift_kernel(t, rp, rs, drp, self.beam, work, abs_rp) if shifts
                       else (rp, rs, abs_rp))
             for o, v in zip(out, values):
-                o[lo:lo + t.size] = v
+                o[chunk] = v
         return [o.reshape(np.shape(theta)) for o in out]
 
     def coefficients(self, theta):
@@ -250,38 +249,31 @@ def _fill_block(table: SweepTable, start: int, thetas_deg, detunings,
     row ``start``: block i at ``detunings[i]`` and density ``etas[i]``,
     against either a shared 1-D angle row or one angle row per block,
     theta fastest.  chi takes one susceptibility call for the chunk; the
-    chunk's arrays are taken from ``work`` and handed back on return."""
-    with work.scratch():
-        thetas_rad = np.radians(thetas_deg, out=work.take(np.shape(thetas_deg)))
-        chi = susceptibility(detunings, medium, etas)
-        rp, rs, dmin, abs_rp, drp = _stack_rows(
-            thetas_rad, replace(stack, eps2=1.0 + chi[:, None]), beam, work)
-        rows = slice(start, start + rp.size)
-        abs_rp_column, abs_rs, ratio, delta, tilt = (
-            column[rows].reshape(rp.shape) for column in table.points)
-        np.copyto(abs_rp_column, abs_rp)
-        np.abs(rs, out=abs_rs)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, drp, beam, work, abs_rp)
-            np.divide(abs_rs, abs_rp, out=ratio)
-        np.divide(delta_plus, beam.lam, out=delta)
-        np.copyto(tilt, theta_minus)
-        # a non-finite rp or rs (an overflowing interface coefficient, or a
-        # NaN denominator) is a resonant denominator too
-        resonant = np.less(dmin, RESONANT_DENOMINATOR_FLOOR, out=work.take(rp.shape, bool))
-        finite = work.take(rp.shape, bool)
-        for r in (rp, rs):
-            finite = np.isfinite(r, out=finite)
-            resonant |= np.logical_not(finite, out=finite)
-        bad = np.less(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
-        bad |= resonant
-        for column in (ratio, delta, tilt):
-            np.copyto(column, np.nan, where=bad)
-        codes = table.codes[rows].reshape(rp.shape)  # FLAG_KINDS: 1 resonant, 2 Brewster
-        np.copyto(codes, bad)
-        np.add(codes, codes, out=codes)
-        np.copyto(codes, 1, where=resonant)
-        blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
+    chunk's arrays are taken from ``work``, which its chunk loop owns."""
+    thetas_rad = np.radians(thetas_deg, out=work.take(np.shape(thetas_deg)))
+    chi = susceptibility(detunings, medium, etas)
+    rp, rs, dmin, abs_rp, drp = _stack_rows(
+        thetas_rad, replace(stack, eps2=1.0 + chi[:, None]), beam, work)
+    rows = slice(start, start + rp.size)
+    abs_rp_column, abs_rs, ratio, delta, tilt = (
+        column[rows].reshape(rp.shape) for column in table.points)
+    np.copyto(abs_rp_column, abs_rp)
+    np.abs(rs, out=abs_rs)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta_plus, theta_minus = shift_kernel(thetas_rad, rp, rs, drp, beam, work, abs_rp)
+        np.divide(abs_rs, abs_rp, out=ratio)
+    np.divide(delta_plus, beam.lam, out=delta)
+    np.copyto(tilt, theta_minus)
+    resonant = multilayer._resonant(rp, rs, dmin, work)
+    bad = np.less(abs_rp, BREWSTER_FLOOR, out=work.take(rp.shape, bool))
+    bad |= resonant
+    for column in (ratio, delta, tilt):
+        np.copyto(column, np.nan, where=bad)
+    codes = table.codes[rows].reshape(rp.shape)  # FLAG_KINDS: 1 resonant, 2 Brewster
+    np.copyto(codes, bad)
+    np.add(codes, codes, out=codes)
+    np.copyto(codes, 1, where=resonant)
+    blocks = slice(start // rp.shape[1], start // rp.shape[1] + len(detunings))
     for i, value in enumerate((detunings, etas, chi.real, chi.imag)):
         table.blocks[i, blocks] = value
 
@@ -312,11 +304,7 @@ def evaluate(medium: MediumParams, etas: Optional[Sequence[float]],
     table = SweepTable.empty(len(etas) * n * row, thetas_deg)
     if not len(table):
         return table
-    # chunks after the first reuse the block; a single chunk has nothing to
-    # reuse, and numpy allocates its small arrays faster than a block
-    step = _chunk_blocks(row)
-    work = Workspace(step * row if len(etas) * n > step else 0)
-    for chunk in _chunks(len(etas) * n, row):
+    for chunk, work in _chunks(len(etas) * n, row):
         blocks = np.arange(chunk.start, chunk.stop)
         _fill_block(table, chunk.start * row,
                     thetas_deg[blocks % n] if per_detuning else thetas_deg,
@@ -439,9 +427,13 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple) -> li
     q[np.abs(q) <= _COEFF_ROUNDING * sum(_critical_terms(np.abs(num), np.abs(den)))] = 0.0
     q = np.trim_zeros(q, "b").tolist()
     lo, hi = map(float, detuning_range)
-    # u runs to the larger end squared, or to the largest float where that
-    # overflows: an infinite end would stop the last bisection at inf
-    u_max = min(max(lo * lo, hi * hi), sys.float_info.max)
+    # u runs to the larger end squared, capped by Cauchy's bound on the roots
+    # of q (by Gauss-Lucas, on those of its derivatives too) and the largest
+    # float: an infinite end would stop the last bisection at inf
+    a = list(map(abs, q))
+    a0 = next(filter(None, a))  # the first nonzero coefficient
+    cauchy = 1.0 + max(a[a.index(a0) + 1:], default=0.0) / a0
+    u_max = min(max(lo * lo, hi * hi), cauchy, sys.float_info.max)
     x = [u ** 0.5 for u, rising in _sign_changes(q, u_max) if rising]
     windows = [-v for v in reversed(x)] + [0.0] * (q[-1] > 0) + x
     return [w for w in windows if lo < w < hi]
@@ -452,12 +444,14 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     """Per-detuning extremum over incidence angle: (angles_deg, values).
 
     ``kind`` is "spatial" (largest |delta_plus|, valued in units of the
-    wavelength) or "angular" (largest theta_minus).  A coarse scan, a
-    chunk of detunings against the angle grid at a time, keeps each one's
-    best grid point; one lockstep golden section over all, in chunks too,
-    refines them, kept where it beats the grid.  So the working set does
-    not grow with the detunings, and each takes the steps of a search of
-    its own; no detunings give empty arrays.
+    wavelength) or "angular" (largest theta_minus), at the medium, stack
+    and beam of ``ctx_base``, whose ``delta_p`` is not read.  A coarse
+    scan, a chunk of detunings against the angle grid at a time, keeps
+    each one's best grid point; one lockstep golden section over all, in
+    chunks too, refines them, kept where it beats the grid.  ``_chunks``
+    owns the workspace of both, so the working set does not grow with the
+    detunings; each takes the steps of a search of its own, and no
+    detunings give empty arrays.
     """
     if kind not in ("spatial", "angular"):
         raise ValueError("kind must be 'spatial' or 'angular'")
@@ -466,11 +460,8 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
     detunings = np.asarray(detunings, dtype=float)
     stack, beam = ctx_base.stack, ctx_base.beam
     eps2 = 1.0 + susceptibility(detunings, ctx_base.medium)
-    # one workspace for the scan: the largest coarse chunk or golden step
-    work = Workspace(max(min(_chunk_blocks(coarse), len(detunings)) * coarse,
-                         min(_chunk_blocks(1), 2 * len(detunings))))
 
-    def objective(t, eps):  # taken from work: read it before the next take
+    def objective(t, eps, work):  # taken from work: read it before the chunk ends
         rp, rs, _, abs_rp, drp = _stack_rows(t, replace(stack, eps2=eps), beam, work)
         delta_plus, theta_minus = shift_kernel(t, rp, rs, drp, beam, work, abs_rp)
         if kind == "spatial":
@@ -479,20 +470,18 @@ def extremal_angles(kind: str, detunings, ctx_base: ScanContext,
 
     def at_points(t, rows):  # the objective at t[j] against eps2[rows[j]]
         out = np.empty(len(t))
-        for chunk in _chunks(len(t), 1):
-            with work.scratch():
-                out[chunk] = objective(t[chunk], eps2[rows[chunk]])
+        for chunk, work in _chunks(len(t), 1):
+            out[chunk] = objective(t[chunk], eps2[rows[chunk]], work)
         return out
 
-    i = np.empty(len(detunings), np.intp)
-    grid_best = np.empty(len(detunings))
-    for chunk in _chunks(len(detunings), coarse):
-        with work.scratch():
-            vals = objective(grid_rad, eps2[chunk, None])
-            finite = np.isfinite(vals, out=work.take(vals.shape, bool))
-            np.copyto(vals, np.inf, where=np.logical_not(finite, out=finite))
-            i[chunk] = np.argmin(vals, axis=1)
-            grid_best[chunk] = -vals[np.arange(len(vals)), i[chunk]]
+    i, grid_best = np.empty(len(detunings), np.intp), np.empty(len(detunings))
+    for chunk, work in _chunks(len(detunings), coarse):
+        vals = objective(grid_rad, eps2[chunk, None], work)
+        finite = np.isfinite(vals, out=work.take(vals.shape, bool))
+        np.copyto(vals, np.inf, where=np.logical_not(finite, out=finite))
+        i[chunk] = np.argmin(vals, axis=1)
+        grid_best[chunk] = -vals[np.arange(len(vals)), i[chunk]]
+    del work, vals, finite  # the scan's block, freed before the golden section
     t_best = _golden_minimize(at_points, grid_rad[np.maximum(i - 1, 0)],
                               grid_rad[np.minimum(i + 1, coarse - 1)],
                               np.radians(GOLDEN_TOL_DEG))

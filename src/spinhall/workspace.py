@@ -1,13 +1,13 @@
 """Scratch memory for chunked stack evaluation.
 
-A table, or an extremum scan, evaluates the stack and the shift kernel
-chunk after chunk.  Arrays allocated and freed in every chunk make a fresh
-process fault the same pages in again for each chunk, because the
-allocator hands freed memory back to the system.  So the caller that owns
-a chunk loop allocates one ``Workspace`` for the loop, drops it when the
-loop ends, and the kernels take their results and intermediates from it.
-``Workspace()``, with no block, serves a call outside such a loop: numpy
-allocates each array, as it does for an expression.
+A table, an extremum scan or a ``ScanContext`` query evaluates the stack
+and the shift kernel chunk after chunk.  Arrays allocated and freed in
+every chunk make a fresh process fault the same pages in again for each
+chunk, because the allocator hands freed memory back to the system.  So
+the one chunk loop, ``spinhall.sweep._chunks``, gives a loop of more than
+one chunk one ``Workspace``, and the kernels take their results and
+intermediates from it.  ``Workspace()``, with no block, serves a single
+chunk and the oracle: numpy allocates each array, as for an expression.
 
 The kernels keep the arithmetic of the numpy expressions they replaced, bit
 for bit.  So a binary ufunc never writes over one of its array operands

@@ -145,7 +145,7 @@ def evaluate(medium, etas, detunings, thetas_deg, stack, beam):
     etas = np.array([medium.eta] if etas is None else etas, dtype=float)
     n = len(detunings)
     table = SweepTable.empty(len(etas) * n * row, thetas_deg)
-    for chunk in _chunks(len(etas) * n, row):
+    for chunk, _ in _chunks(len(etas) * n, row):
         blocks = np.arange(chunk.start, chunk.stop)
         fill_block(table, chunk.start * row,
                    thetas_deg[blocks % n] if per_detuning else thetas_deg,

@@ -194,9 +194,9 @@ def chunk_peaks(monkeypatch, name, run, starts_chunk=lambda args: True):
 
 
 class TestNoChunkTemporaries:
-    """A table fill or a coarse-scan chunk takes its arrays from the
-    workspace of its loop; each chunk allocates only its masks and its
-    few per-block values."""
+    """A table fill, a coarse-scan chunk or a ScanContext chunk takes its
+    arrays from the workspace of its loop; each chunk allocates only its
+    masks and its few per-block values."""
 
     @pytest.mark.parametrize("per_detuning", [False, True])
     def test_fill_block(self, per_detuning, monkeypatch):
@@ -218,6 +218,16 @@ class TestNoChunkTemporaries:
             lambda: sweep_module.extremal_angles("angular", np.linspace(-2, 2, 121), ctx),
             starts_chunk=lambda args: np.ndim(args[2].eps2) == 2)
         assert len(peaks) == 4  # 40 detunings of 801 angles per chunk
+        assert max(peaks) < CHUNK_ALLOCATION_BOUND, peaks
+
+    @pytest.mark.parametrize("method", ["abs_rp", "delta_plus"])
+    def test_scan_context_chunk(self, method, monkeypatch):
+        # a pointwise chunk runs from its stack evaluation to the next
+        ctx = sweep_module.ScanContext(*load_config(preset="fig2-ctl").build(), 0.5)
+        thetas = np.radians(np.linspace(30.0, 38.0, 3 * sweep_module.CHUNK_POINTS))
+        peaks = chunk_peaks(monkeypatch, "_amplitudes",
+                            lambda: getattr(ctx, method)(thetas))
+        assert len(peaks) == 3
         assert max(peaks) < CHUNK_ALLOCATION_BOUND, peaks
 
 
