@@ -123,14 +123,15 @@ def reflection_coefficients(theta_i, lam: float, stack: LayerStack):
 
 def _raise_if_resonant(rp, rs, dmin):
     """ResonantDenominator where a table would flag a point resonant."""
-    if np.any(_resonant(*np.atleast_1d(rp, rs, dmin), Workspace())):
+    if np.any(_resonant(*np.atleast_1d(rp, rs, dmin))):
         raise ResonantDenominator("stack denominator below floor "
                                   f"{RESONANT_DENOMINATOR_FLOOR} or not finite")
 
 
-def _resonant(rp, rs, dmin, work):
+def _resonant(rp, rs, dmin, work=None):
     """Mask, taken from ``work``, of the points a table flags resonant: a
     denominator below RESONANT_DENOMINATOR_FLOOR, or rp or rs not finite."""
+    work = Workspace() if work is None else work
     resonant = np.less(dmin, RESONANT_DENOMINATOR_FLOOR, out=work.like(dmin, dtype=bool))
     finite = work.like(dmin, dtype=bool)
     for r in (rp, rs):

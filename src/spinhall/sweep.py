@@ -427,13 +427,9 @@ def find_transparency_windows(medium: MediumParams, detuning_range: tuple) -> li
     q[np.abs(q) <= _COEFF_ROUNDING * sum(_critical_terms(np.abs(num), np.abs(den)))] = 0.0
     q = np.trim_zeros(q, "b").tolist()
     lo, hi = map(float, detuning_range)
-    # u runs to the larger end squared, capped by Cauchy's bound on the roots
-    # of q (by Gauss-Lucas, on those of its derivatives too) and the largest
-    # float: an infinite end would stop the last bisection at inf
-    a = list(map(abs, q))
-    a0 = next(filter(None, a))  # the first nonzero coefficient
-    cauchy = 1.0 + max(a[a.index(a0) + 1:], default=0.0) / a0
-    u_max = min(max(lo * lo, hi * hi), cauchy, sys.float_info.max)
+    # u runs to the larger end squared, or to the largest float where that
+    # overflows: an infinite end would stop the last bisection at inf
+    u_max = min(max(lo * lo, hi * hi), sys.float_info.max)
     x = [u ** 0.5 for u, rising in _sign_changes(q, u_max) if rising]
     windows = [-v for v in reversed(x)] + [0.0] * (q[-1] > 0) + x
     return [w for w in windows if lo < w < hi]
