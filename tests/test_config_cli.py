@@ -242,20 +242,14 @@ class TestCli:
         assert value == pytest.approx(33.69, abs=0.05)
 
     def test_windows_command(self, tmp_path, capsys):
-        code, _ = run_cli(["windows", "--preset", "fig2-ctl"], tmp_path)
-        assert code == 0
-        assert "+0.0000" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("preset, line", [
-        ("fig2-ctl", "-2.6423 +0.0000 +2.6423"), ("fig4-ntype", "-0.8787 +0.8787")])
-    def test_windows_over_a_huge_config_range(self, preset, line, tmp_path, capsys):
         # a config range whose squared ends overflow finds the default windows
         cfg_path = tmp_path / "range.json"
         cfg_path.write_text(json.dumps({"sweep": {"detuning": [-1e300, 1e300, 601]}}))
         for extra in ([], ["--config", str(cfg_path)]):
-            code, _ = run_cli(["windows", "--preset", preset, *extra], tmp_path)
+            code, _ = run_cli(["windows", "--preset", "fig2-ctl", *extra], tmp_path)
             assert code == 0
-            assert f"transparency windows (gamma): {line}\n" in capsys.readouterr().out
+            assert ("transparency windows (gamma): -2.6423 +0.0000 +2.6423\n"
+                    in capsys.readouterr().out)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_window_writes_a_header_only_table(self, fmt, tmp_path, capsys):
