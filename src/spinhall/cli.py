@@ -1,5 +1,8 @@
 """Command-line interface: single-point queries, sweeps and dataset recipes.
 
+``main`` resolves every input once, the config and the output among them;
+the commands then only evaluate and emit, each through ``_emit``.
+
 Exit status: 0 on success, 2 on configuration/validation problems, 3
 when more than MAX_FLAG_FRACTION of the evaluated points had to be
 flagged as numerically singular.
@@ -19,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import (RunConfig, RunManifest, atomic_output, check_table_points,
-                     load_config)
+from .config import (RunConfig, RunManifest, atomic_output, check_output_path,
+                     check_table_points, load_config)
 from .errors import InvalidAngle, SpinHallError, ValidationError
 from .medium import susceptibility
 from .shifts import BREWSTER_FLOOR, shift_kernel
@@ -271,35 +274,26 @@ def _write_rows(path: Path, columns, data, manifest: RunManifest,
         _write_table(fh.buffer, data, _layout("csv"))
 
 
-def _write_output(cfg: RunConfig, args, manifest: RunManifest, columns,
-                  data) -> Path:
-    """Data file, then its manifest; a failed manifest takes the data file
-    with it, so a failed command leaves neither."""
-    out = Path(args.out or cfg.output.out)
-    _write_rows(out, columns, data, manifest,
-                cfg.output.manifest_header or args.manifest_header,
-                args.format or cfg.output.format)
+def _emit(cfg: RunConfig, args, argv, columns, data, counts: dict) -> int:
+    """Write ``data``, the rows of ``columns``, to ``args.out``, then its
+    manifest; a failed manifest removes the data file.  Exit status 3 when
+    over MAX_FLAG_FRACTION of the rows are flagged (``counts``), else 0."""
+    rows, flagged = _row_count(data), sum(counts.values())
+    manifest = RunManifest.for_run(argv, cfg, rows, flagged, counts)
+    _write_rows(args.out, columns, data, manifest, args.manifest_header, args.format)
     try:
-        manifest.write(out)
+        manifest.write(args.out)
     except BaseException:
-        out.unlink(missing_ok=True)
+        args.out.unlink(missing_ok=True)
         raise
-    return out
+    return 3 if rows and flagged / rows > MAX_FLAG_FRACTION else 0
 
 
 def _emit_table(table: SweepTable, cfg: RunConfig, args, argv) -> int:
     counts = table.flag_counts
-    flagged = sum(counts.values())
-    manifest = RunManifest.for_run(argv, cfg, len(table), flagged, counts)
-    out = _write_output(cfg, args, manifest, COLUMNS, table.indexed_columns())
-    print(f"wrote {len(table)} rows to {out} ({flagged} flagged)")
-    return _flag_status(len(table), flagged)
-
-
-def _flag_status(rows: int, flagged: int) -> int:
-    """Exit status 3 when more than MAX_FLAG_FRACTION of ``rows`` are
-    flagged, else 0."""
-    return 3 if rows and flagged / rows > MAX_FLAG_FRACTION else 0
+    status = _emit(cfg, args, argv, COLUMNS, table.indexed_columns(), counts)
+    print(f"wrote {len(table)} rows to {args.out} ({sum(counts.values())} flagged)")
+    return status
 
 
 def _context(cfg: RunConfig, detuning: float, eta=None) -> ScanContext:
@@ -326,11 +320,6 @@ def _parse_grid(text: str, points_per_angle: int = 1):
     return lo, hi, n
 
 
-def _etas(args):
-    """The eta axis of a command: --eta when given, else the medium's."""
-    return None if args.eta is None else [args.eta]
-
-
 def _table(cfg: RunConfig, thetas_deg, detunings, etas) -> SweepTable:
     medium, stack, beam = cfg.build()
     return evaluate(medium, etas, detunings, thetas_deg, stack, beam)
@@ -343,7 +332,7 @@ def _axis(rng) -> np.ndarray:
 
 
 def cmd_susceptibility(cfg, args, argv):
-    table = _table(cfg, [args.theta], _axis(cfg.sweep.detuning), _etas(args))
+    table = _table(cfg, [args.theta], _axis(cfg.sweep.detuning), args.etas)
     chi0 = susceptibility(args.detuning, _context(cfg, 0.0, args.eta).medium)
     print(f"chi({args.detuning:g}) = {chi0.real:.6e} {chi0.imag:+.6e}i")
     return _emit_table(table, cfg, args, argv)
@@ -351,7 +340,7 @@ def cmd_susceptibility(cfg, args, argv):
 
 def cmd_shift(cfg, args, argv):
     thetas = _axis(_parse_grid(args.grid)) if args.grid else [args.theta]
-    table = _table(cfg, thetas, [args.detuning], _etas(args))
+    table = _table(cfg, thetas, [args.detuning], args.etas)
     if len(table) == 1:
         print(f"delta_plus = {table.delta_plus_lambda[0]:.6e} lambda, "
               f"Theta_minus = {table.theta_minus[0]:.6e}")
@@ -359,7 +348,7 @@ def cmd_shift(cfg, args, argv):
 
 
 def cmd_sweep(cfg, args, argv):
-    etas = _etas(args) or cfg.sweep.eta_list
+    etas = args.etas or cfg.sweep.eta_list
     thetas = (_parse_grid(args.grid, cfg.sweep.detuning[2] * len(etas or [None]))
               if args.grid else cfg.sweep.theta_deg)
     table = _table(cfg, _axis(thetas), _axis(cfg.sweep.detuning), etas)
@@ -371,7 +360,7 @@ def cmd_brewster(cfg, args, argv):
     theta_b = find_brewster((lo, hi), _context(cfg, args.detuning, args.eta),
                             coarse=n)
     print(f"brewster angle = {theta_b:.6f} deg at detuning {args.detuning:g}")
-    table = _table(cfg, [theta_b], [args.detuning], _etas(args))
+    table = _table(cfg, [theta_b], [args.detuning], args.etas)
     return _emit_table(table, cfg, args, argv)
 
 
@@ -381,7 +370,7 @@ def cmd_windows(cfg, args, argv):
     windows = find_transparency_windows(medium, (lo, hi))
     print("transparency windows (gamma):",
           " ".join(f"{w:+.4f}" for w in windows) or "none")
-    table = _table(cfg, [args.theta], windows, _etas(args))
+    table = _table(cfg, [args.theta], windows, args.etas)
     return _emit_table(table, cfg, args, argv)
 
 
@@ -400,10 +389,8 @@ def cmd_oracle(cfg, args, argv):
     # the closed form is NaN below the floor, as in a table row
     counts = dict.fromkeys(FLAG_KINDS[1:], 0)
     counts[FLAG_BREWSTER] = int(abs_rp < BREWSTER_FLOOR)
-    flagged = sum(counts.values())
-    _write_output(cfg, args, RunManifest.for_run(argv, cfg, 1, flagged, counts),
-                  ORACLE_COLUMNS, [(np.array([v], dtype=float), None) for v in row])
-    return _flag_status(1, flagged)
+    return _emit(cfg, args, argv, ORACLE_COLUMNS,
+                 [(np.array([v], dtype=float), None) for v in row], counts)
 
 
 def _angular_maximum(cfg: RunConfig, detunings):
@@ -447,14 +434,7 @@ def recipe_table(target: str, cfg: RunConfig) -> SweepTable:
 
 
 def cmd_reproduce(cfg, args, argv):
-    if args.target not in RECIPES:
-        raise ValidationError(f"unknown reproduce target {args.target!r}")
-    if args.preset is None and args.config is None:
-        cfg = load_config(preset=RECIPES[args.target][0])
-    table = recipe_table(args.target, cfg)
-    if args.out is None:
-        args.out = f"{args.target}.{args.format or cfg.output.format}"
-    return _emit_table(table, cfg, args, argv)
+    return _emit_table(recipe_table(args.target, cfg), cfg, args, argv)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -528,11 +508,23 @@ def main(argv=None) -> int:
             raise InvalidAngle("incidence angles must lie in (0, 90) degrees")
         if args.eta is not None and not 0 <= args.eta < float("inf"):
             raise ValidationError("--eta must be finite and >= 0")
+        # the eta axis of a table: --eta when given, else the config's
+        args.etas = None if args.eta is None else [args.eta]
         if not np.isfinite(args.detuning):
             raise ValidationError("--detuning must be finite")
+        if args.out is not None:
+            check_output_path("--out", args.out)
+        if args.command == "reproduce" and args.target not in RECIPES:
+            raise ValidationError(f"unknown reproduce target {args.target!r}")
+        if args.command == "reproduce" and args.preset is None:
+            args.preset = RECIPES[args.target][0]
         cfg = load_config(path=args.config, preset=args.preset)
-        _check_header(args.manifest_header or cfg.output.manifest_header,
-                      args.format or cfg.output.format)
+        args.format = args.format or cfg.output.format
+        args.manifest_header = args.manifest_header or cfg.output.manifest_header
+        if args.out is None and args.command == "reproduce":
+            args.out = f"{args.target}.{args.format}"
+        args.out = Path(cfg.output.out if args.out is None else args.out)
+        _check_header(args.manifest_header, args.format)
         if args.threads is not None:
             print("note: --threads has no effect; tables are evaluated on one "
                   "thread", file=sys.stderr)

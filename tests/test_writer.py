@@ -277,7 +277,9 @@ def manifests(draw):
         "beam": {"w0_lambdas": draw(st.sampled_from([50, 50.0, 7.5]))},
         "sweep": {"eta_list": draw(st.none() | st.lists(INT_OR_FLOAT, min_size=1,
                                                         max_size=2))},
-        "output": {"out": draw(st.text() | TRICKY_TEXT, label="out"),
+        # made a file name: a NUL byte or a path that names no file is refused
+        "output": {"out": draw((st.text() | TRICKY_TEXT).map(
+            lambda text: text.replace("\0", "") + ".csv"), label="out"),
                    "format": draw(st.sampled_from(["csv", "json"])),
                    "manifest_header": draw(st.booleans())}})
     command = draw(st.lists(st.text() | TRICKY_TEXT, max_size=6), label="command")
@@ -479,10 +481,20 @@ GOLDEN_SHA256 = dict(line.split()[::-1] for line in (
     Path(__file__).with_name("golden_sha256.txt").read_text().splitlines()))
 
 
-@pytest.mark.parametrize("target", ["fig2d", "fig5b"])
-def test_reproduce_golden_digest(target, tmp_path):
+# a config file with no parameter keeps the target's preset
+FORMAT_ONLY = {"output": {"format": "csv"}}
+
+
+@pytest.mark.parametrize("target, config", [
+    pytest.param(target, config, id=target if config is None else f"{target}-format-only")
+    for target in ("fig2d", "fig4c", "fig5b") for config in (None, FORMAT_ONLY)])
+def test_reproduce_golden_digest(target, config, tmp_path):
     out = tmp_path / f"{target}.csv"
-    assert main(["reproduce", target, "--out", str(out)]) == 0
+    argv = ["reproduce", target, "--out", str(out)]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[out.name]
 
 
